@@ -21,6 +21,15 @@ cargo build --release --workspace --offline
 echo "== cargo test"
 cargo test -q --workspace --offline
 
+echo "== benchmark smoke (test-scale goldens, run_reference)"
+# run.sh exits 0 even when an output check fails: the verdict is the
+# JSON object on its last stdout line. (Captured first: grep -q closing
+# a pipe early would SIGPIPE run.sh under pipefail.)
+bench=$(bash benchmark/run.sh --smoke)
+verdict=$(tail -n 1 <<< "$bench")
+grep -q '"correct":true' <<< "$verdict"
+grep -Eq '"failed":0[,}]' <<< "$verdict"
+
 echo "== bench smoke + regression compare"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT

@@ -7,7 +7,10 @@
 //! so barrier-wait and work-stealing telemetry engage). Host-side
 //! profiling ([`gscalar_hostprof`]) is always on here; the report is
 //! the per-phase exclusive wall-time breakdown plus per-phase
-//! `cycles_per_host_s`.
+//! `cycles_per_host_s`, attributed per pass: the serial pass under
+//! `host/phase/*` and `host/pool/*`, the parallel pass under
+//! `host/parallel/phase/*` and `host/parallel/pool/*`. Profiling is
+//! reset between the passes, so each set covers its own pass only.
 //!
 //! ```sh
 //! cargo run --release --bin throughput -- --scale test --json BENCH_throughput.json
@@ -15,12 +18,13 @@
 //!
 //! Every metric in the manifest lives under `host/`, so `report
 //! compare` treats the whole file as informational: the committed
-//! `BENCH_throughput.json` is a trend record, never a hard gate —
-//! wall-clock jitter cannot fail CI.
+//! `BENCH_throughput.json` is a trend record. The one exception is the
+//! serial engine's aggregate `host/serial/cycles_per_host_s`, which
+//! `ci.sh` holds to a one-sided `--gate-min` floor.
 //!
-//! With `--json <path>`, a Chrome trace-event host timeline is also
-//! written next to the manifest as `<stem>.timeline.json` (open in
-//! `chrome://tracing` or Perfetto).
+//! With `--json <path>`, a Chrome trace-event host timeline of the
+//! serial pass is also written next to the manifest as
+//! `<stem>.timeline.json` (open in `chrome://tracing` or Perfetto).
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -82,6 +86,36 @@ fn run_mix(
     (total_cycles, wall)
 }
 
+/// Records one pass's hostprof totals with `host/` rewritten to
+/// `prefix` (`host/phase/*`, `host/pool/*`), plus per-phase
+/// `cycles_per_host_s` over the pass's own cycles. Returns the share
+/// of the pass's wall time the phases cover.
+fn export_pass(
+    r: &mut Report,
+    snap: &hostprof::Snapshot,
+    prefix: &str,
+    cycles: u64,
+    wall: f64,
+) -> f64 {
+    for (path, v) in snap.flatten() {
+        r.metric(&path.replacen("host/", prefix, 1), v);
+    }
+    for (i, p) in hostprof::Phase::ALL.iter().enumerate() {
+        let ns = snap.phases[i].ns;
+        if ns > 0 {
+            r.metric(
+                &format!("{prefix}phase/{}/cycles_per_host_s", p.name()),
+                cycles as f64 / (ns as f64 / 1e9),
+            );
+        }
+    }
+    if wall > 0.0 {
+        snap.total_ns() as f64 / (wall * 1e9)
+    } else {
+        0.0
+    }
+}
+
 /// Resolves the `--json [path]` argument the way [`Report::from_args`]
 /// does, so the timeline file can land next to the manifest.
 fn json_path_from_args(args: &[String]) -> Option<std::path::PathBuf> {
@@ -110,40 +144,29 @@ fn main() -> ExitCode {
     r.title("host throughput: 17-kernel mix, cycle-weighted");
     r.config(&cfg);
 
-    // Pass 1: serial engine. Snapshot right after, while every phase
-    // ran on this one thread, to check instrumentation coverage: the
-    // exclusive phase totals must sum (within slop) to the pass's wall
-    // time.
+    // Pass 1: serial engine. Every phase runs on this one thread, so
+    // the exclusive phase totals must sum (within slop) to the pass's
+    // wall time.
     let (serial_cycles, serial_wall) = run_mix(&mut r, &workloads, &cfg, 1, "serial");
     let serial_snap = hostprof::snapshot();
-    let coverage = if serial_wall > 0.0 {
-        serial_snap.total_ns() as f64 / (serial_wall * 1e9)
-    } else {
-        0.0
-    };
+    let coverage = export_pass(&mut r, &serial_snap, "host/", serial_cycles, serial_wall);
     r.metric("host/serial/instrumented_fraction", coverage);
+    // The timeline file shows the serial pass, like `host/phase/*`.
+    let serial_timeline = hostprof::chrome_timeline_json();
 
     // Pass 2: parallel epoch engine — exercises barrier-wait and
-    // work-stealing telemetry. Accumulates on top of pass 1 (worker
-    // self-time overlaps the coordinator, so phase totals now read as
-    // CPU time, not wall time).
+    // work-stealing telemetry. A reset in between keeps its phases
+    // apart from pass 1's.
+    hostprof::reset();
     let threads = opts.sim_threads.max(2);
-    let (_par_cycles, par_wall) = run_mix(&mut r, &workloads, &cfg, threads, "parallel");
-
-    let snap = hostprof::snapshot();
-    let total_cycles = serial_cycles; // weight basis: one serial mix
-    for (i, p) in hostprof::Phase::ALL.iter().enumerate() {
-        let ns = snap.phases[i].ns;
-        if ns > 0 {
-            r.metric(
-                &format!("host/phase/{}/cycles_per_host_s", p.name()),
-                total_cycles as f64 / (ns as f64 / 1e9),
-            );
-        }
-    }
+    let (par_cycles, par_wall) = run_mix(&mut r, &workloads, &cfg, threads, "parallel");
+    let par_snap = hostprof::snapshot();
+    let par_coverage = export_pass(&mut r, &par_snap, "host/parallel/", par_cycles, par_wall);
+    r.metric("host/parallel/instrumented_fraction", par_coverage);
 
     r.blank();
-    r.note(&snap.render(serial_wall + par_wall));
+    r.note(&format!("serial pass\n{}", serial_snap.render(serial_wall)));
+    r.note(&format!("parallel pass\n{}", par_snap.render(par_wall)));
     r.note(&format!(
         "serial pass: {serial_cycles} cycles in {serial_wall:.3}s \
          ({:.0} cycles/host-s), instrumented coverage {:.1}%",
@@ -172,7 +195,7 @@ fn main() -> ExitCode {
                 std::fs::create_dir_all(dir).ok();
             }
         }
-        match std::fs::write(&tl_path, hostprof::chrome_timeline_json()) {
+        match std::fs::write(&tl_path, serial_timeline) {
             Ok(()) => eprintln!("wrote {}", tl_path.display()),
             Err(e) => {
                 eprintln!("writing {}: {e}", tl_path.display());
@@ -181,9 +204,9 @@ fn main() -> ExitCode {
         }
     }
 
-    // finish() exports the hostprof flatten (host/phase/*, host/pool/*)
-    // into the manifest while profiling is still enabled.
-    r.finish();
+    // Off before finish(), which would otherwise re-export the live
+    // (parallel-pass) totals over the serial pass's `host/phase/*`.
     hostprof::set_enabled(false);
+    r.finish();
     ExitCode::SUCCESS
 }

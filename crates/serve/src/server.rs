@@ -446,8 +446,8 @@ fn run_grid(
     let specs = match (shared.build)(spec) {
         Ok(s) => s,
         Err(msg) => {
-            feed.finish_synthetic();
             finish(Phase::Error, msg, (0, 0, 0, 0, 0, 0), None);
+            feed.finish_synthetic();
             return;
         }
     };
@@ -475,7 +475,6 @@ fn run_grid(
         cancel: Some(cancel),
     };
     let outcome = run_sweep(&specs, &sweep_cfg);
-    live.close();
 
     let complete = outcome.results.len() == specs.len() && outcome.failures.is_empty();
     let manifest = complete.then(|| {
@@ -507,6 +506,9 @@ fn run_grid(
         ),
         manifest,
     );
+    // Close the feed only once the outcome is stored: a client that
+    // fetches the manifest right after `event: end` must find it.
+    live.close();
 }
 
 fn handle_request(shared: &Arc<Shared>, req: &Request, mut stream: TcpStream) {

@@ -504,6 +504,60 @@ fn drain_mid_grid_then_restart_completes_without_rerunning() {
 }
 
 #[test]
+fn manifest_is_ready_when_the_stream_ends() {
+    let root = fresh_root("feed-close");
+    // Many units with many metrics make the merged manifest slow to
+    // build, widening any gap between the stream's end and the
+    // manifest being stored.
+    let builder: GridBuilder = Arc::new(|spec| {
+        Ok(spec
+            .experiments
+            .iter()
+            .flat_map(|exp| {
+                (0..256).map(move |u| {
+                    JobSpec::new(JobId::new(exp.clone(), format!("u{u}")), move |_| {
+                        let mut out = JobOutput::default();
+                        for m in 0..128 {
+                            out.metric(format!("m{m}"), f64::from(u * m));
+                        }
+                        Ok(out)
+                    })
+                })
+            })
+            .collect())
+    });
+    let mut srv = JobServer::start(cfg(root.clone()), "127.0.0.1:0".parse().unwrap(), builder)
+        .expect("start");
+    let addr = srv.addr();
+    let mut served = Vec::new();
+    for round in 0..4 {
+        let (_, resp) = http(
+            addr,
+            "POST",
+            "/jobs",
+            &format!(r#"{{"experiments":["r{round}"]}}"#),
+        );
+        let id = job_id(&resp);
+        // Follow the live stream to its end, then fetch the manifest
+        // exactly once: no retry may be needed.
+        let (_, sse) = http(addr, "GET", &format!("/jobs/{id}/stream"), "");
+        assert!(sse.contains("event: end"), "{sse}");
+        let (status, manifest) = http(addr, "GET", &format!("/jobs/{id}/manifest"), "");
+        assert!(
+            status.contains("200"),
+            "round {round}: {status}: {manifest}"
+        );
+        served.push((id, manifest));
+    }
+    for (id, manifest) in served {
+        let (_, later) = http(addr, "GET", &format!("/jobs/{id}/manifest"), "");
+        assert_eq!(manifest, later, "job {id}: manifest changed after end");
+    }
+    srv.shutdown();
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
 fn sse_stream_replays_lifecycle_and_ends() {
     let root = fresh_root("sse");
     let journal = Arc::new(Mutex::new(Vec::new()));

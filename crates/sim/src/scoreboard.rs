@@ -35,17 +35,14 @@ impl Scoreboard {
         Self::default()
     }
 
-    /// Whether `instr` may issue at `now` (no RAW/WAW hazards).
-    #[must_use]
-    pub fn can_issue(&self, instr: &Instr, now: u64) -> bool {
-        self.blocking_is_mem(instr, now).is_none()
-    }
-
     /// If `instr` cannot issue at `now`, reports whether *any* blocking
     /// entry is owned by a memory instruction (`Some(true)`) or all
     /// blockers are ALU/SFU data dependencies (`Some(false)`); `None`
-    /// when `instr` is free to issue. Drives the stall taxonomy's
-    /// memory-pending vs. scoreboard split.
+    /// when `instr` is free to issue.
+    ///
+    /// The SM answers this question from a cached
+    /// [`Scoreboard::hazard_window`]; this polled form is the oracle the
+    /// cache is checked against.
     #[must_use]
     pub fn blocking_is_mem(&self, instr: &Instr, now: u64) -> Option<bool> {
         let mut blocked = false;
@@ -82,6 +79,55 @@ impl Scoreboard {
         } else {
             None
         }
+    }
+
+    /// The hazard window of `instr`: `(clear_at, mem_until)`.
+    ///
+    /// `clear_at` is the latest release among the entries for the
+    /// registers and predicates `instr` reads or writes (`u64::MAX`
+    /// while any is still pending); `mem_until` is the same maximum over
+    /// memory-produced register entries only, or 0 if there are none.
+    /// An entry blocks exactly while `release > now`, so for every `now`
+    ///
+    /// `blocking_is_mem(instr, now) == (clear_at > now).then_some(mem_until > now)`
+    ///
+    /// and the window stays exact until the scoreboard next changes.
+    #[must_use]
+    pub fn hazard_window(&self, instr: &Instr) -> (u64, u64) {
+        let mut clear_at = 0;
+        let mut mem_until = 0;
+        {
+            let mut check_reg = |r: Reg| {
+                for e in &self.regs {
+                    if e.reg == r {
+                        clear_at = clear_at.max(e.release);
+                        if e.is_mem {
+                            mem_until = mem_until.max(e.release);
+                        }
+                    }
+                }
+            };
+            for &r in instr.src_regs().iter() {
+                check_reg(r);
+            }
+            if let Some(r) = instr.dst_reg() {
+                check_reg(r);
+            }
+        }
+        let mut check_pred = |p: Pred| {
+            for &(bp, t) in &self.preds {
+                if bp == p {
+                    clear_at = clear_at.max(t);
+                }
+            }
+        };
+        for &p in instr.src_preds().iter() {
+            check_pred(p);
+        }
+        if let Some(p) = instr.dst_pred() {
+            check_pred(p);
+        }
+        (clear_at, mem_until)
     }
 
     /// Reserves `instr`'s destinations at issue.
@@ -121,7 +167,9 @@ impl Scoreboard {
         }
     }
 
-    /// Drops entries whose release time has passed.
+    /// Drops entries whose release time has passed. Exact at any point
+    /// from `now` on: a passed entry never blocks again, and
+    /// [`Scoreboard::release_at`] only matches pending entries.
     pub fn expire(&mut self, now: u64) {
         self.regs.retain(|e| e.release > now);
         self.preds.retain(|&(_, t)| t > now);
@@ -139,6 +187,11 @@ mod tests {
     use super::*;
     use gscalar_isa::{AluOp, Guard, InstrKind, Operand};
 
+    /// No RAW/WAW hazard blocks `instr` at `now`.
+    fn free(sb: &Scoreboard, instr: &Instr, now: u64) -> bool {
+        sb.blocking_is_mem(instr, now).is_none()
+    }
+
     fn add(dst: u8, a: u8, b: u8) -> Instr {
         Instr::always(InstrKind::Alu {
             op: AluOp::IAdd,
@@ -154,12 +207,12 @@ mod tests {
         let mut sb = Scoreboard::new();
         let producer = add(1, 2, 3);
         let consumer = add(4, 1, 5);
-        assert!(sb.can_issue(&producer, 0));
+        assert!(free(&sb, &producer, 0));
         sb.reserve(&producer);
-        assert!(!sb.can_issue(&consumer, 0));
+        assert!(!free(&sb, &consumer, 0));
         sb.release_at(&producer, 10);
-        assert!(!sb.can_issue(&consumer, 9));
-        assert!(sb.can_issue(&consumer, 10));
+        assert!(!free(&sb, &consumer, 9));
+        assert!(free(&sb, &consumer, 10));
         sb.expire(10);
         assert_eq!(sb.outstanding(), 0);
     }
@@ -170,14 +223,14 @@ mod tests {
         let w1 = add(1, 2, 3);
         let w2 = add(1, 4, 5);
         sb.reserve(&w1);
-        assert!(!sb.can_issue(&w2, 0));
+        assert!(!free(&sb, &w2, 0));
     }
 
     #[test]
     fn independent_instruction_passes() {
         let mut sb = Scoreboard::new();
         sb.reserve(&add(1, 2, 3));
-        assert!(sb.can_issue(&add(4, 5, 6), 0));
+        assert!(free(&sb, &add(4, 5, 6), 0));
     }
 
     #[test]
@@ -192,9 +245,9 @@ mod tests {
         });
         let guarded = Instr::new(Guard::pos(Pred::new(0)), InstrKind::Nop);
         sb.reserve(&setp);
-        assert!(!sb.can_issue(&guarded, 0));
+        assert!(!free(&sb, &guarded, 0));
         sb.release_at(&setp, 5);
-        assert!(sb.can_issue(&guarded, 5));
+        assert!(free(&sb, &guarded, 5));
     }
 
     #[test]
@@ -209,7 +262,7 @@ mod tests {
         sb.reserve(&load);
         let consumer = add(4, 1, 5);
         assert_eq!(sb.blocking_is_mem(&consumer, 0), Some(true));
-        assert!(!sb.can_issue(&consumer, 0));
+        assert!(!free(&sb, &consumer, 0));
         // An ALU producer over a different register reports non-mem.
         let alu = add(6, 2, 3);
         sb.reserve(&alu);
@@ -230,11 +283,8 @@ mod tests {
         sb.reserve(&w); // second in-flight write to R1 (blocked in
                         // practice by WAW, but the structure must cope)
         sb.release_at(&w, 5);
-        assert!(
-            !sb.can_issue(&add(4, 1, 5), 6),
-            "second write still pending"
-        );
+        assert!(!free(&sb, &add(4, 1, 5), 6), "second write still pending");
         sb.release_at(&w, 7);
-        assert!(sb.can_issue(&add(4, 1, 5), 7));
+        assert!(free(&sb, &add(4, 1, 5), 7));
     }
 }

@@ -209,6 +209,60 @@ struct Inflight {
     extra_latency: u64,
 }
 
+/// Cached issue readiness of one warp slot: the hazard window of the
+/// instruction at the warp's PC (see [`Scoreboard::hazard_window`]).
+///
+/// Only three events can change it, and each sets `dirty`: a CTA launch
+/// (fresh scoreboard), a writeback (`release_at`), and any issue from
+/// the warp (moves the PC, may reserve destinations). Barrier state is
+/// read straight from the [`Warp`], so barrier release invalidates
+/// nothing.
+#[derive(Debug, Clone, Copy)]
+struct Ready {
+    dirty: bool,
+    /// The head instruction is a control instruction (needs no
+    /// operand collector).
+    control: bool,
+    /// First cycle at which the head instruction is hazard-free.
+    clear_at: u64,
+    /// A memory producer blocks the head instruction while
+    /// `mem_until > now` (0: none does).
+    mem_until: u64,
+}
+
+impl Ready {
+    const DIRTY: Ready = Ready {
+        dirty: true,
+        control: false,
+        clear_at: 0,
+        mem_until: 0,
+    };
+
+    /// Recomputes a dirty entry for `warp`'s head instruction, expiring
+    /// its scoreboard lazily on the way.
+    #[inline]
+    fn refresh(&mut self, sb: &mut Scoreboard, kernel: &Kernel, warp: &Warp, now: u64) -> Ready {
+        if self.dirty {
+            sb.expire(now);
+            let instr = kernel.instr(warp.simt.pc());
+            let (clear_at, mem_until) = sb.hazard_window(instr);
+            *self = Ready {
+                dirty: false,
+                control: instr.func_unit() == FuncUnit::Control,
+                clear_at,
+                mem_until,
+            };
+        }
+        *self
+    }
+
+    /// The polled scoreboard's answer at `now`:
+    /// [`Scoreboard::blocking_is_mem`] read off the cached window.
+    fn blocking_is_mem(&self, now: u64) -> Option<bool> {
+        (self.clear_at > now).then_some(self.mem_until > now)
+    }
+}
+
 /// State of one resident CTA.
 #[derive(Debug)]
 struct CtaState {
@@ -225,6 +279,8 @@ pub struct Sm {
     arch: ArchConfig,
     warps: Vec<Option<Warp>>,
     scoreboards: Vec<Scoreboard>,
+    /// Per-warp-slot issue readiness, refreshed lazily by the scheduler.
+    ready: Vec<Ready>,
     schedulers: Vec<Scheduler>,
     oc: OperandCollectors<Inflight>,
     alu_pipes: Vec<Pipe<Inflight>>,
@@ -279,6 +335,7 @@ impl Sm {
             arch: arch.clone(),
             warps: (0..max_warps).map(|_| None).collect(),
             scoreboards: (0..max_warps).map(|_| Scoreboard::new()).collect(),
+            ready: vec![Ready::DIRTY; max_warps],
             schedulers: (0..cfg.schedulers)
                 .map(|s| Scheduler::new(cfg.sched, per_sched(s)))
                 .collect(),
@@ -395,6 +452,7 @@ impl Sm {
                 grid,
             ));
             self.scoreboards[w] = Scoreboard::new();
+            self.ready[w] = Ready::DIRTY;
             remaining -= in_warp;
             tid_base += in_warp as u32;
         }
@@ -460,6 +518,7 @@ impl Sm {
             }
             let release = now + self.arch.extra_latency;
             self.scoreboards[f.warp].release_at(&f.instr, release);
+            self.ready[f.warp].dirty = true;
             self.last_release = self.last_release.max(release);
             // Recycle the coalesced-line buffer for the next issue.
             let mut lines = f.mem_lines;
@@ -512,14 +571,6 @@ impl Sm {
         drop(dispatch_phase);
 
         // 4. Issue from each scheduler.
-        {
-            let _sched_phase = hostprof::phase(hostprof::Phase::Scheduler);
-            for w in 0..self.warps.len() {
-                if self.warps[w].is_some() {
-                    self.scoreboards[w].expire(now);
-                }
-            }
-        }
         let mut completed_ctas = 0;
         for s in 0..self.schedulers.len() {
             completed_ctas += self.issue_one(s, now, kernel, port, rf_conflict, tracer, profiler);
@@ -640,7 +691,8 @@ impl Sm {
     ) -> usize {
         let oc_free = self.oc.free_slots() > 0;
         let warps = &self.warps;
-        let scoreboards = &self.scoreboards;
+        let scoreboards = &mut self.scoreboards;
+        let ready = &mut self.ready;
         // Warp pick and (on a miss) stall classification are the
         // scheduler's host cost; the issued path hands off to Execute.
         let sched_phase = hostprof::phase(hostprof::Phase::Scheduler);
@@ -651,12 +703,9 @@ impl Sm {
             if warp.is_done() || warp.at_barrier {
                 return false;
             }
-            let instr = kernel.instr(warp.simt.pc());
-            if !scoreboards[w].can_issue(instr, now) {
-                return false;
-            }
+            let r = ready[w].refresh(&mut scoreboards[w], kernel, warp, now);
             // Non-control instructions need a collector slot.
-            instr.func_unit() == FuncUnit::Control || oc_free
+            r.clear_at <= now && (r.control || oc_free)
         });
         let Some(w) = picked else {
             let (reason, culprit) = self.classify_stall(s, now, kernel, rf_conflict);
@@ -700,6 +749,10 @@ impl Sm {
     /// collector-full (refined to bank-conflict when this cycle's
     /// arbitration lost reads) > memory pending > scoreboard > barrier
     /// > drained.
+    ///
+    /// A miss means `pick` refreshed the readiness of every live warp it
+    /// owns, so the scoreboard split reads the cache; debug builds check
+    /// each answer against the polled [`Scoreboard::blocking_is_mem`].
     fn classify_stall(
         &self,
         s: usize,
@@ -722,8 +775,14 @@ impl Sm {
                 barrier.get_or_insert(w as u32);
                 continue;
             }
-            let instr = kernel.instr(warp.simt.pc());
-            match self.scoreboards[w].blocking_is_mem(instr, now) {
+            let r = &self.ready[w];
+            debug_assert!(!r.dirty, "pick refreshes every live warp on a miss");
+            debug_assert_eq!(
+                r.blocking_is_mem(now),
+                self.scoreboards[w].blocking_is_mem(kernel.instr(warp.simt.pc()), now),
+                "cached readiness of warp {w} diverged from its scoreboard at cycle {now}"
+            );
+            match r.blocking_is_mem(now) {
                 Some(true) => {
                     mem.get_or_insert(w as u32);
                 }
@@ -775,6 +834,9 @@ impl Sm {
             .simt
             .pc();
         let instr = *kernel.instr(pc);
+        // Every issue arm below moves the PC (and ALU/memory issues
+        // reserve destinations), so the cached readiness goes stale.
+        self.ready[w].dirty = true;
         let warp = self.warps[w].as_mut().expect("picked warp exists");
         let path_mask = warp.simt.active();
         // Guard predication narrows the executing mask.

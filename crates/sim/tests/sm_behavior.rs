@@ -5,6 +5,7 @@
 use gscalar_isa::{CmpOp, KernelBuilder, LaunchConfig, Operand, SReg};
 use gscalar_sim::memory::GlobalMemory;
 use gscalar_sim::{ArchConfig, Gpu, GpuConfig, Stats};
+use gscalar_trace::{EventBuf, StallReason, TraceEvent, Tracer};
 
 fn gscalar() -> ArchConfig {
     ArchConfig {
@@ -282,6 +283,79 @@ fn extra_latency_extends_runtime_on_dependent_chain() {
         gs.cycles,
         base.cycles
     );
+}
+
+#[test]
+fn stall_reclassifies_when_the_load_releases_before_the_alu_producer() {
+    // One warp; the consumer reads a shared load (short) and an integer
+    // division (long). It stalls as memory-pending while the load is in
+    // flight, then as a plain scoreboard stall until the division
+    // releases: the cached hazard window's `mem_until < clear_at` case.
+    let mut b = KernelBuilder::new("k");
+    b.shared_mem(64);
+    let base = b.mov(Operand::Imm(0));
+    let loaded = b.ld_shared(base, 0);
+    let quot = b.idiv(Operand::Imm(1000), Operand::Imm(7));
+    b.iadd(loaded.into(), quot.into());
+    b.exit();
+    let k = b.build().unwrap();
+    let consumer_pc = 3;
+    for arch in [ArchConfig::baseline(), gscalar()] {
+        let extra = arch.extra_latency;
+        let mut gpu = Gpu::new(GpuConfig::test_small(), arch);
+        let mut mem = GlobalMemory::new();
+        let mut buf = EventBuf::new(1 << 16);
+        let mut tracer = Tracer::new(&mut buf);
+        gpu.run_traced(&k, LaunchConfig::linear(1, 32), &mut mem, &mut tracer, 0);
+        let records = buf.records();
+        let end_of = |pc: u32| {
+            records
+                .iter()
+                .find_map(|r| match r.ev {
+                    TraceEvent::ExecSpan { pc: p, end, .. } if p == pc => Some(end),
+                    _ => None,
+                })
+                .expect("producer executed")
+        };
+        // Writeback releases a destination `extra` cycles after the
+        // producer's pipeline completes.
+        let load_release = end_of(1) + extra;
+        let div_release = end_of(2) + extra;
+        assert!(load_release < div_release, "the load must release first");
+        let issued_at = |pc: u32| {
+            records
+                .iter()
+                .find_map(|r| match r.ev {
+                    TraceEvent::Issue { pc: p, .. } if p == pc => Some(r.now),
+                    _ => None,
+                })
+                .expect("instruction issued")
+        };
+        let producers_issued = issued_at(2);
+        let stalls: Vec<(u64, StallReason)> = records
+            .iter()
+            .filter_map(|r| match r.ev {
+                TraceEvent::Stall {
+                    warp: Some(0),
+                    reason,
+                    ..
+                } if r.now > producers_issued => Some((r.now, reason)),
+                _ => None,
+            })
+            .collect();
+        assert!(stalls.iter().any(|&(_, r)| r == StallReason::MemPending));
+        assert!(stalls.contains(&(load_release, StallReason::Scoreboard)));
+        for &(now, reason) in &stalls {
+            let want = if now < load_release {
+                StallReason::MemPending
+            } else {
+                StallReason::Scoreboard
+            };
+            assert_eq!(reason, want, "stall at cycle {now} ({stalls:?})");
+            assert!(now < div_release, "no stall once both released");
+        }
+        assert_eq!(issued_at(consumer_pc), div_release);
+    }
 }
 
 #[test]
