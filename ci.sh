@@ -155,19 +155,25 @@ kill -TERM "$serve_pid"
 wait "$serve_pid"
 grep -q "drained" "$tmp/serve/server.log"
 # ...and a restarted server over the same root resumes the grid without
-# re-running anything.
-./target/release/serve --addr 127.0.0.1:0 --root "$tmp/serve/state" \
+# re-running anything. This one binds the wildcard address, which its
+# drain must wake through loopback: the drain fails CI past 10 s.
+./target/release/serve --addr 0.0.0.0:0 --root "$tmp/serve/state" \
     --deterministic > "$tmp/serve/server2.log" 2>&1 &
 serve_pid=$!
 for _ in $(seq 1 100); do
   if grep -q "listening on" "$tmp/serve/server2.log"; then break; fi
   sleep 0.1
 done
-addr=$(sed -n 's|serve: listening on http://||p' "$tmp/serve/server2.log" | head -1)
-resume=$(./target/release/serve submit "$addr" probe --scale test)
+port=$(sed -n 's|serve: listening on http://0\.0\.0\.0:||p' "$tmp/serve/server2.log" | head -1)
+test -n "$port"
+resume=$(./target/release/serve submit "127.0.0.1:$port" probe --scale test)
 grep -q "executed 0" <<< "$resume"
+drain_start=$(date +%s%N)
 kill -TERM "$serve_pid"
 wait "$serve_pid"
+drain_ms=$(( ($(date +%s%N) - drain_start) / 1000000 ))
+echo "serve: wildcard-bound drain took ${drain_ms} ms"
+test "$drain_ms" -lt 10000
 
 echo "== throughput smoke + regression floor (gated)"
 # Wall-clock throughput is machine-dependent, so most host/* metrics

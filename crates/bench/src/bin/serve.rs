@@ -16,11 +16,12 @@
 //! progress per job. SIGTERM/ctrl-c drains gracefully — in-flight jobs
 //! persist their manifests and a restarted server resumes the rest.
 //!
-//! `submit` waits for its job by default, prints the final phase and
-//! counters, optionally saves the merged grid manifest
+//! `submit` waits for its job by default — it follows the job's SSE
+//! stream to `event: end`, then reads the status once — prints the
+//! final phase and counters, optionally saves the merged grid manifest
 //! (`--manifest-out`), and exits nonzero unless the grid completed.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -137,18 +138,30 @@ fn registry_builder() -> GridBuilder {
 
 // ---------------------------------------------------------------- client
 
-/// One HTTP/1.1 exchange; returns (status code, body).
-fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> Result<(u16, String), String> {
+/// Connects and sends one HTTP/1.1 request; `timeout` bounds each read
+/// of the response.
+fn send(
+    addr: SocketAddr,
+    method: &str,
+    path: &str,
+    body: &str,
+    timeout: Option<Duration>,
+) -> Result<TcpStream, String> {
     let mut conn =
         TcpStream::connect(addr).map_err(|e| format!("{addr}: {e} (is the server running?)"))?;
-    conn.set_read_timeout(Some(Duration::from_secs(60)))
-        .map_err(|e| e.to_string())?;
+    conn.set_read_timeout(timeout).map_err(|e| e.to_string())?;
     write!(
         conn,
         "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\r\n{body}",
         body.len()
     )
     .map_err(|e| format!("{addr}: {e}"))?;
+    Ok(conn)
+}
+
+/// One HTTP/1.1 exchange; returns (status code, body).
+fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> Result<(u16, String), String> {
+    let mut conn = send(addr, method, path, body, Some(Duration::from_secs(60)))?;
     let mut raw = String::new();
     conn.read_to_string(&mut raw)
         .map_err(|e| format!("{addr}: {e}"))?;
@@ -229,23 +242,23 @@ fn submit(args: &[String]) -> Result<ExitCode, String> {
     if !wait {
         return Ok(ExitCode::SUCCESS);
     }
-    let phase = loop {
-        let (status, body) = http(addr, "GET", &format!("/jobs/{job}"), "")?;
-        if status != 200 {
-            return Err(format!("job {job} lookup failed ({status}): {body}"));
+    follow(addr, &job)?;
+    // The server closes a job's stream only after its outcome is
+    // stored, so one status read sees the terminal phase.
+    let (status, body) = http(addr, "GET", &format!("/jobs/{job}"), "")?;
+    if status != 200 {
+        return Err(format!("job {job} lookup failed ({status}): {body}"));
+    }
+    let phase = field(&body, "phase").unwrap_or("?").to_string();
+    if !matches!(phase.as_str(), "done" | "failed" | "cancelled" | "error") {
+        return Err(format!("job {job} stream ended in phase {phase}: {body}"));
+    }
+    for counter in ["executed", "resumed", "cached", "failed"] {
+        if let Some(v) = field(&body, counter) {
+            print!("{counter} {v}  ");
         }
-        let phase = field(&body, "phase").unwrap_or("?").to_string();
-        if matches!(phase.as_str(), "done" | "failed" | "cancelled" | "error") {
-            for counter in ["executed", "resumed", "cached", "failed"] {
-                if let Some(v) = field(&body, counter) {
-                    print!("{counter} {v}  ");
-                }
-            }
-            println!("-> {phase}");
-            break phase;
-        }
-        std::thread::sleep(Duration::from_millis(200));
-    };
+    }
+    println!("-> {phase}");
     if let Some(out) = manifest_out {
         let (status, manifest) = http(addr, "GET", &format!("/jobs/{job}/manifest"), "")?;
         if status == 200 {
@@ -260,6 +273,23 @@ fn submit(args: &[String]) -> Result<ExitCode, String> {
     } else {
         ExitCode::FAILURE
     })
+}
+
+/// Follows `/jobs/<job>/stream` until `event: end`. Reads block without
+/// a timeout: a long unit may go minutes between records.
+fn follow(addr: SocketAddr, job: &str) -> Result<(), String> {
+    let path = format!("/jobs/{job}/stream");
+    let mut reader = BufReader::new(send(addr, "GET", &path, "", None)?);
+    let mut line = String::new();
+    loop {
+        line.clear();
+        match reader.read_line(&mut line) {
+            Ok(0) => return Err(format!("{path}: stream closed before event: end")),
+            Ok(_) if line.trim_end() == "event: end" => return Ok(()),
+            Ok(_) => {}
+            Err(e) => return Err(format!("{path}: {e}")),
+        }
+    }
 }
 
 /// `stats` and `cancel`: one request, body to stdout.

@@ -16,9 +16,10 @@
 //!
 //! * an append-only NDJSON **file** you can `tail -f` or feed to
 //!   `watch <path>`, and
-//! * a single-threaded **HTTP/SSE server** (`GET /runs`,
-//!   `GET /runs/<id>/stream`) — the first slice of the
-//!   sweep-as-a-service API — which `watch <addr>` subscribes to.
+//! * an **HTTP/SSE server** (`GET /runs`, `GET /runs/<id>/stream`) —
+//!   the first slice of the sweep-as-a-service API — which
+//!   `watch <addr>` subscribes to. Its acceptor, feeds and SSE writer
+//!   ([`http`]) also carry `gscalar-serve`'s job API.
 //!
 //! ## Determinism contract
 //!
@@ -40,6 +41,7 @@
 //! per-call-site plumbing.
 
 pub mod dashboard;
+pub mod http;
 pub mod progress;
 pub mod record;
 pub mod server;

@@ -1,5 +1,5 @@
-//! A deliberately small single-threaded HTTP/SSE server for live
-//! streams — the first slice of the sweep-as-a-service API.
+//! A deliberately small HTTP/SSE server for live streams — the first
+//! slice of the sweep-as-a-service API.
 //!
 //! Endpoints (HTTP/1.0, one request per connection):
 //!
@@ -13,22 +13,23 @@
 //!   sweep lifecycle events), which is what `watch <addr>` uses.
 //!
 //! The server keeps the full record history in memory, so late
-//! subscribers see the whole stream; it accepts one connection at a
-//! time (a streaming subscriber parks the acceptor), which matches its
-//! in-repo single-watcher use. It runs on a detached thread and lives
-//! until process exit.
+//! subscribers see the whole stream. It runs on the shared
+//! [`HttpServer`] acceptor, one thread per connection, so any number of
+//! subscribers follow the stream at once. The [`LiveHandle`] that
+//! opened it owns the listener.
+//!
+//! [`LiveHandle`]: crate::LiveHandle
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use gscalar_metrics::json::Json;
 
-/// How often pollers (acceptor, SSE pushers) re-check shared state.
-const POLL: Duration = Duration::from_millis(25);
+use crate::http::{stream_sse, Feed, HttpServer};
+use crate::stream::LineSink;
 
 #[derive(Default)]
 struct RunMeta {
@@ -37,96 +38,37 @@ struct RunMeta {
     ended: bool,
 }
 
+/// What the server serves: every line pushed, in arrival order, plus
+/// per-run bookkeeping for `GET /runs`. Fed by the stream's writer
+/// thread as a [`LineSink`].
 #[derive(Default)]
-struct ServerState {
-    /// Every line pushed, in arrival order.
-    lines: Vec<String>,
-    /// Per-run bookkeeping, keyed by run id.
-    runs: BTreeMap<u64, RunMeta>,
-    closed: bool,
-}
-
-/// State shared between the stream's writer thread (producer) and the
-/// server's acceptor thread (consumer).
 pub(crate) struct ServerShared {
-    state: Mutex<ServerState>,
-    /// Once set, the acceptor exits (dropping the listener, so new
-    /// connects are refused) and open SSE streams terminate.
-    shutdown: AtomicBool,
+    feed: Feed,
+    /// Per-run bookkeeping, keyed by run id.
+    runs: Mutex<BTreeMap<u64, RunMeta>>,
 }
 
 impl ServerShared {
-    /// Binds `addr`, spawns the detached acceptor thread, and returns
-    /// the shared state plus the actual bound address.
-    pub(crate) fn bind(addr: SocketAddr) -> std::io::Result<(Arc<ServerShared>, SocketAddr)> {
-        let listener = TcpListener::bind(addr)?;
-        let bound = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let shared = Arc::new(ServerShared {
-            state: Mutex::new(ServerState::default()),
-            shutdown: AtomicBool::new(false),
-        });
+    /// Binds `addr` and starts serving. Returns the shared state, the
+    /// listener (whose shutdown stops the server), and the actual bound
+    /// address.
+    pub(crate) fn bind(
+        addr: SocketAddr,
+    ) -> std::io::Result<(Arc<ServerShared>, HttpServer, SocketAddr)> {
+        let shared = Arc::new(ServerShared::default());
         let srv = Arc::clone(&shared);
-        std::thread::spawn(move || loop {
-            if srv.shutdown.load(Ordering::SeqCst) {
-                // Returning drops the listener; the port frees up
-                // within one poll interval of the shutdown request.
-                return;
-            }
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    // Connection handling is best-effort: a broken
-                    // client must not take the server down.
-                    let _ = srv.handle(stream);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL);
-                }
-                Err(_) => std::thread::sleep(POLL),
-            }
-        });
-        Ok((shared, bound))
-    }
-
-    /// Requests shutdown. Callers close the stream first (so the
-    /// terminal `stream_end` record is already buffered); open SSE
-    /// subscribers then receive it plus the `end` event, and the
-    /// acceptor exits within one poll interval.
-    pub(crate) fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-    }
-
-    /// Appends one record line (called by the stream writer thread).
-    pub(crate) fn push(&self, line: &str) {
-        let mut st = self.state.lock().expect("server state poisoned");
-        if let Ok(doc) = Json::parse(line) {
-            let ty = doc.get("type").and_then(Json::as_str).unwrap_or("");
-            if let Some(run) = doc.get("run").and_then(Json::as_f64) {
-                let meta = st.runs.entry(run as u64).or_default();
-                meta.records += 1;
-                match ty {
-                    "run_start" => {
-                        meta.workload = doc
-                            .get("workload")
-                            .and_then(Json::as_str)
-                            .unwrap_or("")
-                            .to_string();
-                    }
-                    "run_end" => meta.ended = true,
-                    _ => {}
-                }
-            }
-        }
-        st.lines.push(line.to_string());
-    }
-
-    /// Marks the stream closed (called once, after the terminal record).
-    pub(crate) fn close(&self) {
-        self.state.lock().expect("server state poisoned").closed = true;
+        let (http, bound) = HttpServer::bind(
+            addr,
+            Arc::new(move |stream| {
+                // Connection handling is best-effort: a broken client
+                // must not take the server down.
+                let _ = srv.handle(stream);
+            }),
+        )?;
+        Ok((shared, http, bound))
     }
 
     fn handle(&self, stream: TcpStream) -> std::io::Result<()> {
-        stream.set_nonblocking(false)?;
         stream.set_read_timeout(Some(Duration::from_millis(500)))?;
         let mut reader = BufReader::new(stream.try_clone()?);
         let mut request_line = String::new();
@@ -174,16 +116,16 @@ impl ServerShared {
     }
 
     fn runs_json(&self) -> String {
-        let st = self.state.lock().expect("server state poisoned");
-        let runs: Vec<Json> = st
-            .runs
+        let runs = self.runs.lock().expect("server runs poisoned");
+        let closed = self.feed.is_closed();
+        let runs: Vec<Json> = runs
             .iter()
             .map(|(id, meta)| {
                 Json::obj([
                     ("run".to_string(), Json::Num(*id as f64)),
                     ("workload".to_string(), Json::Str(meta.workload.clone())),
                     ("records".to_string(), Json::Num(meta.records as f64)),
-                    ("live".to_string(), Json::Bool(!meta.ended && !st.closed)),
+                    ("live".to_string(), Json::Bool(!meta.ended && !closed)),
                 ])
             })
             .collect();
@@ -193,37 +135,50 @@ impl ServerShared {
     /// Replays buffered records for `filter` (None = all) as SSE, then
     /// follows the live stream until it closes or the client hangs up.
     fn stream_sse(&self, mut stream: TcpStream, filter: Option<u64>) -> std::io::Result<()> {
-        stream.write_all(
-            b"HTTP/1.0 200 OK\r\nContent-Type: text/event-stream\r\nCache-Control: no-cache\r\n\r\n",
-        )?;
-        let matches = |line: &str| match filter {
-            None => true,
-            Some(id) => Json::parse(line)
-                .ok()
-                .and_then(|d| d.get("run").and_then(Json::as_f64))
-                .is_some_and(|r| r as u64 == id),
+        stream_sse(
+            &self.feed,
+            &mut stream,
+            "HTTP/1.0 200 OK\r\nContent-Type: text/event-stream\r\nCache-Control: no-cache\r\n\r\n",
+            |line| match filter {
+                None => true,
+                Some(id) => Json::parse(line)
+                    .ok()
+                    .and_then(|d| d.get("run").and_then(Json::as_f64))
+                    .is_some_and(|r| r as u64 == id),
+            },
+        )
+    }
+}
+
+impl LineSink for ServerShared {
+    fn line(&self, line: &str) {
+        // Buffer first: a `/runs` count never runs ahead of the lines a
+        // subscriber can replay.
+        self.feed.line(line);
+        let Ok(doc) = Json::parse(line) else {
+            return;
         };
-        let mut sent = 0usize;
-        loop {
-            let (batch, closed) = {
-                let st = self.state.lock().expect("server state poisoned");
-                let batch: Vec<String> = st.lines[sent.min(st.lines.len())..].to_vec();
-                (batch, st.closed || self.shutdown.load(Ordering::SeqCst))
-            };
-            sent += batch.len();
-            for line in &batch {
-                if matches(line) {
-                    stream.write_all(format!("data: {line}\n\n").as_bytes())?;
-                }
+        let Some(run) = doc.get("run").and_then(Json::as_f64) else {
+            return;
+        };
+        let mut runs = self.runs.lock().expect("server runs poisoned");
+        let meta = runs.entry(run as u64).or_default();
+        meta.records += 1;
+        match doc.get("type").and_then(Json::as_str).unwrap_or("") {
+            "run_start" => {
+                meta.workload = doc
+                    .get("workload")
+                    .and_then(Json::as_str)
+                    .unwrap_or("")
+                    .to_string();
             }
-            if closed {
-                stream.write_all(b"event: end\ndata: {}\n\n")?;
-                stream.flush()?;
-                return Ok(());
-            }
-            stream.flush()?;
-            std::thread::sleep(POLL);
+            "run_end" => meta.ended = true,
+            _ => {}
         }
+    }
+
+    fn end(&self) {
+        self.feed.end();
     }
 }
 
@@ -240,4 +195,63 @@ fn respond(
     stream.write_all(head.as_bytes())?;
     stream.write_all(body.as_bytes())?;
     stream.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{LiveHandle, LiveRecord, StreamConfig};
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+    use std::time::Duration;
+
+    /// Subscribes to the merged stream and reads until the first
+    /// `data:` event, so the subscriber is known to be following.
+    fn subscribe(addr: std::net::SocketAddr) -> BufReader<TcpStream> {
+        let mut conn = TcpStream::connect(addr).expect("connect");
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        write!(conn, "GET /runs/all/stream HTTP/1.0\r\n\r\n").unwrap();
+        let mut reader = BufReader::new(conn);
+        let mut line = String::new();
+        while !line.starts_with("data: ") {
+            line.clear();
+            assert!(reader.read_line(&mut line).expect("replay") > 0);
+        }
+        reader
+    }
+
+    #[test]
+    fn concurrent_subscribers_each_follow_the_stream() {
+        let (handle, addr) = LiveHandle::serve(
+            "127.0.0.1:0".parse().unwrap(),
+            StreamConfig {
+                deterministic: true,
+                ..StreamConfig::default()
+            },
+        )
+        .expect("bind");
+        handle.emit(&LiveRecord::SweepStart {
+            jobs: 1,
+            budget_cycles: 0,
+            t_s: 0.0,
+        });
+        // Both are connected and following before the next record.
+        let subscribers = [subscribe(addr), subscribe(addr)];
+        handle.emit(&LiveRecord::SweepEnd {
+            done: 1,
+            total: 1,
+            failed: 0,
+            wall_s: 0.0,
+            t_s: 0.0,
+        });
+        handle.shutdown_server();
+        for reader in subscribers {
+            let rest: Vec<String> = reader.lines().map_while(Result::ok).collect();
+            assert!(
+                rest.iter().any(|l| l.contains("\"type\":\"sweep_end\"")),
+                "{rest:?}"
+            );
+            assert!(rest.iter().any(|l| l == "event: end"), "{rest:?}");
+        }
+    }
 }

@@ -18,6 +18,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
+use crate::http::HttpServer;
 use crate::record::LiveRecord;
 use crate::server::ServerShared;
 
@@ -64,7 +65,6 @@ pub trait LineSink: Send + Sync {
 enum Sink {
     File(BufWriter<File>),
     Memory(Arc<Mutex<Vec<String>>>),
-    Server(Arc<ServerShared>),
     Shared(Arc<dyn LineSink>),
 }
 
@@ -81,7 +81,6 @@ impl Sink {
                 .lock()
                 .expect("memory sink poisoned")
                 .push(line.to_string()),
-            Sink::Server(s) => s.push(line),
             Sink::Shared(s) => s.line(line),
         }
     }
@@ -92,7 +91,6 @@ impl Sink {
                 let _ = w.flush();
             }
             Sink::Memory(_) => {}
-            Sink::Server(s) => s.close(),
             Sink::Shared(s) => s.end(),
         }
     }
@@ -128,7 +126,8 @@ struct Inner {
     next_run: AtomicU64,
     writer: Mutex<Option<JoinHandle<()>>>,
     memory: Option<Arc<Mutex<Vec<String>>>>,
-    server: Option<Arc<ServerShared>>,
+    /// The SSE listener of a [`serve`](LiveHandle::serve) stream.
+    server: Option<HttpServer>,
 }
 
 /// A cloneable handle onto one live telemetry stream.
@@ -172,13 +171,9 @@ impl std::fmt::Debug for LiveHandle {
 }
 
 impl LiveHandle {
-    fn start(cfg: StreamConfig, mut sink: Sink) -> LiveHandle {
+    fn start(cfg: StreamConfig, mut sink: Sink, server: Option<HttpServer>) -> LiveHandle {
         let memory = match &sink {
             Sink::Memory(v) => Some(Arc::clone(v)),
-            _ => None,
-        };
-        let server = match &sink {
-            Sink::Server(s) => Some(Arc::clone(s)),
             _ => None,
         };
         let inner = Arc::new(Inner {
@@ -245,25 +240,28 @@ impl LiveHandle {
             std::fs::create_dir_all(dir)?;
         }
         let f = File::create(path)?;
-        Ok(LiveHandle::start(cfg, Sink::File(BufWriter::new(f))))
+        Ok(LiveHandle::start(cfg, Sink::File(BufWriter::new(f)), None))
     }
 
     /// Opens a stream collecting lines in memory (for tests).
     #[must_use]
     pub fn memory(cfg: StreamConfig) -> LiveHandle {
-        LiveHandle::start(cfg, Sink::Memory(Arc::new(Mutex::new(Vec::new()))))
+        LiveHandle::start(cfg, Sink::Memory(Arc::new(Mutex::new(Vec::new()))), None)
     }
 
     /// Opens a stream served over HTTP/SSE on `addr` (see
     /// [`server`](crate::server) for the endpoints). Returns the handle
-    /// and the actual bound address (useful with port 0).
+    /// and the actual bound address (useful with port 0). The listener
+    /// stays open until [`shutdown_server`](LiveHandle::shutdown_server),
+    /// or until the stream is closed and its last handle dropped.
     ///
     /// # Errors
     ///
     /// Returns the I/O error when the listener cannot bind.
     pub fn serve(addr: SocketAddr, cfg: StreamConfig) -> std::io::Result<(LiveHandle, SocketAddr)> {
-        let (shared, bound) = ServerShared::bind(addr)?;
-        Ok((LiveHandle::start(cfg, Sink::Server(shared)), bound))
+        let (shared, http, bound) = ServerShared::bind(addr)?;
+        let handle = LiveHandle::start(cfg, Sink::Shared(shared), Some(http));
+        Ok((handle, bound))
     }
 
     /// Opens a stream forwarding every drained line to a caller-
@@ -272,7 +270,7 @@ impl LiveHandle {
     /// line followed by one [`end`](LineSink::end) call.
     #[must_use]
     pub fn to_sink(cfg: StreamConfig, sink: Arc<dyn LineSink>) -> LiveHandle {
-        LiveHandle::start(cfg, Sink::Shared(sink))
+        LiveHandle::start(cfg, Sink::Shared(sink), None)
     }
 
     /// Serializes and enqueues `rec`. Never blocks: when the bounded
@@ -366,9 +364,9 @@ impl LiveHandle {
 
     /// Shuts a [`serve`](LiveHandle::serve) stream all the way down:
     /// closes the stream (draining the queue and buffering the
-    /// terminal `stream_end` record for subscribers), then stops the
-    /// SSE server — open streams end with the `end` event and the
-    /// listener closes, freeing the port. No-op beyond
+    /// terminal `stream_end` record, so open SSE streams end with it
+    /// and the `end` event), then closes the listener and joins its
+    /// acceptor, freeing the port. No-op beyond
     /// [`close`](LiveHandle::close) for non-server sinks. Unlike
     /// `close`, which leaves the server answering late subscribers
     /// with the full history, this is the graceful-exit path.

@@ -16,7 +16,7 @@
 //! | `GET /jobs/<id>/manifest` | merged grid manifest (byte-stable) |
 //! | `GET /jobs/<id>/stream` | live NDJSON progress over SSE |
 //! | `DELETE /jobs/<id>` | cancel (dequeue, or drain if running) |
-//! | `GET /stats` | cache counters + job phase counts |
+//! | `GET /stats` | cache counters, job phase counts, job latency |
 //! | `GET /healthz` | liveness |
 //!
 //! ## The three serving pillars
@@ -41,12 +41,10 @@
 //! this crate stays registry-agnostic via the [`GridBuilder`] hook.
 
 pub mod cache;
-pub mod http;
 pub mod server;
 pub mod signal;
 pub mod spec;
 
 pub use cache::{CacheCounters, ResultCache};
-pub use http::{read_request, respond, Handler, HttpServer, Request};
 pub use server::{GridBuilder, JobServer, ServeConfig};
 pub use spec::SubmitSpec;

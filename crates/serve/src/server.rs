@@ -18,9 +18,13 @@
 //! * a per-job **cancel flag**, which `DELETE /jobs/<id>` and the
 //!   graceful drain both use — in-flight units finish and persist,
 //!   unstarted units are skipped for a later run;
-//! * a **live feed** ([`JobFeed`]) that buffers the sweep's NDJSON
+//! * a **live feed** ([`Feed`]) that buffers the sweep's NDJSON
 //!   lifecycle records for `GET /jobs/<id>/stream` subscribers
 //!   (full-history replay, then follow, then `event: end`).
+//!
+//! Every wait on a request path is woken by its event: the shared
+//! [`HttpServer`] acceptor blocks in `accept`, and a stream subscriber
+//! blocks on its feed until a record arrives or the feed closes.
 //!
 //! # Graceful shutdown
 //!
@@ -32,24 +36,20 @@
 //! without re-running what finished.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::Instant;
 
 use crate::cache::ResultCache;
-use crate::http::{respond, Handler, HttpServer, Request};
 use crate::spec::SubmitSpec;
+use gscalar_live::http::{respond, serve_request, stream_sse, Feed, HttpServer, Request};
 use gscalar_live::{LineSink, LiveHandle, LiveRecord, StreamConfig};
 use gscalar_metrics::json::Json;
 use gscalar_metrics::{merge_manifests, Manifest};
 use gscalar_sweep::{run_sweep, JobCache, JobResult, JobSpec, Progress, SweepConfig};
-
-/// How often SSE pushers re-check a feed for new lines.
-const POLL: Duration = Duration::from_millis(25);
 
 /// Builds the executable grid for a submission (resolving experiment
 /// names against whatever registry the embedder has). Returning `Err`
@@ -86,55 +86,16 @@ impl Default for ServeConfig {
     }
 }
 
-/// Buffered live records of one job, replayed to SSE subscribers.
-pub struct JobFeed {
-    lines: Mutex<Vec<String>>,
-    closed: AtomicBool,
-}
-
-impl JobFeed {
-    fn new() -> Arc<JobFeed> {
-        Arc::new(JobFeed {
-            lines: Mutex::new(Vec::new()),
-            closed: AtomicBool::new(false),
-        })
-    }
-
-    /// Lines from `from` onward, plus whether the feed has ended.
-    fn snapshot(&self, from: usize) -> (Vec<String>, bool) {
-        let lines = self.lines.lock().expect("feed poisoned");
-        let batch = lines[from.min(lines.len())..].to_vec();
-        (batch, self.closed.load(Ordering::SeqCst))
-    }
-
-    /// Ends a feed that never got a real stream: synthesizes the
-    /// terminal `stream_end` record so subscribers always see one.
-    fn finish_synthetic(&self) {
-        if self.closed.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        let terminal = LiveRecord::StreamEnd {
-            records: 0,
-            dropped: 0,
-            t_s: 0.0,
-        };
-        self.lines
-            .lock()
-            .expect("feed poisoned")
-            .push(terminal.to_json_line());
-    }
-}
-
-impl LineSink for JobFeed {
-    fn line(&self, line: &str) {
-        self.lines
-            .lock()
-            .expect("feed poisoned")
-            .push(line.to_string());
-    }
-    fn end(&self) {
-        self.closed.store(true, Ordering::SeqCst);
-    }
+/// Ends a job feed that never got a real stream: appends a synthetic
+/// terminal `stream_end` record and closes the feed in one step, so
+/// subscribers always see one before `event: end`.
+fn finish_synthetic(feed: &Feed) {
+    let terminal = LiveRecord::StreamEnd {
+        records: 0,
+        dropped: 0,
+        t_s: 0.0,
+    };
+    feed.close_with(&terminal.to_json_line());
 }
 
 /// Where a job is in its lifecycle.
@@ -173,8 +134,12 @@ struct JobRec {
     phase: Phase,
     /// Error message when `phase == Error`.
     detail: String,
-    feed: Arc<JobFeed>,
+    feed: Arc<Feed>,
     cancel: Arc<AtomicBool>,
+    /// When the job was accepted, and when it reached a terminal
+    /// phase: host-side latency for `/stats`, never part of a result.
+    submitted: Instant,
+    finished: Option<Instant>,
     units: usize,
     executed: usize,
     resumed: usize,
@@ -187,6 +152,19 @@ struct JobRec {
 }
 
 impl JobRec {
+    /// Enters terminal `phase`, stamping the finish time.
+    fn terminate(&mut self, phase: Phase) {
+        self.phase = phase;
+        self.finished = Some(Instant::now());
+    }
+
+    /// Cancels a job that never ran: its feed ends synthetically,
+    /// after the phase is terminal.
+    fn cancel_queued(&mut self) {
+        self.terminate(Phase::Cancelled);
+        finish_synthetic(&self.feed);
+    }
+
     fn status_json(&self, id: u64) -> String {
         Json::obj([
             ("job".to_string(), Json::Num(id as f64)),
@@ -318,10 +296,14 @@ impl JobServer {
         let sched = Arc::clone(&shared);
         let scheduler = std::thread::spawn(move || scheduler_loop(&sched));
         let handle_shared = Arc::clone(&shared);
-        let handler: Handler = Arc::new(move |req, stream| {
-            handle_request(&handle_shared, &req, stream);
-        });
-        let (http, bound) = HttpServer::bind(addr, handler)?;
+        let (http, bound) = HttpServer::bind(
+            addr,
+            Arc::new(move |stream| {
+                serve_request(stream, |req, stream| {
+                    handle_request(&handle_shared, &req, stream);
+                });
+            }),
+        )?;
         Ok(JobServer {
             shared,
             http,
@@ -360,8 +342,7 @@ impl JobServer {
             t.queued = 0;
             for id in queued {
                 if let Some(rec) = t.jobs.get_mut(&id) {
-                    rec.phase = Phase::Cancelled;
-                    rec.feed.finish_synthetic();
+                    rec.cancel_queued();
                 }
             }
         }
@@ -421,7 +402,7 @@ fn run_grid(
     id: u64,
     spec: &SubmitSpec,
     digest: &str,
-    feed: Arc<JobFeed>,
+    feed: Arc<Feed>,
     cancel: Arc<AtomicBool>,
 ) {
     let finish = |phase: Phase,
@@ -430,7 +411,7 @@ fn run_grid(
                   manifest: Option<String>| {
         let mut t = shared.state.lock().expect("serve state poisoned");
         let rec = t.jobs.get_mut(&id).expect("running job has a record");
-        rec.phase = phase;
+        rec.terminate(phase);
         rec.detail = detail;
         (
             rec.units,
@@ -447,7 +428,7 @@ fn run_grid(
         Ok(s) => s,
         Err(msg) => {
             finish(Phase::Error, msg, (0, 0, 0, 0, 0, 0), None);
-            feed.finish_synthetic();
+            finish_synthetic(&feed);
             return;
         }
     };
@@ -586,7 +567,12 @@ fn handle_request(shared: &Arc<Shared>, req: &Request, mut stream: TcpStream) {
             };
             match feed {
                 Some(feed) => {
-                    let _ = stream_sse(&feed, &mut stream);
+                    let _ = stream_sse(
+                        &feed,
+                        &mut stream,
+                        "HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\nCache-Control: no-cache\r\nConnection: close\r\n\r\n",
+                        |_| true,
+                    );
                 }
                 None => err(&mut stream, "404 Not Found", "unknown job id"),
             }
@@ -604,9 +590,7 @@ fn handle_request(shared: &Arc<Shared>, req: &Request, mut stream: TcpStream) {
                 Phase::Queued => {
                     let client = rec.client.clone();
                     t.dequeue(&client, id);
-                    let rec = t.jobs.get_mut(&id).expect("record");
-                    rec.phase = Phase::Cancelled;
-                    rec.feed.finish_synthetic();
+                    t.jobs.get_mut(&id).expect("record").cancel_queued();
                 }
                 Phase::Running => rec.cancel.store(true, Ordering::SeqCst),
                 _ => {} // terminal already; report as-is
@@ -668,8 +652,10 @@ fn submit(shared: &Arc<Shared>, body: &str, stream: &mut TcpStream) {
                     digest: digest.clone(),
                     phase: Phase::Queued,
                     detail: String::new(),
-                    feed: JobFeed::new(),
+                    feed: Arc::default(),
                     cancel: Arc::new(AtomicBool::new(false)),
+                    submitted: Instant::now(),
+                    finished: None,
                     units: 0,
                     executed: 0,
                     resumed: 0,
@@ -723,12 +709,24 @@ fn stats_json(shared: &Arc<Shared>) -> String {
             .map(|(k, v)| (k.to_string(), Json::Num(v as f64)))
             .collect(),
     );
+    let mut latencies: Vec<f64> = t
+        .jobs
+        .values()
+        .filter_map(|rec| Some((rec.finished? - rec.submitted).as_secs_f64() * 1e3))
+        .collect();
     drop(t);
+    latencies.sort_by(f64::total_cmp);
+    let latency = Json::obj([
+        ("jobs".to_string(), Json::Num(latencies.len() as f64)),
+        ("p50".to_string(), Json::Num(percentile(&latencies, 50.0))),
+        ("p99".to_string(), Json::Num(percentile(&latencies, 99.0))),
+    ]);
     format!(
         "{}\n",
         Json::obj([
             ("cache".to_string(), cache),
             ("jobs".to_string(), jobs),
+            ("latency_ms".to_string(), latency),
             (
                 "draining".to_string(),
                 Json::Bool(shared.draining.load(Ordering::SeqCst))
@@ -737,26 +735,14 @@ fn stats_json(shared: &Arc<Shared>) -> String {
     )
 }
 
-/// Replays a feed's history as SSE, follows it live, and terminates
-/// with `event: end` once the feed closes.
-fn stream_sse(feed: &JobFeed, stream: &mut TcpStream) -> std::io::Result<()> {
-    stream.write_all(
-        b"HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\nCache-Control: no-cache\r\nConnection: close\r\n\r\n",
-    )?;
-    let mut sent = 0usize;
-    loop {
-        let (batch, closed) = feed.snapshot(sent);
-        sent += batch.len();
-        for line in &batch {
-            stream.write_all(format!("data: {line}\n\n").as_bytes())?;
-        }
-        if closed {
-            stream.write_all(b"event: end\ndata: {}\n\n")?;
-            return stream.flush();
-        }
-        stream.flush()?;
-        std::thread::sleep(POLL);
+/// Nearest-rank percentile `p` (in (0, 100]) of ascending `sorted`;
+/// 0 when empty.
+fn percentile(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
     }
+    let rank = (p / 100.0 * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 #[cfg(test)]
@@ -794,17 +780,58 @@ mod tests {
 
     #[test]
     fn feed_snapshot_and_synthetic_finish() {
-        let feed = JobFeed::new();
+        let feed = Feed::default();
         feed.line("one");
         feed.line("two");
-        let (batch, closed) = feed.snapshot(1);
+        let (batch, closed) = feed.wait_from(1);
         assert_eq!(batch, ["two"]);
         assert!(!closed);
-        feed.finish_synthetic();
-        feed.finish_synthetic();
-        let (batch, closed) = feed.snapshot(0);
+        finish_synthetic(&feed);
+        finish_synthetic(&feed);
+        let (batch, closed) = feed.wait_from(0);
         assert_eq!(batch.len(), 3, "one synthetic terminal: {batch:?}");
         assert!(batch[2].contains("\"type\":\"stream_end\""));
         assert!(closed);
+    }
+
+    #[test]
+    fn synthetic_finish_never_closes_before_its_terminal_record() {
+        // A subscriber racing the finish must always find `stream_end`
+        // as the last line of a closed feed. It re-reads from line 0,
+        // which never blocks, so it polls the feed as fast as it can;
+        // the barrier starts both sides together.
+        for round in 0..1000 {
+            let feed = Feed::default();
+            feed.line("{\"type\":\"sweep_start\"}");
+            let start = std::sync::Barrier::new(2);
+            std::thread::scope(|s| {
+                let follower = s.spawn(|| {
+                    start.wait();
+                    loop {
+                        let (seen, closed) = feed.wait_from(0);
+                        if closed {
+                            return seen;
+                        }
+                    }
+                });
+                start.wait();
+                finish_synthetic(&feed);
+                let seen = follower.join().expect("follower panicked");
+                let last = seen.last().expect("lines");
+                assert!(
+                    last.contains("\"type\":\"stream_end\""),
+                    "round {round}: {seen:?}"
+                );
+            });
+        }
+    }
+
+    #[test]
+    fn percentiles_use_nearest_rank() {
+        let v: Vec<f64> = (1..=10).map(f64::from).collect();
+        assert_eq!(percentile(&v, 50.0), 5.0);
+        assert_eq!(percentile(&v, 99.0), 10.0);
+        assert_eq!(percentile(&[7.0], 50.0), 7.0);
+        assert_eq!(percentile(&[], 99.0), 0.0);
     }
 }

@@ -592,3 +592,34 @@ fn sse_stream_replays_lifecycle_and_ends() {
     srv.shutdown();
     std::fs::remove_dir_all(&root).ok();
 }
+
+#[test]
+fn stats_report_latency_over_terminal_jobs() {
+    use gscalar_metrics::json::Json;
+    let root = fresh_root("latency");
+    let journal = Arc::new(Mutex::new(Vec::new()));
+    let mut srv = JobServer::start(
+        cfg(root.clone()),
+        "127.0.0.1:0".parse().unwrap(),
+        logging_builder(journal),
+    )
+    .expect("start");
+    let addr = srv.addr();
+    for exp in ["one", "two", "three"] {
+        let (_, resp) = http(
+            addr,
+            "POST",
+            "/jobs",
+            &format!(r#"{{"experiments":["{exp}"]}}"#),
+        );
+        await_terminal(addr, job_id(&resp));
+    }
+    let (_, stats) = http(addr, "GET", "/stats", "");
+    let doc = Json::parse(stats.trim()).expect("stats parse");
+    let latency = doc.get("latency_ms").expect("latency_ms in /stats");
+    let num = |k: &str| latency.get(k).and_then(Json::as_f64).expect(k);
+    assert_eq!(num("jobs"), 3.0, "{stats}");
+    assert!(num("p50") <= num("p99"), "{stats}");
+    srv.shutdown();
+    std::fs::remove_dir_all(&root).ok();
+}
