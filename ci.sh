@@ -49,6 +49,12 @@ cmp ci/baseline/bottleneck.json "$tmp/bottleneck.json"
     --json "$tmp/bottleneck-par.json" > /dev/null
 cmp "$tmp/bottleneck.json" "$tmp/bottleneck-par.json"
 rm "$tmp/bottleneck-par.json" "$tmp/bottleneck-par.host.json"
+# Full scale too: MV's long memory stalls only show there. The golden
+# lives outside ci/baseline/, which `report compare` below globs.
+./target/release/bottleneck --scale full --deterministic --threads 2 \
+    --json "$tmp/bottleneck-full.json" > /dev/null
+cmp ci/golden/bottleneck_full.json "$tmp/bottleneck-full.json"
+rm "$tmp/bottleneck-full.json" "$tmp/bottleneck-full.host.json"
 
 # Metric-level gate over both smoke manifests (probe + bottleneck).
 ./target/release/report compare ci/baseline "$tmp"
