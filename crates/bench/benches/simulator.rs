@@ -1,5 +1,6 @@
 //! Criterion benchmarks for simulator throughput: warp instructions
-//! simulated per second on representative kernels, per architecture.
+//! simulated per second on representative issue-bound kernels, and
+//! simulated cycles per second on a stall-bound one, per architecture.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use gscalar_core::{Arch, Runner};
@@ -21,6 +22,25 @@ fn bench_kernels(c: &mut Criterion) {
                 b.iter(|| black_box(runner.run(&w, arch).stats.cycles))
             });
         }
+    }
+    g.finish();
+}
+
+/// The stalled-cycle layer on its own: MV (SpMV) is memory bound, so
+/// most scheduler calls find no ready warp and charge a stall. Its cost
+/// is scheduler pick plus stall classification; throughput is in
+/// simulated cycles.
+fn bench_stalled(c: &mut Criterion) {
+    let mut g = c.benchmark_group("simulate_stalled");
+    g.sample_size(10);
+    let runner = Runner::new(GpuConfig::gtx480());
+    let w = by_abbr("MV", Scale::Test).expect("known benchmark");
+    for arch in [Arch::Baseline, Arch::GScalar] {
+        let cycles = runner.run(&w, arch).stats.cycles;
+        g.throughput(Throughput::Elements(cycles));
+        g.bench_function(format!("MV/{}", arch.label()), |b| {
+            b.iter(|| black_box(runner.run(&w, arch).stats.cycles))
+        });
     }
     g.finish();
 }
@@ -63,6 +83,7 @@ fn bench_simt_stack(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_kernels,
+    bench_stalled,
     bench_parallel_engine,
     bench_simt_stack
 );

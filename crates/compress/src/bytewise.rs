@@ -259,22 +259,19 @@ pub fn uniform_prefix_bytes_u64(values: &[u64], mask: u64) -> usize {
 /// Classifies each 16-lane chunk of a register independently
 /// (half-register compression, Section 3.2/4.3).
 ///
-/// Returns one `(Encoding, base)` per chunk. Only meaningful for
+/// Yields one `(Encoding, base)` per chunk, computed lazily so the
+/// register-write path allocates nothing. Only meaningful for
 /// non-divergent writes, matching the paper's design choice.
 ///
 /// # Panics
 ///
 /// Panics if `values` is empty.
-#[must_use]
-pub fn encode_chunks(values: &[u32]) -> Vec<(Encoding, u32)> {
+pub fn encode_chunks(values: &[u32]) -> impl ExactSizeIterator<Item = (Encoding, u32)> + '_ {
     assert!(!values.is_empty(), "cannot encode an empty register");
-    values
-        .chunks(crate::CHUNK_LANES)
-        .map(|chunk| {
-            let mask = crate::full_mask(chunk.len());
-            (encode(chunk, mask), chunk[0])
-        })
-        .collect()
+    values.chunks(crate::CHUNK_LANES).map(|chunk| {
+        let mask = crate::full_mask(chunk.len());
+        (encode(chunk, mask), chunk[0])
+    })
 }
 
 /// The original per-lane, per-byte implementation, kept verbatim as
@@ -508,7 +505,7 @@ mod tests {
         // First 16 lanes scalar, second 16 lanes address-like.
         let mut values = vec![5u32; 16];
         values.extend((0..16).map(|i| 0x1000_0000 + i * 4));
-        let chunks = encode_chunks(&values);
+        let chunks: Vec<_> = encode_chunks(&values).collect();
         assert_eq!(chunks.len(), 2);
         assert_eq!(chunks[0].0, Encoding::Scalar);
         assert_eq!(chunks[0].1, 5);

@@ -48,7 +48,7 @@ pub mod stats;
 
 pub use bytewise::{compress, decompress, Compressed};
 pub use encoding::Encoding;
-pub use regmeta::{ReadClass, ReadInfo, RegFileMeta, RegMeta, WriteInfo};
+pub use regmeta::{ChunkFlags, ReadClass, ReadInfo, RegFileMeta, RegMeta, WriteInfo};
 pub use stats::EncodingHistogram;
 
 /// Number of lanes in a half-register compression chunk (Section 3.2:

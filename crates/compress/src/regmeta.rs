@@ -1,9 +1,12 @@
 //! Architectural per-register compression metadata: EBR, BVR, `D` and
 //! `FS` bits, with the read/write semantics of paper Sections 3.3–4.3.
 
-use crate::bytewise;
+use crate::bytewise::{self, MAX_LANES};
 use crate::encoding::Encoding;
-use crate::full_mask;
+use crate::{full_mask, CHUNK_LANES};
+
+/// Most 16-lane chunks a register can have (at [`MAX_LANES`] lanes).
+const MAX_CHUNKS: usize = MAX_LANES / CHUNK_LANES;
 
 /// Number of lanes each SRAM array covers per byte plane in the
 /// reordered layout (and per word group in the baseline layout).
@@ -77,6 +80,47 @@ pub struct ChunkMeta {
     pub bvr: u32,
 }
 
+impl ChunkMeta {
+    /// Filler for unused chunk slots.
+    const EMPTY: ChunkMeta = ChunkMeta {
+        enc: Encoding::None,
+        bvr: 0,
+    };
+}
+
+/// Per-chunk scalar flags of a read, one bit per 16-lane chunk, held
+/// inline (a register read happens per source operand per issue).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ChunkFlags {
+    bits: u8,
+    len: u8,
+}
+
+impl ChunkFlags {
+    /// Number of chunks (0 when the read carries no per-chunk view).
+    #[must_use]
+    pub fn len(self) -> usize {
+        usize::from(self.len)
+    }
+
+    /// Whether the read carries no per-chunk view.
+    #[must_use]
+    pub fn is_empty(self) -> bool {
+        self.len == 0
+    }
+
+    /// Whether every chunk is scalar (vacuously true when empty).
+    #[must_use]
+    pub fn all(self) -> bool {
+        u32::from(self.bits) == (1u32 << self.len) - 1
+    }
+
+    /// The flags in chunk order.
+    pub fn iter(self) -> impl Iterator<Item = bool> {
+        (0..self.len).map(move |i| self.bits & (1 << i) != 0)
+    }
+}
+
 /// Architectural metadata for one vector register.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegMeta {
@@ -88,9 +132,11 @@ pub struct RegMeta {
     pub enc: Encoding,
     /// BVR contents: base value when `d == 0`, active mask when `d == 1`.
     pub bvr: u64,
-    /// Per-chunk metadata (empty unless half-register compression is on
-    /// and the last write was non-divergent).
-    pub chunks: Vec<ChunkMeta>,
+    /// Per-chunk metadata, inline; the first `num_chunks` are live
+    /// (none unless half-register compression is on and the last write
+    /// was non-divergent). Read them through [`RegMeta::chunks`].
+    chunks: [ChunkMeta; MAX_CHUNKS],
+    num_chunks: u8,
     /// The `FS` ("full scalar") bit: every chunk scalar with one value.
     pub fs: bool,
     /// Physical storage layout: which prefix of byte planes was dropped
@@ -104,10 +150,23 @@ impl RegMeta {
             d: false,
             enc: Encoding::None,
             bvr: 0,
-            chunks: Vec::new(),
+            chunks: [ChunkMeta::EMPTY; MAX_CHUNKS],
+            num_chunks: 0,
             fs: false,
             stored: Encoding::None,
         }
+    }
+
+    /// Per-chunk metadata (empty unless half-register compression is
+    /// on and the last write was non-divergent).
+    #[must_use]
+    pub fn chunks(&self) -> &[ChunkMeta] {
+        &self.chunks[..usize::from(self.num_chunks)]
+    }
+
+    fn clear_chunks(&mut self) {
+        self.chunks = [ChunkMeta::EMPTY; MAX_CHUNKS];
+        self.num_chunks = 0;
     }
 }
 
@@ -160,7 +219,7 @@ pub struct ReadInfo {
     pub scalar: bool,
     /// Per-chunk scalar flags (half-register compression, non-divergent
     /// registers only; empty otherwise).
-    pub chunk_scalar: Vec<bool>,
+    pub chunk_scalar: ChunkFlags,
     /// The `FS` bit (all chunks hold one common scalar).
     pub fs: bool,
 }
@@ -248,7 +307,7 @@ impl RegFileMeta {
                 meta.bvr = 0;
             }
             meta.fs = false;
-            meta.chunks.clear();
+            meta.clear_chunks();
             meta.stored = Encoding::None;
             return WriteInfo {
                 divergent: true,
@@ -265,7 +324,7 @@ impl RegFileMeta {
         meta.enc = enc;
         meta.bvr = u64::from(values[0]);
         meta.fs = false;
-        meta.chunks.clear();
+        meta.clear_chunks();
         if !self.cfg.compression {
             meta.stored = Encoding::None;
             return WriteInfo {
@@ -278,14 +337,15 @@ impl RegFileMeta {
             };
         }
         let (stored, arrays) = if self.cfg.half {
-            let chunks = bytewise::encode_chunks(values);
-            let arrays: usize = chunks.iter().map(|(e, _)| e.delta_bytes_per_lane()).sum();
-            meta.chunks = chunks
-                .iter()
-                .map(|&(enc, bvr)| ChunkMeta { enc, bvr })
-                .collect();
-            meta.fs = chunks.iter().all(|(e, _)| e.is_scalar())
-                && chunks.windows(2).all(|w| w[0].1 == w[1].1);
+            let mut arrays = 0;
+            let mut fs = true;
+            for (i, (enc, bvr)) in bytewise::encode_chunks(values).enumerate() {
+                arrays += enc.delta_bytes_per_lane();
+                fs &= enc.is_scalar() && bvr == values[0];
+                meta.chunks[i] = ChunkMeta { enc, bvr };
+                meta.num_chunks += 1;
+            }
+            meta.fs = fs;
             // The whole-register layout is the weakest chunk encoding
             // only if uniform; physically each chunk is stored at its
             // own compression level, so record the classification here
@@ -326,20 +386,23 @@ impl RegFileMeta {
                 arrays_read: total_arrays,
                 bvr_read: true,
                 scalar,
-                chunk_scalar: Vec::new(),
+                chunk_scalar: ChunkFlags::default(),
                 fs: false,
             };
         }
 
         // Non-divergent storage. Scalar reads are mask-insensitive: the
         // value is uniform across all lanes, so any subset sees it.
-        if self.cfg.half && !meta.chunks.is_empty() {
-            let arrays: usize = meta
-                .chunks
-                .iter()
-                .map(|c| c.enc.delta_bytes_per_lane())
-                .sum();
-            let chunk_scalar: Vec<bool> = meta.chunks.iter().map(|c| c.enc.is_scalar()).collect();
+        if self.cfg.half && meta.num_chunks > 0 {
+            let mut arrays = 0;
+            let mut chunk_scalar = ChunkFlags {
+                bits: 0,
+                len: meta.num_chunks,
+            };
+            for (i, c) in meta.chunks().iter().enumerate() {
+                arrays += c.enc.delta_bytes_per_lane();
+                chunk_scalar.bits |= u8::from(c.enc.is_scalar()) << i;
+            }
             let scalar = meta.fs;
             let class = if meta.fs {
                 ReadClass::Scalar
@@ -380,7 +443,7 @@ impl RegFileMeta {
             arrays_read: arrays,
             bvr_read: bvr,
             scalar,
-            chunk_scalar: Vec::new(),
+            chunk_scalar: ChunkFlags::default(),
             fs: false,
         }
     }
@@ -531,7 +594,7 @@ mod tests {
         // low chunk scalar (0 arrays) + high chunk B321 (1 array).
         assert_eq!(w.arrays_written, 1);
         let r = m.read(0, full_mask(W));
-        assert_eq!(r.chunk_scalar, vec![true, false]);
+        assert_eq!(r.chunk_scalar.iter().collect::<Vec<_>>(), vec![true, false]);
         assert!(!r.scalar);
         assert!(!r.fs);
     }
@@ -549,7 +612,7 @@ mod tests {
         v.extend(vec![2u32; 16]);
         m.write(1, &v, full_mask(W));
         let r = m.read(1, full_mask(W));
-        assert_eq!(r.chunk_scalar, vec![true, true]);
+        assert_eq!(r.chunk_scalar.iter().collect::<Vec<_>>(), vec![true, true]);
         assert!(!r.fs);
         assert!(!r.scalar);
     }

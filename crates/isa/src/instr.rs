@@ -286,13 +286,11 @@ impl Instr {
     /// Includes the guard's implied predicate only via [`Instr::src_preds`];
     /// this method reports GPR sources (deduplicated, `RZ` excluded).
     #[must_use]
-    pub fn src_regs(&self) -> Vec<Reg> {
-        let mut out = Vec::with_capacity(3);
+    pub fn src_regs(&self) -> SrcRegs {
+        let mut out = SrcRegs::default();
         let mut push = |o: Operand| {
             if let Operand::Reg(r) = o {
-                if !r.is_zero() && !out.contains(&r) {
-                    out.push(r);
-                }
+                out.push_unique(r);
             }
         };
         match self.kind {
@@ -325,14 +323,11 @@ impl Instr {
         out
     }
 
-    /// The predicate registers read (the guard plus comparison inputs).
+    /// The predicate register read: the guard's, unless it is the
+    /// hard-wired true predicate.
     #[must_use]
-    pub fn src_preds(&self) -> Vec<Pred> {
-        let mut out = Vec::new();
-        if !self.guard.pred.is_true() {
-            out.push(self.guard.pred);
-        }
-        out
+    pub fn src_preds(&self) -> Option<Pred> {
+        (!self.guard.pred.is_true()).then_some(self.guard.pred)
     }
 
     /// Whether this is a (potentially divergent) branch.
@@ -410,6 +405,55 @@ impl fmt::Display for Instr {
     }
 }
 
+/// Most general-purpose registers one instruction reads
+/// (`IMad d, a, b, c`).
+pub const MAX_SRC_REGS: usize = 3;
+
+/// The source registers of one instruction, in operand order: at most
+/// [`MAX_SRC_REGS`], held inline so the simulator's per-issue readiness
+/// checks never touch the heap. Derefs to a `[Reg]` slice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SrcRegs {
+    regs: [Reg; MAX_SRC_REGS],
+    len: u8,
+}
+
+impl Default for SrcRegs {
+    fn default() -> Self {
+        SrcRegs {
+            regs: [Reg::RZ; MAX_SRC_REGS],
+            len: 0,
+        }
+    }
+}
+
+impl SrcRegs {
+    /// Appends `r` unless it is `RZ` or already present.
+    fn push_unique(&mut self, r: Reg) {
+        if !r.is_zero() && !self.contains(&r) {
+            self.regs[usize::from(self.len)] = r;
+            self.len += 1;
+        }
+    }
+}
+
+impl std::ops::Deref for SrcRegs {
+    type Target = [Reg];
+
+    fn deref(&self) -> &[Reg] {
+        &self.regs[..usize::from(self.len)]
+    }
+}
+
+impl IntoIterator for SrcRegs {
+    type Item = Reg;
+    type IntoIter = std::iter::Take<std::array::IntoIter<Reg, MAX_SRC_REGS>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.regs.into_iter().take(usize::from(self.len))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -465,7 +509,7 @@ mod tests {
             b: r(1).into(),
             c: r(2).into(),
         });
-        assert_eq!(mad.src_regs(), vec![r(1), r(2)]);
+        assert_eq!(mad.src_regs()[..], [r(1), r(2)]);
         // 2-operand op must not report c as a source.
         let add = Instr::always(InstrKind::Alu {
             op: AluOp::IAdd,
@@ -474,7 +518,7 @@ mod tests {
             b: Operand::Imm(3),
             c: r(9).into(),
         });
-        assert_eq!(add.src_regs(), vec![r(1)]);
+        assert_eq!(add.src_regs()[..], [r(1)]);
         // 1-operand op reads only a.
         let not = Instr::always(InstrKind::Alu {
             op: AluOp::Not,
@@ -483,7 +527,7 @@ mod tests {
             b: r(5).into(),
             c: r(6).into(),
         });
-        assert_eq!(not.src_regs(), vec![r(4)]);
+        assert_eq!(not.src_regs()[..], [r(4)]);
     }
 
     #[test]
@@ -494,15 +538,15 @@ mod tests {
             addr: r(4),
             offset: 8,
         });
-        assert_eq!(st.src_regs(), vec![r(3), r(4)]);
+        assert_eq!(st.src_regs()[..], [r(3), r(4)]);
         assert_eq!(st.dst_reg(), None);
     }
 
     #[test]
     fn guard_pred_is_a_source() {
         let i = Instr::new(Guard::neg(Pred::new(2)), InstrKind::Nop);
-        assert_eq!(i.src_preds(), vec![Pred::new(2)]);
-        assert!(Instr::always(InstrKind::Nop).src_preds().is_empty());
+        assert_eq!(i.src_preds(), Some(Pred::new(2)));
+        assert_eq!(Instr::always(InstrKind::Nop).src_preds(), None);
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod reg;
 
 pub use builder::KernelBuilder;
 pub use cfg::Cfg;
-pub use instr::{Guard, Instr, InstrKind, Operand};
+pub use instr::{Guard, Instr, InstrKind, Operand, SrcRegs};
 pub use kernel::{Dim3, Kernel, KernelError, LaunchConfig};
 pub use liveness::Liveness;
 pub use op::{AluOp, CmpOp, FuncUnit, SReg, SfuOp, Space};

@@ -26,6 +26,9 @@ pub struct Pipe<T> {
     width: usize,
     dispatch_free_at: u64,
     inflight: Vec<(u64, T)>,
+    /// Earliest completion time in `inflight` (`u64::MAX` when empty),
+    /// so an idle cycle's drain and the idle-skip scan are O(1).
+    next_due: u64,
 }
 
 impl<T> Pipe<T> {
@@ -36,6 +39,7 @@ impl<T> Pipe<T> {
             width,
             dispatch_free_at: 0,
             inflight: Vec::new(),
+            next_due: u64::MAX,
         }
     }
 
@@ -69,13 +73,13 @@ impl<T> Pipe<T> {
     pub fn dispatch(&mut self, now: u64, occupancy: u64, latency: u64, payload: T) {
         assert!(self.can_dispatch(now), "dispatch port busy");
         self.dispatch_free_at = now + occupancy.max(1);
-        self.inflight
-            .push((now + occupancy.max(1) + latency, payload));
+        self.complete_at(now + occupancy.max(1) + latency, payload);
     }
 
     /// Registers an externally-timed completion (memory instructions,
     /// whose finish time the memory subsystem decides).
     pub fn complete_at(&mut self, when: u64, payload: T) {
+        self.next_due = self.next_due.min(when);
         self.inflight.push((when, payload));
     }
 
@@ -102,20 +106,27 @@ impl<T> Pipe<T> {
     /// The per-cycle writeback path reuses one scratch vector across
     /// cycles instead of allocating a fresh `Vec` per pipe per cycle.
     pub fn drain_finished_into(&mut self, now: u64, out: &mut Vec<T>) {
+        if now < self.next_due {
+            return;
+        }
+        let mut next_due = u64::MAX;
         let mut i = 0;
         while i < self.inflight.len() {
-            if self.inflight[i].0 <= now {
+            let t = self.inflight[i].0;
+            if t <= now {
                 out.push(self.inflight.swap_remove(i).1);
             } else {
+                next_due = next_due.min(t);
                 i += 1;
             }
         }
+        self.next_due = next_due;
     }
 
     /// Earliest pending completion time, if any.
     #[must_use]
     pub fn next_completion(&self) -> Option<u64> {
-        self.inflight.iter().map(|&(t, _)| t).min()
+        (!self.inflight.is_empty()).then_some(self.next_due)
     }
 
     /// Number of in-flight instructions.
@@ -193,6 +204,24 @@ mod tests {
         // lifecycle across pipes within one writeback cycle.
         p.drain_finished_into(2, &mut buf);
         assert_eq!(buf, vec![7, 8]);
+    }
+
+    #[test]
+    fn next_completion_tracks_drains() {
+        let mut p: Pipe<u32> = Pipe::new(16);
+        assert_eq!(p.next_completion(), None);
+        p.complete_at(9, 1);
+        p.complete_at(5, 2);
+        p.complete_at(7, 3);
+        assert_eq!(p.next_completion(), Some(5));
+        // Before the earliest completion nothing drains.
+        assert!(p.drain_finished(4).is_empty());
+        assert_eq!(p.drain_finished(5), vec![2]);
+        assert_eq!(p.next_completion(), Some(7));
+        let mut rest = p.drain_finished(9);
+        rest.sort_unstable();
+        assert_eq!(rest, vec![1, 3]);
+        assert_eq!(p.next_completion(), None);
     }
 
     #[test]

@@ -204,6 +204,9 @@ impl ArbResult {
 #[derive(Debug, Clone)]
 pub struct OperandCollectors<T> {
     slots: Vec<Option<OcEntry<T>>>,
+    /// Number of `Some` slots, kept so the per-cycle occupancy queries
+    /// and an empty cycle's arbitration are O(1).
+    occupied: usize,
     banks: usize,
     rr: usize,
     /// Per-bank data-port busy flags, reset (not reallocated) each
@@ -219,6 +222,7 @@ impl<T> OperandCollectors<T> {
     pub fn new(slots: usize, banks: usize) -> Self {
         OperandCollectors {
             slots: (0..slots).map(|_| None).collect(),
+            occupied: 0,
             banks,
             rr: 0,
             data_busy: vec![false; banks],
@@ -229,13 +233,13 @@ impl<T> OperandCollectors<T> {
     /// Number of free collector slots.
     #[must_use]
     pub fn free_slots(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_none()).count()
+        self.slots.len() - self.occupied
     }
 
     /// Number of occupied collector slots.
     #[must_use]
     pub fn occupancy(&self) -> usize {
-        self.slots.len() - self.free_slots()
+        self.occupied
     }
 
     /// Inserts an entry into a free slot.
@@ -251,6 +255,7 @@ impl<T> OperandCollectors<T> {
             .find(|s| s.is_none())
             .expect("no free operand collector");
         *slot = Some(entry);
+        self.occupied += 1;
     }
 
     /// Runs one cycle of bank arbitration. `write_banks` lists banks
@@ -258,6 +263,13 @@ impl<T> OperandCollectors<T> {
     /// have priority on the single-ported SRAMs).
     pub fn arbitrate(&mut self, write_banks: &[usize]) -> ArbResult {
         let mut res = ArbResult::default();
+        let n = self.slots.len();
+        if self.occupied == 0 {
+            // Nothing to grant, but the rotation still advances: later
+            // arbitration order depends on it.
+            self.rr = (self.rr + 1) % n.max(1);
+            return res;
+        }
         self.data_busy.fill(false);
         for &b in write_banks {
             if b < self.banks {
@@ -266,7 +278,6 @@ impl<T> OperandCollectors<T> {
         }
         self.bvr_busy.fill(false);
         let mut scalar_rf_busy = false;
-        let n = self.slots.len();
         // Round-robin over collectors for fairness.
         for i in 0..n {
             let idx = (self.rr + i) % n;
@@ -311,27 +322,32 @@ impl<T> OperandCollectors<T> {
 
     /// Removes and returns entries whose reads are all complete.
     pub fn take_ready(&mut self) -> Vec<T> {
-        self.take_ready_when(|_| true)
+        let mut out = Vec::new();
+        self.take_ready_into(&mut out, |_| true);
+        out
     }
 
-    /// Removes and returns complete entries accepted by `accept`;
-    /// rejected entries stay in their collector (structural
-    /// backpressure toward the schedulers).
-    pub fn take_ready_when(&mut self, mut accept: impl FnMut(&T) -> bool) -> Vec<T> {
-        let mut out = Vec::new();
+    /// Removes complete entries accepted by `accept`, appending them to
+    /// `out` (a caller-owned buffer the per-cycle path reuses); rejected
+    /// entries stay in their collector (structural backpressure toward
+    /// the schedulers).
+    pub fn take_ready_into(&mut self, out: &mut Vec<T>, mut accept: impl FnMut(&T) -> bool) {
+        if self.occupied == 0 {
+            return;
+        }
         for slot in &mut self.slots {
             let complete = slot.as_ref().is_some_and(|e| e.reads.all_done());
             if complete && accept(&slot.as_ref().expect("checked above").payload) {
                 out.push(slot.take().expect("checked above").payload);
+                self.occupied -= 1;
             }
         }
-        out
     }
 
     /// Whether any entry is still collecting.
     #[must_use]
     pub fn any_pending(&self) -> bool {
-        self.slots.iter().any(|s| s.is_some())
+        self.occupied > 0
     }
 }
 
@@ -455,7 +471,7 @@ mod tests {
     }
 
     #[test]
-    fn take_ready_when_applies_backpressure() {
+    fn take_ready_into_applies_backpressure() {
         let mut oc: OperandCollectors<u32> = OperandCollectors::new(4, 16);
         oc.insert(OcEntry {
             payload: 1,
@@ -471,7 +487,8 @@ mod tests {
         });
         // Accept at most two.
         let mut budget = 2;
-        let taken = oc.take_ready_when(|_| {
+        let mut taken = Vec::new();
+        oc.take_ready_into(&mut taken, |_| {
             if budget > 0 {
                 budget -= 1;
                 true
@@ -493,6 +510,28 @@ mod tests {
         });
         assert_eq!(oc.take_ready(), vec![9]);
         assert!(!oc.any_pending());
+    }
+
+    #[test]
+    fn empty_arbitration_still_rotates() {
+        // Two single-read entries on one bank: the round-robin pointer
+        // decides which wins. Idle cycles must advance it exactly as a
+        // busy cycle would, or later grant order would change.
+        let mut idle: OperandCollectors<u32> = OperandCollectors::new(2, 16);
+        assert_eq!(idle.arbitrate(&[]), ArbResult::default());
+        idle.insert(OcEntry {
+            payload: 1,
+            reads: [ReadReq::data(4)].into(),
+        });
+        idle.insert(OcEntry {
+            payload: 2,
+            reads: [ReadReq::data(4)].into(),
+        });
+        assert_eq!(idle.occupancy(), 2);
+        idle.arbitrate(&[]);
+        // rr = 1 after the idle cycle: slot 1 (payload 2) wins.
+        assert_eq!(idle.take_ready(), vec![2]);
+        assert_eq!(idle.free_slots(), 1);
     }
 
     #[test]

@@ -256,11 +256,64 @@ impl Ready {
         *self
     }
 
+    /// Whether the head instruction may issue at `now`: hazard-free,
+    /// and either a control instruction or a collector slot is free.
+    fn issuable(&self, now: u64, oc_free: bool) -> bool {
+        self.clear_at <= now && (self.control || oc_free)
+    }
+
     /// The polled scoreboard's answer at `now`:
     /// [`Scoreboard::blocking_is_mem`] read off the cached window.
     fn blocking_is_mem(&self, now: u64) -> Option<bool> {
         (self.clear_at > now).then_some(self.mem_until > now)
     }
+}
+
+/// A scheduler's cached stall verdict: what its last miss concluded,
+/// exact until the next event can change the answer.
+///
+/// A miss's classification reads only the scheduler's warps (slot
+/// occupancy, done and barrier flags, cached [`Ready`] windows) and
+/// whether a collector slot is free. Every event that changes a warp
+/// drops its scheduler's verdict: a writeback, an issue and a CTA
+/// launch drop the owning scheduler's, and a barrier release drops
+/// every scheduler's. Time can change the answer only when a hazard
+/// window edge passes, so the verdict also expires at `until`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Verdict {
+    /// Collector availability the scan saw.
+    oc_free: bool,
+    /// Earliest `clear_at` or `mem_until` after the scan's cycle among
+    /// the scheduler's live, non-barrier warps (`u64::MAX`: none).
+    until: u64,
+    /// The stall reason, with collector stalls left as
+    /// [`StallReason::NoCollector`]: the bank-conflict refinement
+    /// depends on each cycle's arbitration.
+    reason: StallReason,
+    /// The warp that epitomizes `reason`, if any.
+    culprit: Option<u32>,
+}
+
+/// What a register read charges for the current contents of one
+/// physical register, recorded by the write that produced them so a
+/// read need not re-compress unchanged values. A field that is not
+/// known yet (`u8::MAX`, `None`) is computed on first read: registers
+/// never written since launch, and the Figure 8 encoding after a
+/// partial-mask write.
+#[derive(Debug, Clone, Copy)]
+struct RfClass {
+    /// BDI arrays active for the contents (Warped-Compression
+    /// comparison).
+    bdi_arrays: u8,
+    /// Full-mask byte-wise encoding of the contents.
+    enc: Option<Encoding>,
+}
+
+impl RfClass {
+    const UNKNOWN: RfClass = RfClass {
+        bdi_arrays: u8::MAX,
+        enc: None,
+    };
 }
 
 /// State of one resident CTA.
@@ -282,11 +335,17 @@ pub struct Sm {
     /// Per-warp-slot issue readiness, refreshed lazily by the scheduler.
     ready: Vec<Ready>,
     schedulers: Vec<Scheduler>,
+    /// Per-scheduler cached stall verdict (`None`: dropped by an event
+    /// since the last miss).
+    verdicts: Vec<Option<Verdict>>,
     oc: OperandCollectors<Inflight>,
     alu_pipes: Vec<Pipe<Inflight>>,
     sfu_pipe: Pipe<Inflight>,
     lsu_pipe: Pipe<Inflight>,
     regmeta: RegFileMeta,
+    /// Per-physical-register read classification, indexed like
+    /// `regmeta` (see [`Sm::phys_reg`]).
+    rf_class: Vec<RfClass>,
     ctas: Vec<Option<CtaState>>,
     num_regs_per_warp: usize,
     /// Latest scheduled scoreboard release (for idle skipping).
@@ -301,6 +360,8 @@ pub struct Sm {
     finished: Vec<Inflight>,
     /// Writeback scratch: data-port banks consumed by writebacks.
     write_banks: Vec<usize>,
+    /// Dispatch scratch: collector entries leaving for the pipes.
+    dispatching: Vec<Inflight>,
     /// Execute scratch: the destination register's lane values while an
     /// instruction executes (replaces a per-instruction `Vec` clone).
     exec_vals: Vec<u32>,
@@ -339,6 +400,7 @@ impl Sm {
             schedulers: (0..cfg.schedulers)
                 .map(|s| Scheduler::new(cfg.sched, per_sched(s)))
                 .collect(),
+            verdicts: vec![None; cfg.schedulers],
             oc: OperandCollectors::new(cfg.operand_collectors, cfg.rf_banks),
             alu_pipes: (0..cfg.alu_pipes)
                 .map(|_| Pipe::new(cfg.simt_width))
@@ -349,12 +411,14 @@ impl Sm {
                 cfg.vector_regs_per_sm(),
                 MetaConfig::g_scalar(cfg.warp_size),
             ),
+            rf_class: vec![RfClass::UNKNOWN; max_warps * num_regs_per_warp.max(1)],
             ctas: (0..cfg.ctas_per_sm).map(|_| None).collect(),
             num_regs_per_warp: num_regs_per_warp.max(1),
             last_release: 0,
             last_stall: vec![StallReason::Drained; cfg.schedulers],
             finished: Vec::new(),
             write_banks: Vec::new(),
+            dispatching: Vec::new(),
             exec_vals: Vec::new(),
             line_pool: Vec::new(),
             stats: Stats {
@@ -453,6 +517,9 @@ impl Sm {
             ));
             self.scoreboards[w] = Scoreboard::new();
             self.ready[w] = Ready::DIRTY;
+            self.verdicts[w % self.cfg.schedulers] = None;
+            let regs = w * self.num_regs_per_warp;
+            self.rf_class[regs..regs + self.num_regs_per_warp].fill(RfClass::UNKNOWN);
             remaining -= in_warp;
             tid_base += in_warp as u32;
         }
@@ -519,6 +586,7 @@ impl Sm {
             let release = now + self.arch.extra_latency;
             self.scoreboards[f.warp].release_at(&f.instr, release);
             self.ready[f.warp].dirty = true;
+            self.verdicts[f.warp % self.cfg.schedulers] = None;
             self.last_release = self.last_release.max(release);
             // Recycle the coalesced-line buffer for the next issue.
             let mut lines = f.mem_lines;
@@ -551,7 +619,8 @@ impl Sm {
             .count();
         let mut sfu_free = usize::from(self.sfu_pipe.can_dispatch(now));
         let mut lsu_free = usize::from(self.lsu_pipe.can_dispatch(now));
-        let ready = self.oc.take_ready_when(|inst| {
+        let mut ready = std::mem::take(&mut self.dispatching);
+        self.oc.take_ready_into(&mut ready, |inst| {
             let slot = match inst.unit {
                 FuncUnit::Alu => &mut alu_free,
                 FuncUnit::Sfu => &mut sfu_free,
@@ -565,9 +634,10 @@ impl Sm {
                 false
             }
         });
-        for inst in ready {
+        for inst in ready.drain(..) {
             self.dispatch(inst, now, port, tracer, profiler);
         }
+        self.dispatching = ready;
         drop(dispatch_phase);
 
         // 4. Issue from each scheduler.
@@ -678,6 +748,13 @@ impl Sm {
     // ---- issue ---------------------------------------------------------
 
     /// Attempts one issue from scheduler `s`. Returns completed CTAs.
+    ///
+    /// While the scheduler's cached [`Verdict`] holds, the cycle skips
+    /// `pick` and the stall scan and charges the cached answer. That is
+    /// exact: a verdict is a miss's answer, and a miss leaves the GTO
+    /// greedy pointer cleared and the LRR cursor in place, so the
+    /// skipped `pick` would have missed the same way. Debug builds
+    /// re-run the scan on every hit and assert the same verdict.
     #[allow(clippy::too_many_arguments)]
     fn issue_one(
         &mut self,
@@ -690,80 +767,93 @@ impl Sm {
         profiler: &mut Profiler,
     ) -> usize {
         let oc_free = self.oc.free_slots() > 0;
-        let warps = &self.warps;
-        let scoreboards = &mut self.scoreboards;
-        let ready = &mut self.ready;
         // Warp pick and (on a miss) stall classification are the
         // scheduler's host cost; the issued path hands off to Execute.
         let sched_phase = hostprof::phase(hostprof::Phase::Scheduler);
-        let picked = self.schedulers[s].pick(|w| {
-            let Some(warp) = warps[w].as_ref() else {
-                return false;
-            };
-            if warp.is_done() || warp.at_barrier {
-                return false;
+        let verdict = match self.verdicts[s] {
+            Some(v) if v.oc_free == oc_free && now < v.until => {
+                if cfg!(debug_assertions) {
+                    self.check_verdict(s, now, kernel, v);
+                }
+                v
             }
-            let r = ready[w].refresh(&mut scoreboards[w], kernel, warp, now);
-            // Non-control instructions need a collector slot.
-            r.clear_at <= now && (r.control || oc_free)
-        });
-        let Some(w) = picked else {
-            let (reason, culprit) = self.classify_stall(s, now, kernel, rf_conflict);
-            self.stats.pipe.scheduler_idle_cycles += 1;
-            self.stats.pipe.stalls.add(reason);
-            self.stats.sched[s].stalls.add(reason);
-            self.last_stall[s] = reason;
-            if profiler.is_on() {
-                // Charge the idle cycle to the instruction at the head
-                // of the culprit warp; drained cycles have no culprit
-                // and land in the profile's unattributed pool.
-                let pc = culprit
-                    .and_then(|cw| self.warps[cw as usize].as_ref())
-                    .map(|warp| warp.simt.pc());
-                profiler.record_stall(pc, reason);
+            _ => {
+                let warps = &self.warps;
+                let scoreboards = &mut self.scoreboards;
+                let ready = &mut self.ready;
+                let picked = self.schedulers[s].pick(|w| {
+                    let Some(warp) = warps[w].as_ref() else {
+                        return false;
+                    };
+                    if warp.is_done() || warp.at_barrier {
+                        return false;
+                    }
+                    ready[w]
+                        .refresh(&mut scoreboards[w], kernel, warp, now)
+                        .issuable(now, oc_free)
+                });
+                if let Some(w) = picked {
+                    drop(sched_phase);
+                    self.stats.pipe.issued += 1;
+                    self.stats.sched[s].issued += 1;
+                    let _exec_phase = hostprof::phase(hostprof::Phase::Execute);
+                    return self.execute_instruction(w, s, now, kernel, port, tracer, profiler);
+                }
+                let v = self.scan_stall(s, now, kernel, oc_free);
+                self.verdicts[s] = Some(v);
+                v
             }
-            let sm = self.id as u32;
-            tracer.emit_with(now, || TraceEvent::Stall {
-                sm,
-                sched: s as u32,
-                warp: culprit,
-                reason,
-            });
-            return 0;
         };
-        drop(sched_phase);
-        self.stats.pipe.issued += 1;
-        self.stats.sched[s].issued += 1;
-        let _exec_phase = hostprof::phase(hostprof::Phase::Execute);
-        self.execute_instruction(w, s, now, kernel, port, tracer, profiler)
+        let reason = match verdict.reason {
+            StallReason::NoCollector if rf_conflict => StallReason::RfBankConflict,
+            r => r,
+        };
+        let culprit = verdict.culprit;
+        self.stats.pipe.scheduler_idle_cycles += 1;
+        self.stats.pipe.stalls.add(reason);
+        self.stats.sched[s].stalls.add(reason);
+        self.last_stall[s] = reason;
+        if profiler.is_on() {
+            // Charge the idle cycle to the instruction at the head of
+            // the culprit warp; drained cycles have no culprit and land
+            // in the profile's unattributed pool.
+            let pc = culprit
+                .and_then(|cw| self.warps[cw as usize].as_ref())
+                .map(|warp| warp.simt.pc());
+            profiler.record_stall(pc, reason);
+        }
+        let sm = self.id as u32;
+        tracer.emit_with(now, || TraceEvent::Stall {
+            sm,
+            sched: s as u32,
+            warp: culprit,
+            reason,
+        });
+        0
     }
 
-    /// Classifies why scheduler `s` issued nothing this cycle, charging
-    /// exactly one [`StallReason`] so the breakdown sums to
+    /// Classifies why scheduler `s` issued nothing this cycle, so that
+    /// exactly one [`StallReason`] is charged and the breakdown sums to
     /// `scheduler_idle_cycles`. Returns the reason and, when one warp
-    /// epitomizes it, that warp's slot index.
+    /// epitomizes it, that warp's slot index, plus how long the answer
+    /// stands (see [`Verdict`]).
     ///
     /// Per-warp causes aggregate with back-of-pipe causes first — a
     /// warp held up by collector/bank pressure points at a structural
     /// bottleneck even if its siblings also wait on memory:
-    /// collector-full (refined to bank-conflict when this cycle's
-    /// arbitration lost reads) > memory pending > scoreboard > barrier
-    /// > drained.
+    /// collector-full (refined by the caller to bank-conflict when this
+    /// cycle's arbitration lost reads) > memory pending > scoreboard >
+    /// barrier > drained.
     ///
     /// A miss means `pick` refreshed the readiness of every live warp it
     /// owns, so the scoreboard split reads the cache; debug builds check
     /// each answer against the polled [`Scoreboard::blocking_is_mem`].
-    fn classify_stall(
-        &self,
-        s: usize,
-        now: u64,
-        kernel: &Kernel,
-        rf_conflict: bool,
-    ) -> (StallReason, Option<u32>) {
+    fn scan_stall(&self, s: usize, now: u64, kernel: &Kernel, oc_free: bool) -> Verdict {
         let mut barrier: Option<u32> = None;
         let mut mem: Option<u32> = None;
         let mut data: Option<u32> = None;
         let mut no_collector: Option<u32> = None;
+        let mut until = u64::MAX;
         for &w in self.schedulers[s].warps() {
             let Some(warp) = self.warps[w].as_ref() else {
                 continue;
@@ -782,6 +872,11 @@ impl Sm {
                 self.scoreboards[w].blocking_is_mem(kernel.instr(warp.simt.pc()), now),
                 "cached readiness of warp {w} diverged from its scoreboard at cycle {now}"
             );
+            for edge in [r.clear_at, r.mem_until] {
+                if edge > now {
+                    until = until.min(edge);
+                }
+            }
             match r.blocking_is_mem(now) {
                 Some(true) => {
                     mem.get_or_insert(w as u32);
@@ -797,13 +892,8 @@ impl Sm {
                 }
             }
         }
-        if let Some(w) = no_collector {
-            let reason = if rf_conflict {
-                StallReason::RfBankConflict
-            } else {
-                StallReason::NoCollector
-            };
-            (reason, Some(w))
+        let (reason, culprit) = if let Some(w) = no_collector {
+            (StallReason::NoCollector, Some(w))
         } else if let Some(w) = mem {
             (StallReason::MemPending, Some(w))
         } else if let Some(w) = data {
@@ -812,7 +902,37 @@ impl Sm {
             (StallReason::Barrier, Some(w))
         } else {
             (StallReason::Drained, None)
+        };
+        Verdict {
+            oc_free,
+            until,
+            reason,
+            culprit,
         }
+    }
+
+    /// The debug oracle for a verdict hit: no warp of scheduler `s` may
+    /// be issuable, and a fresh scan must reach the cached verdict.
+    fn check_verdict(&self, s: usize, now: u64, kernel: &Kernel, cached: Verdict) {
+        for &w in self.schedulers[s].warps() {
+            let Some(warp) = self.warps[w].as_ref() else {
+                continue;
+            };
+            if warp.is_done() || warp.at_barrier {
+                continue;
+            }
+            let r = &self.ready[w];
+            assert!(!r.dirty, "warp {w} changed without dropping its verdict");
+            assert!(
+                !r.issuable(now, cached.oc_free),
+                "cached verdict of scheduler {s} hides issuable warp {w} at cycle {now}"
+            );
+        }
+        assert_eq!(
+            self.scan_stall(s, now, kernel, cached.oc_free),
+            cached,
+            "cached verdict of scheduler {s} went stale at cycle {now}"
+        );
     }
 
     /// Issues (and functionally executes) the instruction at warp `w`'s
@@ -835,8 +955,10 @@ impl Sm {
             .pc();
         let instr = *kernel.instr(pc);
         // Every issue arm below moves the PC (and ALU/memory issues
-        // reserve destinations), so the cached readiness goes stale.
+        // reserve destinations), so the cached readiness and the
+        // scheduler's verdict go stale.
         self.ready[w].dirty = true;
+        self.verdicts[s] = None;
         let warp = self.warps[w].as_mut().expect("picked warp exists");
         let path_mask = warp.simt.active();
         // Guard predication narrows the executing mask.
@@ -967,6 +1089,8 @@ impl Sm {
                             other.at_barrier = false;
                         }
                     }
+                    // The released warps may belong to any scheduler.
+                    self.verdicts.fill(None);
                 }
                 return 0;
             }
@@ -992,16 +1116,15 @@ impl Sm {
         // byte-wise/BDI comparison chains): Compressor host time.
         let compress_phase = hostprof::phase(hostprof::Phase::Compressor);
         let ws = self.cfg.warp_size;
-        let src_regs = instr.src_regs();
         let mut all_scalar = !matches!(instr.kind, InstrKind::S2R { .. });
         let mut all_chunk_scalar = all_scalar;
         let mut reads = ReadSet::new();
-        for &r in &src_regs {
+        for r in instr.src_regs() {
             let phys = self.phys_reg(w, r);
             let info = self.regmeta.read(phys, mask);
             let d_stored = self.regmeta.meta(phys).d;
             // Figure 8 histogram + scheme-independent energy accounting.
-            self.record_rf_read(w, r, &info, divergent, d_stored);
+            self.record_rf_read(w, r, phys, &info, divergent, d_stored);
             if !info.scalar {
                 all_scalar = false;
             }
@@ -1010,7 +1133,7 @@ impl Sm {
             } else if info.chunk_scalar.is_empty() {
                 info.scalar
             } else {
-                info.chunk_scalar.iter().all(|&c| c)
+                info.chunk_scalar.all()
             };
             if !chunk_ok {
                 all_chunk_scalar = false;
@@ -1271,7 +1394,7 @@ impl Sm {
                         extra_latency += 2;
                     }
                 }
-                self.record_rf_write(&winfo, &vals, mask, divergent);
+                self.record_rf_write(phys, &winfo, &vals, mask, divergent);
                 profiler.record_write(
                     pc,
                     encoding_tag(winfo.enc),
@@ -1333,6 +1456,7 @@ impl Sm {
         &mut self,
         w: usize,
         r: Reg,
+        phys: usize,
         info: &gscalar_compress::ReadInfo,
         divergent_access: bool,
         d_stored: bool,
@@ -1353,22 +1477,33 @@ impl Sm {
         } else {
             s.scalar_rf_arrays += total;
         }
-        // BDI (W-C) comparison: compress the current contents.
-        let warp = self.warps[w].as_ref().expect("reading warp exists");
-        let vals = warp.reg(r.index());
-        let bdi_res = bdi::compress(vals);
-        s.bdi_arrays += bdi_res.arrays_active(16) as u64;
-        // Figure 8 classification.
+        // BDI (W-C) comparison and Figure 8 classification of the
+        // current contents, as recorded by the write that produced
+        // them (computed here only when that write could not).
+        let vals = self.warps[w]
+            .as_ref()
+            .expect("reading warp exists")
+            .reg(r.index());
+        let class = &mut self.rf_class[phys];
+        if class.bdi_arrays == u8::MAX {
+            class.bdi_arrays = u8::try_from(bdi::compress(vals).arrays_active(16))
+                .expect("a register spans at most 16 arrays");
+        }
+        s.bdi_arrays += u64::from(class.bdi_arrays);
         if divergent_access {
             s.histogram.record_divergent();
         } else {
-            let enc = bytewise::encode(vals, crate::full_mask(self.cfg.warp_size));
+            let warp_size = self.cfg.warp_size;
+            let enc = *class
+                .enc
+                .get_or_insert_with(|| bytewise::encode(vals, crate::full_mask(warp_size)));
             s.histogram.record(enc);
         }
     }
 
     fn record_rf_write(
         &mut self,
+        phys: usize,
         winfo: &gscalar_compress::WriteInfo,
         vals: &[u32],
         mask: u64,
@@ -1395,7 +1530,17 @@ impl Sm {
             s.scalar_rf_arrays += total;
         }
         let bdi_res = bdi::compress(vals);
-        s.bdi_arrays += bdi_res.arrays_active(16) as u64;
+        let bdi_arrays =
+            u8::try_from(bdi_res.arrays_active(16)).expect("a register spans at most 16 arrays");
+        s.bdi_arrays += u64::from(bdi_arrays);
+        // `vals` is the register's full post-write contents, so this
+        // classifies what later reads see. `winfo.enc` covers only the
+        // written lanes, which is the full-mask encoding only for a
+        // full-mask write.
+        self.rf_class[phys] = RfClass {
+            bdi_arrays,
+            enc: (mask == crate::full_mask(self.cfg.warp_size)).then_some(winfo.enc),
+        };
         if divergent {
             s.histogram.record_divergent();
         } else {
@@ -1579,6 +1724,7 @@ impl Sm {
                     other.at_barrier = false;
                 }
             }
+            self.verdicts.fill(None);
         }
         if cta.warps_done == cta.warps_total {
             self.ctas[slot] = None;
