@@ -12,15 +12,23 @@
 //! `host/parallel/phase/*` and `host/parallel/pool/*`. Profiling is
 //! reset between the passes, so each set covers its own pass only.
 //!
+//! Before both passes, with profiling off, the serial engine races the
+//! per-thread reference interpreter ([`run_reference`]) kernel by
+//! kernel: `host/serial/speed_vs_reference` is reference wall time over
+//! engine wall time. Both sides run in the same process within moments
+//! of each other, and each kernel's time on each side is its fastest of
+//! [`RATIO_ROUNDS`] alternating rounds. So the ratio moves with the
+//! engine's code and hardly with the host's speed or load.
+//!
 //! ```sh
 //! cargo run --release --bin throughput -- --scale test --json BENCH_throughput.json
 //! ```
 //!
 //! Every metric in the manifest lives under `host/`, so `report
 //! compare` treats the whole file as informational: the committed
-//! `BENCH_throughput.json` is a trend record. The one exception is the
-//! serial engine's aggregate `host/serial/cycles_per_host_s`, which
-//! `ci.sh` holds to a one-sided `--gate-min` floor.
+//! `BENCH_throughput.json` is a trend record. The one exception is
+//! `host/serial/speed_vs_reference`, which `ci.sh` holds to a
+//! one-sided `--gate-min` floor.
 //!
 //! With `--json <path>`, a Chrome trace-event host timeline of the
 //! serial pass is also written next to the manifest as
@@ -32,8 +40,37 @@ use std::time::Instant;
 use gscalar_bench::{experiments::CliOptions, Report};
 use gscalar_core::{Arch, Runner, Workload};
 use gscalar_hostprof as hostprof;
+use gscalar_sim::reference::run_reference;
 use gscalar_sim::GpuConfig;
 use gscalar_workloads::suite;
+
+/// Alternating reference/engine rounds per kernel in
+/// [`speed_vs_reference`].
+const RATIO_ROUNDS: usize = 5;
+
+/// Races the serial engine against the reference interpreter on each
+/// workload: [`RATIO_ROUNDS`] rounds of one reference run then one
+/// engine run, keeping each side's fastest. Returns the summed
+/// `(reference_seconds, engine_seconds)`.
+fn speed_vs_reference(workloads: &[Workload], base: &GpuConfig) -> (f64, f64) {
+    let runner = Runner::new(base.clone());
+    let (mut ref_s, mut engine_s) = (0.0, 0.0);
+    for w in workloads {
+        let (mut best_ref, mut best_engine) = (f64::MAX, f64::MAX);
+        for _ in 0..RATIO_ROUNDS {
+            let mut mem = w.memory.clone();
+            let t0 = Instant::now();
+            run_reference(&w.kernel, w.launch, &mut mem);
+            best_ref = best_ref.min(t0.elapsed().as_secs_f64());
+            let t0 = Instant::now();
+            std::hint::black_box(runner.run(w, Arch::GScalar));
+            best_engine = best_engine.min(t0.elapsed().as_secs_f64());
+        }
+        ref_s += best_ref;
+        engine_s += best_engine;
+    }
+    (ref_s, engine_s)
+}
 
 /// One engine pass over the whole mix: runs every workload, records
 /// per-workload and aggregate throughput under `host/<tag>/...`, and
@@ -136,13 +173,19 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = CliOptions::parse(args.iter().cloned());
     let mut r = Report::new("throughput");
-    hostprof::reset();
-    hostprof::set_enabled(true);
-
     let cfg = GpuConfig::gtx480();
     let workloads = suite(opts.scale);
     r.title("host throughput: 17-kernel mix, cycle-weighted");
     r.config(&cfg);
+
+    // The gated ratio, measured uninstrumented.
+    let (ref_s, engine_s) = speed_vs_reference(&workloads, &cfg);
+    r.metric("host/vs_reference/reference_s", ref_s);
+    r.metric("host/vs_reference/engine_s", engine_s);
+    r.metric("host/serial/speed_vs_reference", ref_s / engine_s);
+
+    hostprof::reset();
+    hostprof::set_enabled(true);
 
     // Pass 1: serial engine. Every phase runs on this one thread, so
     // the exclusive phase totals must sum (within slop) to the pass's

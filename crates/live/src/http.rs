@@ -13,7 +13,7 @@
 //! response — which keeps the protocol surface tiny and is plenty for a
 //! submit/stream/fetch client.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -25,6 +25,13 @@ use crate::stream::LineSink;
 /// Pause after a failed `accept` (e.g. `EMFILE`), so a persistent error
 /// cannot spin the acceptor.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Largest request line plus header block [`read_request`] reads.
+const MAX_HEAD_BYTES: u64 = 64 << 10;
+
+/// Largest body [`read_request`] accepts: far above any job spec, and
+/// small enough that a client's `Content-Length` cannot exhaust memory.
+const MAX_BODY_BYTES: usize = 1 << 20;
 
 /// One parsed HTTP request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,12 +49,22 @@ pub struct Request {
 /// # Errors
 ///
 /// Returns a message on a malformed request line, an unreadable
-/// header block, or a short body.
+/// header block, a request line plus headers over 64 KiB, a declared
+/// body over 1 MiB, or a short body.
 pub fn read_request(reader: &mut impl BufRead) -> Result<Request, String> {
+    let mut head = reader.take(MAX_HEAD_BYTES);
+    // One line of the head; a line the cap cuts off is an error.
+    let mut read_line = |line: &mut String| -> std::io::Result<usize> {
+        let n = head.read_line(line)?;
+        if head.limit() == 0 && !line.ends_with('\n') {
+            return Err(std::io::Error::other(format!(
+                "request head exceeds {MAX_HEAD_BYTES} bytes"
+            )));
+        }
+        Ok(n)
+    };
     let mut request_line = String::new();
-    reader
-        .read_line(&mut request_line)
-        .map_err(|e| format!("reading request line: {e}"))?;
+    read_line(&mut request_line).map_err(|e| format!("reading request line: {e}"))?;
     let mut parts = request_line.split_whitespace();
     let (method, path) = match (parts.next(), parts.next()) {
         (Some(m), Some(p)) => (m.to_uppercase(), p.to_string()),
@@ -56,7 +73,7 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Request, String> {
     let mut content_length = 0usize;
     loop {
         let mut line = String::new();
-        match reader.read_line(&mut line) {
+        match read_line(&mut line) {
             Ok(0) => break,
             Ok(_) if line == "\r\n" || line == "\n" => break,
             Ok(_) => {
@@ -72,9 +89,15 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Request, String> {
             Err(e) => return Err(format!("reading headers: {e}")),
         }
     }
+    if content_length > MAX_BODY_BYTES {
+        return Err(format!(
+            "{content_length}-byte body exceeds {MAX_BODY_BYTES} bytes"
+        ));
+    }
     let mut body = vec![0u8; content_length];
     if content_length > 0 {
-        std::io::Read::read_exact(reader, &mut body)
+        reader
+            .read_exact(&mut body)
             .map_err(|e| format!("reading {content_length}-byte body: {e}"))?;
     }
     Ok(Request {
@@ -343,6 +366,36 @@ mod tests {
         assert!(read_request(&mut Cursor::new(short)).is_err());
         let bad_len = "POST / HTTP/1.1\r\nContent-Length: lots\r\n\r\n";
         assert!(read_request(&mut Cursor::new(bad_len)).is_err());
+    }
+
+    #[test]
+    fn rejects_a_huge_declared_body_without_allocating_it() {
+        // 64 TiB: allocating it up front aborts the process.
+        let raw = "POST /jobs HTTP/1.1\r\nContent-Length: 70368744177664\r\n\r\n{}";
+        let err = read_request(&mut Cursor::new(raw)).unwrap_err();
+        assert!(err.contains("exceeds"), "{err}");
+    }
+
+    #[test]
+    fn rejects_an_oversize_head() {
+        let filler = format!("X-Filler: {}\r\n", "a".repeat(1000));
+        let raw = format!(
+            "GET /stats HTTP/1.1\r\n{}\r\n",
+            filler.repeat(MAX_HEAD_BYTES as usize / filler.len() + 1)
+        );
+        let err = read_request(&mut Cursor::new(raw)).unwrap_err();
+        assert!(err.contains("exceeds"), "{err}");
+        // One unterminated line past the cap fails the same way.
+        let long_line = format!("GET /{}", "a".repeat(MAX_HEAD_BYTES as usize));
+        assert!(read_request(&mut Cursor::new(long_line)).is_err());
+    }
+
+    #[test]
+    fn parses_a_body_exactly_at_the_cap() {
+        let body = "b".repeat(MAX_BODY_BYTES);
+        let raw = format!("POST /jobs HTTP/1.1\r\nContent-Length: {MAX_BODY_BYTES}\r\n\r\n{body}");
+        let req = read_request(&mut Cursor::new(raw)).unwrap();
+        assert_eq!(req.body, body);
     }
 
     fn echo() -> Handler {

@@ -338,6 +338,9 @@ pub struct Sm {
     /// Per-scheduler cached stall verdict (`None`: dropped by an event
     /// since the last miss).
     verdicts: Vec<Option<Verdict>>,
+    /// The SM sleeps through polls with `now < sleep_until` (0: awake;
+    /// see [`Sm::steady_until`]).
+    sleep_until: u64,
     oc: OperandCollectors<Inflight>,
     alu_pipes: Vec<Pipe<Inflight>>,
     sfu_pipe: Pipe<Inflight>,
@@ -401,6 +404,7 @@ impl Sm {
                 .map(|s| Scheduler::new(cfg.sched, per_sched(s)))
                 .collect(),
             verdicts: vec![None; cfg.schedulers],
+            sleep_until: 0,
             oc: OperandCollectors::new(cfg.operand_collectors, cfg.rf_banks),
             alu_pipes: (0..cfg.alu_pipes)
                 .map(|_| Pipe::new(cfg.simt_width))
@@ -495,6 +499,8 @@ impl Sm {
             at_barrier: 0,
             shared: SharedMemory::new(kernel.shared_mem_bytes()),
         });
+        // New warps may be issuable at once.
+        self.sleep_until = 0;
         let mut remaining = threads;
         let mut tid_base = 0u32;
         for _ in 0..warps_needed {
@@ -559,6 +565,10 @@ impl Sm {
     /// buffered port the cycle touches no shared state: stores land in
     /// the buffer's overlay and memory-system requests are deferred for
     /// `Sm::resolve_pending` at the epoch barrier.
+    ///
+    /// A steadily stalled SM sleeps: until the next event that can
+    /// change it, a poll charges exactly what a full cycle would, in
+    /// O(1).
     pub fn cycle_port(
         &mut self,
         now: u64,
@@ -567,6 +577,13 @@ impl Sm {
         tracer: &mut Tracer<'_>,
         profiler: &mut Profiler,
     ) -> usize {
+        if now < self.sleep_until {
+            self.sleep_poll(now, kernel, tracer, profiler);
+            return 0;
+        }
+        // A steady cycle still runs in full; the polls after it sleep.
+        self.sleep_until = self.steady_until(now).unwrap_or(0);
+
         // 1. Writeback. Both scratch vectors live on the SM and are
         // reused cycle after cycle: the writeback path allocates
         // nothing.
@@ -648,6 +665,60 @@ impl Sm {
         completed_ctas
     }
 
+    /// The first cycle after `now` at which the SM can change on its
+    /// own, if nothing can change before it: no collector is occupied,
+    /// every scheduler holds a verdict taken with a free collector that
+    /// still stands, and no pipe completes at or before `now`. Until the
+    /// earliest verdict expiry or pipe completion, no writeback is due,
+    /// nothing arbitrates or dispatches, and no warp can issue. Only a
+    /// CTA launch can intervene, and it wakes the SM.
+    fn steady_until(&self, now: u64) -> Option<u64> {
+        if self.oc.any_pending() {
+            return None;
+        }
+        let mut until = u64::MAX;
+        for v in &self.verdicts {
+            match v {
+                Some(v) if v.oc_free && now < v.until => until = until.min(v.until),
+                _ => return None,
+            }
+        }
+        match self.next_event() {
+            Some(t) if t <= now => None,
+            t => Some(until.min(t.unwrap_or(u64::MAX))),
+        }
+    }
+
+    /// One poll of a sleeping SM, charging exactly what the full cycle
+    /// would: the empty collectors' arbitration advances their rotation,
+    /// and each scheduler charges its held verdict. No hostprof phase is
+    /// opened; the host time lands in the caller's. Debug builds check
+    /// that the SM is still steady and every verdict still exact.
+    fn sleep_poll(
+        &mut self,
+        now: u64,
+        kernel: &Kernel,
+        tracer: &mut Tracer<'_>,
+        profiler: &mut Profiler,
+    ) {
+        if cfg!(debug_assertions) {
+            assert_eq!(
+                self.steady_until(now),
+                Some(self.sleep_until),
+                "SM {} woke without an event at cycle {now}",
+                self.id
+            );
+            for (s, v) in self.verdicts.iter().enumerate() {
+                self.check_verdict(s, now, kernel, v.expect("steady"));
+            }
+        }
+        self.oc.arbitrate(&[]);
+        for s in 0..self.verdicts.len() {
+            let v = self.verdicts[s].expect("a sleeping SM holds every verdict");
+            self.charge_stall(s, now, v, false, tracer, profiler);
+        }
+    }
+
     /// Resolves one deferred memory request at the epoch barrier,
     /// replaying exactly what the serial dispatch path would have done
     /// at the same point in the memory-system access order: the timed
@@ -694,8 +765,8 @@ impl Sm {
         self.lsu_pipe.complete_at(finish, inst);
     }
 
-    /// Earliest future event on this SM (pipe completion or scoreboard
-    /// release), for idle-cycle skipping.
+    /// Earliest pending pipe completion on this SM, for idle-cycle
+    /// skipping and for how long the SM may sleep.
     #[must_use]
     pub fn next_event(&self) -> Option<u64> {
         let mut t = self
@@ -804,6 +875,24 @@ impl Sm {
                 v
             }
         };
+        self.charge_stall(s, now, verdict, rf_conflict, tracer, profiler);
+        0
+    }
+
+    /// Charges one idle cycle of scheduler `s` to `verdict`: the
+    /// per-pipe and per-scheduler stall ledgers, the profiler (at the
+    /// culprit warp's head PC) and a [`TraceEvent::Stall`]. A collector
+    /// stall becomes a bank conflict when this cycle's arbitration lost
+    /// reads (`rf_conflict`).
+    fn charge_stall(
+        &mut self,
+        s: usize,
+        now: u64,
+        verdict: Verdict,
+        rf_conflict: bool,
+        tracer: &mut Tracer<'_>,
+        profiler: &mut Profiler,
+    ) {
         let reason = match verdict.reason {
             StallReason::NoCollector if rf_conflict => StallReason::RfBankConflict,
             r => r,
@@ -829,7 +918,6 @@ impl Sm {
             warp: culprit,
             reason,
         });
-        0
     }
 
     /// Classifies why scheduler `s` issued nothing this cycle, so that
