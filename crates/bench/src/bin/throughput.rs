@@ -16,9 +16,10 @@
 //! per-thread reference interpreter ([`run_reference`]) kernel by
 //! kernel: `host/serial/speed_vs_reference` is reference wall time over
 //! engine wall time. Both sides run in the same process within moments
-//! of each other, and each kernel's time on each side is its fastest of
-//! [`RATIO_ROUNDS`] alternating rounds. So the ratio moves with the
-//! engine's code and hardly with the host's speed or load.
+//! of each other, and each kernel's time on each side is its fastest
+//! over [`RATIO_ROUNDS`] alternating passes over the mix. So the ratio
+//! moves with the engine's code and hardly with the host's speed or
+//! load.
 //!
 //! ```sh
 //! cargo run --release --bin throughput -- --scale test --json BENCH_throughput.json
@@ -44,32 +45,31 @@ use gscalar_sim::reference::run_reference;
 use gscalar_sim::GpuConfig;
 use gscalar_workloads::suite;
 
-/// Alternating reference/engine rounds per kernel in
-/// [`speed_vs_reference`].
-const RATIO_ROUNDS: usize = 5;
+/// Passes over the mix in [`speed_vs_reference`].
+const RATIO_ROUNDS: usize = 30;
 
-/// Races the serial engine against the reference interpreter on each
-/// workload: [`RATIO_ROUNDS`] rounds of one reference run then one
-/// engine run, keeping each side's fastest. Returns the summed
-/// `(reference_seconds, engine_seconds)`.
+/// Races the serial engine against the reference interpreter:
+/// [`RATIO_ROUNDS`] passes over the mix, each running every kernel
+/// once on the reference and then once on the engine. Each kernel
+/// keeps its fastest time per side, taken from samples spread over the
+/// whole race (about a second) rather than from one burst of host
+/// load. Returns the summed `(reference_seconds, engine_seconds)`.
 fn speed_vs_reference(workloads: &[Workload], base: &GpuConfig) -> (f64, f64) {
     let runner = Runner::new(base.clone());
-    let (mut ref_s, mut engine_s) = (0.0, 0.0);
-    for w in workloads {
-        let (mut best_ref, mut best_engine) = (f64::MAX, f64::MAX);
-        for _ in 0..RATIO_ROUNDS {
+    let mut best = vec![(f64::MAX, f64::MAX); workloads.len()];
+    for _ in 0..RATIO_ROUNDS {
+        for (w, (best_ref, best_engine)) in workloads.iter().zip(&mut best) {
             let mut mem = w.memory.clone();
             let t0 = Instant::now();
             run_reference(&w.kernel, w.launch, &mut mem);
-            best_ref = best_ref.min(t0.elapsed().as_secs_f64());
+            *best_ref = best_ref.min(t0.elapsed().as_secs_f64());
             let t0 = Instant::now();
             std::hint::black_box(runner.run(w, Arch::GScalar));
-            best_engine = best_engine.min(t0.elapsed().as_secs_f64());
+            *best_engine = best_engine.min(t0.elapsed().as_secs_f64());
         }
-        ref_s += best_ref;
-        engine_s += best_engine;
     }
-    (ref_s, engine_s)
+    best.iter()
+        .fold((0.0, 0.0), |(r, e), (br, be)| (r + br, e + be))
 }
 
 /// One engine pass over the whole mix: runs every workload, records

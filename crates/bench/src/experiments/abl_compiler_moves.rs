@@ -10,7 +10,7 @@
 use gscalar_core::Arch;
 use gscalar_sim::GpuConfig;
 use gscalar_sweep::{JobOutput, JobSpec, ResultSet};
-use gscalar_workloads::{suite, Scale};
+use gscalar_workloads::{Scale, ABBRS};
 
 use crate::Report;
 
@@ -62,24 +62,24 @@ pub fn grid(scale: Scale) -> Vec<JobSpec> {
 
 /// Renders the elision study; suite totals are summed from the
 /// per-benchmark job metrics.
-pub fn render(r: &mut Report, rs: &ResultSet, scale: Scale) {
+pub fn render(r: &mut Report, rs: &ResultSet, _scale: Scale) {
     let cfg = GpuConfig::gtx480();
     r.config(&cfg);
     r.title("Extension: decompress-move elision via liveness analysis");
     r.table(&["hw-moves", "cc-moves", "elided", "hw-ovh%", "cc-ovh%"]);
     let mut total_hw = 0u64;
     let mut total_cc = 0u64;
-    for w in suite(scale) {
+    for abbr in ABBRS {
         let vals = [
-            rs.metric(NAME, &w.abbr, "hw-moves"),
-            rs.metric(NAME, &w.abbr, "cc-moves"),
-            rs.metric(NAME, &w.abbr, "elided"),
-            rs.metric(NAME, &w.abbr, "hw-ovh%"),
-            rs.metric(NAME, &w.abbr, "cc-ovh%"),
+            rs.metric(NAME, abbr, "hw-moves"),
+            rs.metric(NAME, abbr, "cc-moves"),
+            rs.metric(NAME, abbr, "elided"),
+            rs.metric(NAME, abbr, "hw-ovh%"),
+            rs.metric(NAME, abbr, "cc-ovh%"),
         ];
         total_hw += vals[0] as u64;
         total_cc += vals[1] as u64;
-        r.row(&w.abbr, &vals, fmt);
+        r.row(abbr, &vals, fmt);
     }
     let removed = 100.0 * (1.0 - total_cc as f64 / total_hw.max(1) as f64);
     r.blank();

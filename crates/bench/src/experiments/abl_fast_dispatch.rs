@@ -10,7 +10,7 @@
 use gscalar_core::Arch;
 use gscalar_sim::GpuConfig;
 use gscalar_sweep::{JobOutput, JobSpec, ResultSet};
-use gscalar_workloads::{suite, Scale};
+use gscalar_workloads::{Scale, ABBRS};
 
 use crate::{mean, Report};
 
@@ -48,18 +48,18 @@ pub fn grid(scale: Scale) -> Vec<JobSpec> {
 }
 
 /// Renders the fast-dispatch study from job metrics.
-pub fn render(r: &mut Report, rs: &ResultSet, scale: Scale) {
+pub fn render(r: &mut Report, rs: &ResultSet, _scale: Scale) {
     let cfg = GpuConfig::gtx480();
     r.config(&cfg);
     r.title("Extension: scalar fast dispatch (IPC normalized to baseline)");
     r.table(&["G-Scalar", "fast-disp", "speedup%"]);
     let mut gains = Vec::new();
-    for w in suite(scale) {
-        let gs = rs.metric(NAME, &w.abbr, "G-Scalar");
-        let fast = rs.metric(NAME, &w.abbr, "fast-disp");
-        let gain = rs.metric(NAME, &w.abbr, "speedup%");
+    for abbr in ABBRS {
+        let gs = rs.metric(NAME, abbr, "G-Scalar");
+        let fast = rs.metric(NAME, abbr, "fast-disp");
+        let gain = rs.metric(NAME, abbr, "speedup%");
         gains.push(gain);
-        r.row(&w.abbr, &[gs, fast, gain], |x| format!("{x:.3}"));
+        r.row(abbr, &[gs, fast, gain], |x| format!("{x:.3}"));
     }
     let avg = mean(&gains);
     r.row_text("AVG", &["".into(), "".into(), format!("{avg:+.1}")]);

@@ -12,7 +12,7 @@
 use gscalar_core::Arch;
 use gscalar_sim::GpuConfig;
 use gscalar_sweep::{JobOutput, JobSpec, ResultSet};
-use gscalar_workloads::{suite, Scale};
+use gscalar_workloads::{Scale, ABBRS};
 
 use crate::Report;
 
@@ -65,20 +65,20 @@ pub fn grid(scale: Scale) -> Vec<JobSpec> {
 }
 
 /// Renders the scalability study from job metrics.
-pub fn render(r: &mut Report, rs: &ResultSet, scale: Scale) {
+pub fn render(r: &mut Report, rs: &ResultSet, _scale: Scale) {
     let now = GpuConfig::gtx480();
     r.config(&now);
     r.title("Extension: scalar-bank serializations per 1k instructions");
     r.table(&COLS);
     let mut tot = [0.0f64; 4];
     let mut n = 0usize;
-    for w in suite(scale) {
-        let vals: [f64; 4] = COLS.map(|c| rs.metric(NAME, &w.abbr, c));
+    for abbr in ABBRS {
+        let vals: [f64; 4] = COLS.map(|c| rs.metric(NAME, abbr, c));
         for (t, v) in tot.iter_mut().zip(vals) {
             *t += v;
         }
         n += 1;
-        r.row(&w.abbr, &vals, |x| format!("{x:.1}"));
+        r.row(abbr, &vals, |x| format!("{x:.1}"));
     }
     let avg: Vec<f64> = tot.iter().map(|t| t / n.max(1) as f64).collect();
     r.row("AVG", &avg, |x| format!("{x:.1}"));

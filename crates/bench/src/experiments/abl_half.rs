@@ -9,7 +9,7 @@ use gscalar_core::Arch;
 use gscalar_power::synthesis::rf_area_overhead_fraction;
 use gscalar_sim::GpuConfig;
 use gscalar_sweep::{JobOutput, JobSpec, ResultSet};
-use gscalar_workloads::{suite, Scale};
+use gscalar_workloads::{Scale, ABBRS};
 
 use crate::{mean, Report};
 
@@ -54,18 +54,18 @@ pub fn grid(scale: Scale) -> Vec<JobSpec> {
 }
 
 /// Renders the ablation table from job metrics.
-pub fn render(r: &mut Report, rs: &ResultSet, scale: Scale) {
+pub fn render(r: &mut Report, rs: &ResultSet, _scale: Scale) {
     let cfg = GpuConfig::gtx480();
     r.config(&cfg);
     r.title("Ablation: half-warp scalar execution on/off (IPC/W, baseline = 1.0)");
     r.table(&["no-half", "with-half", "delta%"]);
     let mut deltas = Vec::new();
-    for w in suite(scale) {
-        let no_half = rs.metric(NAME, &w.abbr, "no-half");
-        let half = rs.metric(NAME, &w.abbr, "with-half");
-        let d = rs.metric(NAME, &w.abbr, "delta%");
+    for abbr in ABBRS {
+        let no_half = rs.metric(NAME, abbr, "no-half");
+        let half = rs.metric(NAME, abbr, "with-half");
+        let d = rs.metric(NAME, abbr, "delta%");
         deltas.push(d);
-        r.row(&w.abbr, &[no_half, half, d], |x| format!("{x:.3}"));
+        r.row(abbr, &[no_half, half, d], |x| format!("{x:.3}"));
     }
     let avg = mean(&deltas);
     r.row_text("AVG", &["".into(), "".into(), format!("{avg:+.2}")]);

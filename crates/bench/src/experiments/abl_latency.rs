@@ -7,7 +7,7 @@
 use gscalar_core::Arch;
 use gscalar_sim::GpuConfig;
 use gscalar_sweep::{JobOutput, JobSpec, ResultSet};
-use gscalar_workloads::{suite, Scale};
+use gscalar_workloads::{Scale, ABBRS};
 
 use crate::{mean, Report};
 
@@ -46,7 +46,7 @@ pub fn grid(scale: Scale) -> Vec<JobSpec> {
 }
 
 /// Renders the latency-sensitivity table from job metrics.
-pub fn render(r: &mut Report, rs: &ResultSet, scale: Scale) {
+pub fn render(r: &mut Report, rs: &ResultSet, _scale: Scale) {
     let cfg = GpuConfig::gtx480();
     r.config(&cfg);
     r.title("Ablation: IPC vs extra pipeline latency (normalized to +0)");
@@ -54,15 +54,15 @@ pub fn render(r: &mut Report, rs: &ResultSet, scale: Scale) {
     let head_refs: Vec<&str> = head.iter().map(String::as_str).collect();
     r.table(&head_refs);
     let mut cols: Vec<Vec<f64>> = vec![Vec::new(); DEPTHS.len()];
-    for w in suite(scale) {
+    for abbr in ABBRS {
         let vals: Vec<f64> = DEPTHS
             .iter()
-            .map(|&d| rs.metric(NAME, &w.abbr, &col(d)))
+            .map(|&d| rs.metric(NAME, abbr, &col(d)))
             .collect();
         for (c, v) in cols.iter_mut().zip(&vals) {
             c.push(*v);
         }
-        r.row(&w.abbr, &vals, |x| format!("{x:.3}"));
+        r.row(abbr, &vals, |x| format!("{x:.3}"));
     }
     let avg: Vec<f64> = cols.iter().map(|c| mean(c)).collect();
     r.row("AVG", &avg, |x| format!("{x:.3}"));

@@ -9,7 +9,7 @@ use gscalar_core::Arch;
 use gscalar_sim::scheduler::SchedPolicy;
 use gscalar_sim::GpuConfig;
 use gscalar_sweep::{JobOutput, JobSpec, ResultSet};
-use gscalar_workloads::{suite, Scale};
+use gscalar_workloads::{Scale, ABBRS};
 
 use crate::Report;
 
@@ -52,18 +52,18 @@ pub fn grid(scale: Scale) -> Vec<JobSpec> {
 }
 
 /// Renders the scheduler ablation from job metrics.
-pub fn render(r: &mut Report, rs: &ResultSet, scale: Scale) {
+pub fn render(r: &mut Report, rs: &ResultSet, _scale: Scale) {
     r.config(&GpuConfig::gtx480());
     r.title("Ablation: GTO vs LRR (ALU-scalar architecture)");
     r.table(&["gto-IPC", "lrr-IPC", "gto-ser", "lrr-ser"]);
-    for w in suite(scale) {
+    for abbr in ABBRS {
         let vals = [
-            rs.metric(NAME, &w.abbr, "gto-IPC"),
-            rs.metric(NAME, &w.abbr, "lrr-IPC"),
-            rs.metric(NAME, &w.abbr, "gto-ser"),
-            rs.metric(NAME, &w.abbr, "lrr-ser"),
+            rs.metric(NAME, abbr, "gto-IPC"),
+            rs.metric(NAME, abbr, "lrr-IPC"),
+            rs.metric(NAME, abbr, "gto-ser"),
+            rs.metric(NAME, abbr, "lrr-ser"),
         ];
-        r.row(&w.abbr, &vals, fmt);
+        r.row(abbr, &vals, fmt);
     }
     r.blank();
     r.note("the single scalar bank serializes under both policies; warps running");

@@ -18,7 +18,7 @@ use gscalar_core::Arch;
 use gscalar_sim::{Gpu, GpuConfig, RunObserver, Stats};
 use gscalar_sweep::{JobError, JobOutput, JobSpec, ResultSet};
 use gscalar_trace::{EventBuf, Tracer};
-use gscalar_workloads::{suite, Scale};
+use gscalar_workloads::{Scale, ABBRS};
 
 use crate::Report;
 
@@ -151,7 +151,7 @@ pub fn grid(scale: Scale) -> Vec<JobSpec> {
 /// Renders the markdown dashboard from job metrics only: the CPI-stack
 /// table (shares of all issue slots), the critical-path/MLP table, and
 /// the validated what-if table with per-kernel projection error.
-pub fn render(r: &mut Report, rs: &ResultSet, scale: Scale) {
+pub fn render(r: &mut Report, rs: &ResultSet, _scale: Scale) {
     let cfg = GpuConfig::gtx480();
     r.config(&cfg);
     r.title("# Bottleneck dashboard");
@@ -160,8 +160,8 @@ pub fn render(r: &mut Report, rs: &ResultSet, scale: Scale) {
     r.blank();
     r.note("| bench | base% | sbrd% | mem% | barr% | drain% | opc% | struct% | bottleneck |");
     r.note("|---|---|---|---|---|---|---|---|---|");
-    for w in suite(scale) {
-        let g = |k: &str| rs.metric(NAME, &w.abbr, &format!("{}/{}", w.abbr, k));
+    for abbr in ABBRS {
+        let g = |k: &str| rs.metric(NAME, abbr, &format!("{}/{}", abbr, k));
         let shares: Vec<f64> = COMPONENT_LABELS
             .iter()
             .map(|l| g(&format!("cpi/{l}_share")))
@@ -181,7 +181,7 @@ pub fn render(r: &mut Report, rs: &ResultSet, scale: Scale) {
         );
         r.note(&format!(
             "| {} | {:.1} | {:.1} | {:.1} | {:.1} | {:.1} | {:.1} | {:.1} | {} |",
-            w.abbr,
+            abbr,
             100.0 * shares[0],
             100.0 * shares[1],
             100.0 * shares[2],
@@ -197,11 +197,11 @@ pub fn render(r: &mut Report, rs: &ResultSet, scale: Scale) {
     r.blank();
     r.note("| bench | stall events | top chain (cyc) | top warp (cyc) | MLP mean | MLP max |");
     r.note("|---|---|---|---|---|---|");
-    for w in suite(scale) {
-        let g = |k: &str| rs.metric(NAME, &w.abbr, &format!("{}/{}", w.abbr, k));
+    for abbr in ABBRS {
+        let g = |k: &str| rs.metric(NAME, abbr, &format!("{}/{}", abbr, k));
         r.note(&format!(
             "| {} | {} | {} | {} | {:.2} | {} |",
-            w.abbr,
+            abbr,
             g("critical/stall_events"),
             g("critical/top_chain_cycles"),
             g("critical/top_warp_cycles"),
@@ -214,13 +214,13 @@ pub fn render(r: &mut Report, rs: &ResultSet, scale: Scale) {
     r.blank();
     r.note("| bench | study | projected | measured | error% |");
     r.note("|---|---|---|---|---|");
-    for w in suite(scale) {
-        let g = |k: &str| rs.metric(NAME, &w.abbr, &format!("{}/{}", w.abbr, k));
+    for abbr in ABBRS {
+        let g = |k: &str| rs.metric(NAME, abbr, &format!("{}/{}", abbr, k));
         for wi in WhatIf::ALL {
             let l = wi.label();
             r.note(&format!(
                 "| {} | {} | {:.3}x | {:.3}x | {:.1} |",
-                w.abbr,
+                abbr,
                 l,
                 g(&format!("whatif/{l}/projected")),
                 g(&format!("whatif/{l}/measured")),
@@ -230,8 +230,8 @@ pub fn render(r: &mut Report, rs: &ResultSet, scale: Scale) {
     }
     // The manifest copies every job metric through verbatim, so the
     // JSON carries the full per-kernel stacks and projection errors.
-    for w in suite(scale) {
-        let jr = rs.get(NAME, &w.abbr).expect("job result present");
+    for abbr in ABBRS {
+        let jr = rs.get(NAME, abbr).expect("job result present");
         for (k, v) in &jr.metrics {
             r.metric(k, *v);
         }

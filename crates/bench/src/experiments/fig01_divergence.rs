@@ -6,7 +6,7 @@
 use gscalar_core::{Arch, Runner};
 use gscalar_sim::GpuConfig;
 use gscalar_sweep::{JobOutput, ResultSet};
-use gscalar_workloads::{suite, Scale};
+use gscalar_workloads::{by_abbr, Scale, ABBRS};
 
 use crate::{mean, row, Report};
 
@@ -82,13 +82,13 @@ pub fn render(r: &mut Report, rs: &ResultSet, scale: Scale) {
     // Per-benchmark divergent-branch rows, rendered after the main
     // table: (abbr, pc, execs, diverged, div-instr share, disasm).
     let mut branch_rows: Vec<(String, usize, u64, u64, f64, String)> = Vec::new();
-    for w in suite(scale) {
-        let d = rs.metric(NAME, &w.abbr, "divergent%");
-        let ds = rs.metric(NAME, &w.abbr, "div-scalar%");
+    for abbr in ABBRS {
+        let d = rs.metric(NAME, abbr, "divergent%");
+        let ds = rs.metric(NAME, abbr, "div-scalar%");
         divs.push(d);
         dscals.push(ds);
-        r.row(&w.abbr, &[d, ds], |x| format!("{x:.1}"));
-        let jr = rs.get(NAME, &w.abbr).expect("job result present");
+        r.row(abbr, &[d, ds], |x| format!("{x:.1}"));
+        let jr = rs.get(NAME, abbr).expect("job result present");
         let mut pcs: Vec<usize> = jr
             .metrics
             .keys()
@@ -99,15 +99,21 @@ pub fn render(r: &mut Report, rs: &ResultSet, scale: Scale) {
             })
             .collect();
         pcs.sort_unstable();
+        if pcs.is_empty() {
+            continue;
+        }
+        // The disassembly needs the kernel: build only benchmarks with
+        // a diverged branch.
+        let w = by_abbr(abbr, scale).expect("suite benchmark");
         for pc in pcs {
-            let execs = rs.metric(NAME, &w.abbr, &format!("branch{pc}/execs"));
-            let diverged = rs.metric(NAME, &w.abbr, &format!("branch{pc}/diverged"));
-            let share = rs.metric(NAME, &w.abbr, &format!("branch{pc}/div_share%"));
-            r.metric(&format!("{}/branch{pc}/execs", w.abbr), execs);
-            r.metric(&format!("{}/branch{pc}/diverged", w.abbr), diverged);
-            r.metric(&format!("{}/branch{pc}/div_share%", w.abbr), share);
+            let execs = rs.metric(NAME, abbr, &format!("branch{pc}/execs"));
+            let diverged = rs.metric(NAME, abbr, &format!("branch{pc}/diverged"));
+            let share = rs.metric(NAME, abbr, &format!("branch{pc}/div_share%"));
+            r.metric(&format!("{abbr}/branch{pc}/execs"), execs);
+            r.metric(&format!("{abbr}/branch{pc}/diverged"), diverged);
+            r.metric(&format!("{abbr}/branch{pc}/div_share%"), share);
             branch_rows.push((
-                w.abbr.clone(),
+                abbr.to_string(),
                 pc,
                 execs as u64,
                 diverged as u64,

@@ -4,7 +4,7 @@
 use gscalar_core::{Arch, Runner};
 use gscalar_sim::GpuConfig;
 use gscalar_sweep::{JobOutput, JobSpec, ResultSet};
-use gscalar_workloads::{suite, Scale};
+use gscalar_workloads::{Scale, ABBRS};
 
 use crate::{mean, Report};
 
@@ -42,19 +42,19 @@ pub fn grid(scale: Scale) -> Vec<JobSpec> {
 }
 
 /// Renders the warp-size comparison from job metrics.
-pub fn render(r: &mut Report, rs: &ResultSet, scale: Scale) {
+pub fn render(r: &mut Report, rs: &ResultSet, _scale: Scale) {
     let cfg32 = GpuConfig::gtx480();
     r.config(&cfg32);
     r.title("Figure 10: half-scalar eligibility vs warp size");
     r.table(&["warp32%", "warp64%"]);
     let mut a32 = Vec::new();
     let mut a64 = Vec::new();
-    for w in suite(scale) {
-        let h32 = rs.metric(NAME, &w.abbr, "warp32%");
-        let h64 = rs.metric(NAME, &w.abbr, "warp64%");
+    for abbr in ABBRS {
+        let h32 = rs.metric(NAME, abbr, "warp32%");
+        let h64 = rs.metric(NAME, abbr, "warp64%");
         a32.push(h32);
         a64.push(h64);
-        r.row(&w.abbr, &[h32, h64], |x| format!("{x:.1}"));
+        r.row(abbr, &[h32, h64], |x| format!("{x:.1}"));
     }
     r.row("AVG", &[mean(&a32), mean(&a64)], |x| format!("{x:.1}"));
     r.blank();

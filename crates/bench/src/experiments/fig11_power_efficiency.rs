@@ -4,7 +4,7 @@
 use gscalar_core::Arch;
 use gscalar_sim::GpuConfig;
 use gscalar_sweep::{JobOutput, JobSpec, ResultSet};
-use gscalar_workloads::{suite, Scale};
+use gscalar_workloads::{Scale, ABBRS};
 
 use crate::{mean, Report};
 
@@ -42,18 +42,18 @@ pub fn grid(scale: Scale) -> Vec<JobSpec> {
 
 /// Renders the efficiency table and headline comparison from job
 /// metrics.
-pub fn render(r: &mut Report, rs: &ResultSet, scale: Scale) {
+pub fn render(r: &mut Report, rs: &ResultSet, _scale: Scale) {
     let cfg = GpuConfig::gtx480();
     r.config(&cfg);
     r.title("Figure 11: normalized IPC/W (baseline = 1.0) and G-Scalar IPC");
     r.table(&COLS);
     let mut cols: Vec<Vec<f64>> = vec![Vec::new(); COLS.len()];
-    for w in suite(scale) {
-        let vals: Vec<f64> = COLS.iter().map(|c| rs.metric(NAME, &w.abbr, c)).collect();
+    for abbr in ABBRS {
+        let vals: Vec<f64> = COLS.iter().map(|c| rs.metric(NAME, abbr, c)).collect();
         for (c, v) in cols.iter_mut().zip(&vals) {
             c.push(*v);
         }
-        r.row(&w.abbr, &vals, |x| format!("{x:.3}"));
+        r.row(abbr, &vals, |x| format!("{x:.3}"));
     }
     let avg: Vec<f64> = cols.iter().map(|c| mean(c)).collect();
     r.row("AVG", &avg, |x| format!("{x:.3}"));

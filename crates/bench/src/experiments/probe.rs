@@ -4,7 +4,7 @@
 use gscalar_core::Arch;
 use gscalar_sim::GpuConfig;
 use gscalar_sweep::{JobOutput, JobSpec, ResultSet};
-use gscalar_workloads::{suite, Scale};
+use gscalar_workloads::{Scale, ABBRS};
 
 use crate::{run_metrics, Report};
 
@@ -32,7 +32,7 @@ pub fn grid(scale: Scale) -> Vec<JobSpec> {
 /// the exact `record_run` metric set, so they are copied through
 /// verbatim. The t(s) column reports each job's host wall time (0.00
 /// for results resumed from disk or under deterministic output).
-pub fn render(r: &mut Report, rs: &ResultSet, scale: Scale) {
+pub fn render(r: &mut Report, rs: &ResultSet, _scale: Scale) {
     let cfg = GpuConfig::gtx480();
     r.config(&cfg);
     r.note(&format!(
@@ -49,9 +49,9 @@ pub fn render(r: &mut Report, rs: &ResultSet, scale: Scale) {
         "cycles",
         "t(s)"
     ));
-    for w in suite(scale) {
-        let jr = rs.get(NAME, &w.abbr).expect("job result present");
-        let g = |k: &str| rs.metric(NAME, &w.abbr, &format!("{}/{}", w.abbr, k));
+    for abbr in ABBRS {
+        let jr = rs.get(NAME, abbr).expect("job result present");
+        let g = |k: &str| rs.metric(NAME, abbr, &format!("{}/{}", abbr, k));
         let wi = g("instr/warp");
         let eligible_total = g("scalar/eligible_alu")
             + g("scalar/eligible_sfu")
@@ -60,7 +60,7 @@ pub fn render(r: &mut Report, rs: &ResultSet, scale: Scale) {
             + g("scalar/eligible_divergent");
         r.note(&format!(
             "{:<6} {:>9} {:>6.1}% {:>5.1}% {:>5.1}% {:>5.1}% {:>5.1}% {:>5.1}% {:>5.1}% {:>8} {:>6.2}",
-            w.abbr,
+            abbr,
             wi,
             100.0 * g("instr/divergent") / wi,
             100.0 * g("scalar/eligible_divergent") / wi,

@@ -35,9 +35,11 @@
 //! and profiles stay byte-identical with profiling on).
 //!
 //! Accumulation is thread-local and lock-free on the hot path; a
-//! thread's totals flush into process-wide atomics when the thread
-//! exits (scoped pool workers) or when [`flush`] / [`snapshot`] runs
-//! on it.
+//! thread's totals flush into process-wide atomics when [`flush`] /
+//! [`snapshot`] runs on it, or at the latest when the thread exits.
+//! Scoped workers must call [`flush`] as their last step:
+//! `std::thread::scope` can return before their thread-local
+//! destructors have run.
 //!
 //! # Examples
 //!
@@ -411,7 +413,9 @@ impl Drop for TimelineGuard {
 }
 
 /// Flushes the calling thread's phase accumulators into the
-/// process-wide totals. Worker threads flush automatically on exit;
+/// process-wide totals. Threads also flush on exit, but a scoped
+/// thread's exit can trail the end of its scope, so scoped workers
+/// (the `gscalar-pool` executors) call this as their last step;
 /// long-lived threads (e.g. `main`) call this — or just [`snapshot`],
 /// which flushes first — before reading totals.
 pub fn flush() {
@@ -759,10 +763,16 @@ mod tests {
         let _l = lock();
         reset();
         set_enabled(true);
+        // The pattern `gscalar-pool`'s workers follow: `thread::scope`
+        // may return before a scoped thread's TLS destructors run, so
+        // the worker flushes as its last step.
         std::thread::scope(|s| {
             s.spawn(|| {
-                let _g = phase(Phase::PoolIdle);
-                spin(100);
+                {
+                    let _g = phase(Phase::PoolIdle);
+                    spin(100);
+                }
+                flush();
             });
         });
         set_enabled(false);

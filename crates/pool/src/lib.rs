@@ -68,6 +68,9 @@ where
                     // which means the caller is unwinding already.
                     let _ = tx.send((i, work(i)));
                 }
+                // Flush before the closure returns: `thread::scope`
+                // can return before a worker's TLS destructors run.
+                hostprof::flush();
             });
         }
         drop(tx);
@@ -219,14 +222,14 @@ where
             let work = &work;
             scope.spawn(move || {
                 let mut seen = 0u64;
-                loop {
+                'gang: loop {
                     let mut spins = 0u32;
                     // Epoch-release wait: attributed to PoolIdle so the
                     // per-worker barrier cost shows up in phase totals.
                     let idle = hostprof::phase(hostprof::Phase::PoolIdle);
                     let e = loop {
                         if ctl.stop.load(Ordering::Acquire) {
-                            return;
+                            break 'gang;
                         }
                         let e = ctl.epoch.load(Ordering::Acquire);
                         if e != seen {
@@ -247,6 +250,9 @@ where
                     }
                     drop(guard);
                 }
+                // As in `run_indexed`: the scope does not wait for
+                // TLS destructors, so flush the PoolIdle totals here.
+                hostprof::flush();
             });
         }
         let _stop = StopGuard(&ctl);
@@ -426,13 +432,25 @@ mod tests {
         hostprof::reset();
         hostprof::set_enabled(true);
         run_epochs(4, 16, 0, |_, _| {}, |now| (now < 3).then_some(now + 1));
-        run_indexed(4, 32, |i| i, |_, _| {});
+        run_indexed(
+            4,
+            32,
+            |i| {
+                let _g = hostprof::phase(hostprof::Phase::Execute);
+                i
+            },
+            |_, _| {},
+        );
         hostprof::set_enabled(false);
         let s = hostprof::snapshot();
         assert!(s.counter(hostprof::Counter::PoolEpochs) >= 4);
         assert!(s.hist(hostprof::Hist::BarrierWaitNs).count() >= 4);
         assert!(s.hist(hostprof::Hist::QueueDepth).count() >= 32);
-        assert!(s.phase(hostprof::Phase::PoolIdle).calls >= 4);
+        // Worker totals are in as soon as the executors return: the
+        // coordinator waits once per epoch (4), and each of the 3
+        // epoch workers waits once per epoch plus once for the stop.
+        assert!(s.phase(hostprof::Phase::PoolIdle).calls >= 4 + 3 * 5);
+        assert!(s.phase(hostprof::Phase::Execute).calls >= 32);
         hostprof::reset();
     }
 

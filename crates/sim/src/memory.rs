@@ -6,10 +6,24 @@ use std::collections::HashMap;
 const PAGE_SHIFT: u32 = 12;
 const PAGE_BYTES: usize = 1 << PAGE_SHIFT;
 
+/// Offset of `addr` within its page.
+fn page_offset(addr: u64) -> usize {
+    (addr as usize) & (PAGE_BYTES - 1)
+}
+
+/// Words from page offset `off` to the end of the page; 0 when the
+/// word at `off` straddles the boundary.
+fn words_left(off: usize) -> usize {
+    (PAGE_BYTES - off) / 4
+}
+
 /// Sparse byte-addressable global memory.
 ///
 /// Pages are allocated on first touch and zero-initialized, so kernels
-/// can read unwritten memory deterministically.
+/// can read unwritten memory deterministically. A word that fits in
+/// one page costs one page lookup; a word straddling two pages goes
+/// byte by byte, and addresses wrap modulo 2^64 (a word at
+/// `u64::MAX - 1` ends in bytes 0 and 1).
 ///
 /// # Examples
 ///
@@ -46,30 +60,37 @@ impl GlobalMemory {
     /// Reads one byte.
     #[must_use]
     pub fn read_u8(&self, addr: u64) -> u8 {
-        self.page(addr)
-            .map_or(0, |p| p[(addr as usize) & (PAGE_BYTES - 1)])
+        self.page(addr).map_or(0, |p| p[page_offset(addr)])
     }
 
     /// Writes one byte.
     pub fn write_u8(&mut self, addr: u64, v: u8) {
-        let p = self.page_mut(addr);
-        p[(addr as usize) & (PAGE_BYTES - 1)] = v;
+        self.page_mut(addr)[page_offset(addr)] = v;
     }
 
-    /// Reads a little-endian `u32` (byte accesses; no alignment needed).
+    /// Reads a little-endian `u32` (no alignment needed).
     #[must_use]
     pub fn read_u32(&self, addr: u64) -> u32 {
+        let off = page_offset(addr);
+        if words_left(off) > 0 {
+            return self.page(addr).map_or(0, |p| word(&p[off..]));
+        }
         let mut bytes = [0u8; 4];
-        for (i, b) in bytes.iter_mut().enumerate() {
-            *b = self.read_u8(addr + i as u64);
+        for (i, b) in (0u64..).zip(&mut bytes) {
+            *b = self.read_u8(addr.wrapping_add(i));
         }
         u32::from_le_bytes(bytes)
     }
 
-    /// Writes a little-endian `u32`.
+    /// Writes a little-endian `u32` (no alignment needed).
     pub fn write_u32(&mut self, addr: u64, v: u32) {
-        for (i, b) in v.to_le_bytes().iter().enumerate() {
-            self.write_u8(addr + i as u64, *b);
+        let off = page_offset(addr);
+        if words_left(off) > 0 {
+            self.page_mut(addr)[off..off + 4].copy_from_slice(&v.to_le_bytes());
+            return;
+        }
+        for (i, b) in (0u64..).zip(v.to_le_bytes()) {
+            self.write_u8(addr.wrapping_add(i), b);
         }
     }
 
@@ -86,24 +107,55 @@ impl GlobalMemory {
 
     /// Bulk-writes a `u32` slice starting at `addr`.
     pub fn write_u32_slice(&mut self, addr: u64, values: &[u32]) {
-        for (i, &v) in values.iter().enumerate() {
-            self.write_u32(addr + (i as u64) * 4, v);
-        }
+        self.write_words(addr, values, |v| v);
     }
 
     /// Bulk-writes an `f32` slice starting at `addr`.
     pub fn write_f32_slice(&mut self, addr: u64, values: &[f32]) {
-        for (i, &v) in values.iter().enumerate() {
-            self.write_f32(addr + (i as u64) * 4, v);
+        self.write_words(addr, values, f32::to_bits);
+    }
+
+    /// Writes `values` as consecutive words from `addr`, looking each
+    /// page up once per run of words that fits in it.
+    fn write_words<T: Copy>(&mut self, mut addr: u64, mut values: &[T], bits: fn(T) -> u32) {
+        while let Some(&first) = values.first() {
+            let off = page_offset(addr);
+            let run = words_left(off).min(values.len());
+            if run == 0 {
+                self.write_u32(addr, bits(first));
+                values = &values[1..];
+                addr = addr.wrapping_add(4);
+                continue;
+            }
+            let page = &mut self.page_mut(addr)[off..off + 4 * run];
+            for (dst, &v) in page.chunks_exact_mut(4).zip(&values[..run]) {
+                dst.copy_from_slice(&bits(v).to_le_bytes());
+            }
+            values = &values[run..];
+            addr = addr.wrapping_add(4 * run as u64);
         }
     }
 
-    /// Bulk-reads `n` `u32`s starting at `addr`.
+    /// Bulk-reads `n` `u32`s starting at `addr`, looking each page up
+    /// once per run of words that fits in it.
     #[must_use]
-    pub fn read_u32_slice(&self, addr: u64, n: usize) -> Vec<u32> {
-        (0..n)
-            .map(|i| self.read_u32(addr + (i as u64) * 4))
-            .collect()
+    pub fn read_u32_slice(&self, mut addr: u64, n: usize) -> Vec<u32> {
+        let mut out = Vec::with_capacity(n);
+        while out.len() < n {
+            let off = page_offset(addr);
+            let run = words_left(off).min(n - out.len());
+            if run == 0 {
+                out.push(self.read_u32(addr));
+                addr = addr.wrapping_add(4);
+                continue;
+            }
+            match self.page(addr) {
+                Some(p) => out.extend(p[off..off + 4 * run].chunks_exact(4).map(word)),
+                None => out.resize(out.len() + run, 0),
+            }
+            addr = addr.wrapping_add(4 * run as u64);
+        }
+        out
     }
 
     /// Number of resident (touched) pages.
@@ -145,6 +197,11 @@ impl GlobalMemory {
     pub fn content_eq(&self, other: &GlobalMemory) -> bool {
         self.first_difference(other).is_none()
     }
+}
+
+/// The little-endian word in the first four bytes of `b`.
+fn word(b: &[u8]) -> u32 {
+    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
 }
 
 /// Per-CTA shared memory (word-addressed scratchpad).
@@ -228,6 +285,20 @@ mod tests {
         let addr = (PAGE_BYTES as u64) - 2;
         m.write_u32(addr, 0xAABB_CCDD);
         assert_eq!(m.read_u32(addr), 0xAABB_CCDD);
+        assert_eq!(m.resident_pages(), 2);
+    }
+
+    #[test]
+    fn top_of_address_space_wraps() {
+        let mut m = GlobalMemory::new();
+        m.write_u32(u64::MAX - 1, 0xAABB_CCDD);
+        assert_eq!(m.read_u32(u64::MAX - 1), 0xAABB_CCDD);
+        assert_eq!(m.read_u8(u64::MAX), 0xCC);
+        assert_eq!(m.read_u8(0), 0xBB);
+        assert_eq!(m.read_u8(1), 0xAA);
+        m.write_u32_slice(u64::MAX - 3, &[1, 2]);
+        assert_eq!(m.read_u32_slice(u64::MAX - 3, 2), vec![1, 2]);
+        assert_eq!(m.read_u32(0), 2);
         assert_eq!(m.resident_pages(), 2);
     }
 

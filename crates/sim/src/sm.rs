@@ -110,14 +110,15 @@ pub enum MemPort<'a> {
 impl MemPort<'_> {
     /// Reads a `u32`, seeing this SM's own earlier stores (byte-granular
     /// overlay in buffered mode, so overlapping unaligned accesses
-    /// behave exactly as under the serial engine).
+    /// behave exactly as under the serial engine; byte addresses wrap
+    /// modulo 2^64 as in [`GlobalMemory`]).
     fn read_u32(&self, addr: u64) -> u32 {
         match self {
             MemPort::Direct { gmem, .. } => gmem.read_u32(addr),
             MemPort::Buffered { gmem, buf } => {
                 let mut bytes = [0u8; 4];
-                for (i, b) in bytes.iter_mut().enumerate() {
-                    let a = addr + i as u64;
+                for (i, b) in (0u64..).zip(&mut bytes) {
+                    let a = addr.wrapping_add(i);
                     *b = buf
                         .writes
                         .get(&a)
@@ -135,8 +136,8 @@ impl MemPort<'_> {
         match self {
             MemPort::Direct { gmem, .. } => gmem.write_u32(addr, v),
             MemPort::Buffered { buf, .. } => {
-                for (i, b) in v.to_le_bytes().iter().enumerate() {
-                    buf.writes.insert(addr + i as u64, *b);
+                for (i, b) in (0u64..).zip(v.to_le_bytes()) {
+                    buf.writes.insert(addr.wrapping_add(i), b);
                 }
             }
         }

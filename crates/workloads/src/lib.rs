@@ -30,40 +30,54 @@ use gscalar_core::Workload;
 use gscalar_isa::{CmpOp, KernelBuilder, LaunchConfig, Operand, SReg};
 use gscalar_sim::memory::GlobalMemory;
 
-/// Benchmark abbreviations in Table 2 order (Rodinia, then Parboil).
-pub const ABBRS: [&str; 17] = [
-    "BT", "BP", "HW", "HS", "LC", "PF", "SR1", "SR2", // Rodinia
-    "CC", "LBM", "MG", "MQ", "SAD", "MM", "MV", "ST", "ACF", // Parboil
+/// Generates one benchmark at a given scale.
+type Builder = fn(Scale) -> Workload;
+
+/// Every benchmark's Table 2 abbreviation and builder, in Table 2
+/// order (Rodinia, then Parboil).
+const TABLE: [(&str, Builder); 17] = [
+    ("BT", rodinia::btree),
+    ("BP", rodinia::backprop),
+    ("HW", rodinia::heartwall),
+    ("HS", rodinia::hotspot),
+    ("LC", rodinia::leukocyte),
+    ("PF", rodinia::pathfinder),
+    ("SR1", rodinia::srad_1),
+    ("SR2", rodinia::srad_2),
+    ("CC", parboil::cutcp),
+    ("LBM", parboil::lbm),
+    ("MG", parboil::mri_grid),
+    ("MQ", parboil::mri_q),
+    ("SAD", parboil::sad),
+    ("MM", parboil::sgemm),
+    ("MV", parboil::spmv),
+    ("ST", parboil::stencil),
+    ("ACF", parboil::tpacf),
 ];
+
+/// Benchmark abbreviations in Table 2 order, read off the builder
+/// table.
+pub const ABBRS: [&str; 17] = {
+    let mut abbrs = [""; 17];
+    let mut i = 0;
+    while i < abbrs.len() {
+        abbrs[i] = TABLE[i].0;
+        i += 1;
+    }
+    abbrs
+};
 
 /// Builds the full benchmark suite in Table 2 order.
 #[must_use]
 pub fn suite(scale: Scale) -> Vec<Workload> {
-    vec![
-        rodinia::btree(scale),
-        rodinia::backprop(scale),
-        rodinia::heartwall(scale),
-        rodinia::hotspot(scale),
-        rodinia::leukocyte(scale),
-        rodinia::pathfinder(scale),
-        rodinia::srad_1(scale),
-        rodinia::srad_2(scale),
-        parboil::cutcp(scale),
-        parboil::lbm(scale),
-        parboil::mri_grid(scale),
-        parboil::mri_q(scale),
-        parboil::sad(scale),
-        parboil::sgemm(scale),
-        parboil::spmv(scale),
-        parboil::stencil(scale),
-        parboil::tpacf(scale),
-    ]
+    TABLE.iter().map(|(_, build)| build(scale)).collect()
 }
 
-/// Builds one benchmark by its Table 2 abbreviation.
+/// Builds one benchmark by its Table 2 abbreviation (only that one).
 #[must_use]
 pub fn by_abbr(abbr: &str, scale: Scale) -> Option<Workload> {
-    suite(scale).into_iter().find(|w| w.abbr == abbr)
+    let (_, build) = TABLE.iter().find(|(a, _)| *a == abbr)?;
+    Some(build(scale))
 }
 
 /// The divergent example kernel (paper Figure 7b), abbreviation `DIV`:
@@ -126,7 +140,12 @@ mod tests {
 
     #[test]
     fn by_abbr_finds_and_misses() {
-        assert!(by_abbr("LBM", Scale::Test).is_some());
+        for abbr in ABBRS {
+            assert_eq!(
+                by_abbr(abbr, Scale::Test).map(|w| w.abbr),
+                Some(abbr.into())
+            );
+        }
         assert!(by_abbr("XXX", Scale::Test).is_none());
     }
 
