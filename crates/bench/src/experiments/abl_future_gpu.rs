@@ -88,3 +88,13 @@ pub fn render(r: &mut Report, rs: &ResultSet, _scale: Scale) {
     r.note("serialize (Section 4.1's scalability argument).");
     r.add_cycles(rs.sim_cycles(NAME));
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn future_gpu_is_a_valid_config() {
+        assert_eq!(future_gpu().validate(), Ok(()));
+    }
+}

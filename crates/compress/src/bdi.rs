@@ -103,37 +103,21 @@ impl BdiResult {
     }
 }
 
-/// The `idx`-th `chunk_bytes`-wide chunk of the register's
-/// little-endian byte stream, read directly out of the packed `u32`
-/// lanes — no intermediate byte buffer. This function is on the
-/// register-file read/write hot path (via [`compress`]) and must not
-/// allocate.
-fn chunk_at(values: &[u32], idx: usize, chunk_bytes: usize) -> i128 {
-    match chunk_bytes {
-        // Half-words: lane `idx/2`, low half first (little-endian).
-        2 => i128::from((values[idx / 2] >> (16 * (idx % 2))) & 0xFFFF),
-        4 => i128::from(values[idx]),
-        // Lane pairs: the even lane supplies the low 4 bytes.
-        8 => {
-            let lo = u64::from(values[idx * 2]);
-            let hi = u64::from(values[idx * 2 + 1]);
-            i128::from(lo | (hi << 32))
-        }
-        _ => unreachable!("BDI chunk width {chunk_bytes} not in {{2, 4, 8}}"),
-    }
+/// Smallest and largest chunk of one base width.
+#[derive(Clone, Copy)]
+struct Range {
+    min: u64,
+    max: u64,
 }
 
-/// Whether every `chunk_bytes`-wide chunk of the register (interpreted
-/// little-endian) differs from the first chunk by a signed delta that
-/// fits `delta_bytes`.
-fn fits(values: &[u32], chunk_bytes: usize, delta_bytes: usize) -> bool {
-    let base = chunk_at(values, 0, chunk_bytes);
-    let lim = 1i128 << (8 * delta_bytes - 1);
-    let chunks = values.len() * 4 / chunk_bytes;
-    (0..chunks).all(|i| {
-        let d = chunk_at(values, i, chunk_bytes) - base;
-        (-lim..lim).contains(&d)
-    })
+impl Range {
+    /// Whether every chunk differs from `base`, itself one of the
+    /// chunks (so `min <= base <= max`), by a signed delta that fits
+    /// `delta_bytes`: the extremes decide for all chunks.
+    fn fits(self, base: u64, delta_bytes: usize) -> bool {
+        let lim = 1u64 << (8 * delta_bytes - 1);
+        base - self.min <= lim && self.max - base < lim
+    }
 }
 
 /// Compressed size for a `(chunk_bytes, delta_bytes)` mode over a
@@ -142,10 +126,28 @@ fn mode_size(total_bytes: usize, chunk_bytes: usize, delta_bytes: usize) -> usiz
     chunk_bytes + (total_bytes / chunk_bytes) * delta_bytes
 }
 
+/// The BDI result for `lanes` lanes that all hold `value`: the zero or
+/// repeated-value special case, decided without looking at the lanes.
+#[must_use]
+pub fn uniform(value: u32, lanes: usize) -> BdiResult {
+    let (mode, bytes) = if value == 0 {
+        (BdiMode::Zeros, 1)
+    } else {
+        (BdiMode::Repeated, 4)
+    };
+    BdiResult { mode, bytes, lanes }
+}
+
 /// Compresses `values` with BDI and returns the best applicable mode.
 ///
 /// The base is the first chunk, matching the original BDI formulation;
-/// among applicable modes the smallest output wins.
+/// among applicable modes the smallest output wins, ties going to the
+/// earlier mode of [`BdiMode::ALL`]. The smallest and largest chunk of
+/// each base width (8-, 4- and 2-byte chunks of the little-endian
+/// register, found in two sweeps) decide every mode of that width: a
+/// delta mode applies iff both extremes lie within its signed range of
+/// the base. The register-file
+/// read/write hot path runs this, so it must not allocate.
 ///
 /// # Panics
 ///
@@ -155,41 +157,56 @@ pub fn compress(values: &[u32]) -> BdiResult {
     assert!(!values.is_empty(), "cannot compress an empty register");
     let lanes = values.len();
     let total = lanes * 4;
-    if values.iter().all(|&v| v == 0) {
-        return BdiResult {
-            mode: BdiMode::Zeros,
-            bytes: 1,
-            lanes,
-        };
+    // One sweep for the 4-byte chunks (lanes) and the 2-byte chunks
+    // (half-words; a min/max sweep may visit them in any order).
+    let (mut words, mut halves) = ((u32::MAX, 0), (u32::MAX, 0));
+    for &v in values {
+        words = (words.0.min(v), words.1.max(v));
+        let (lo, hi) = (v & 0xFFFF, v >> 16);
+        halves = (halves.0.min(lo).min(hi), halves.1.max(lo).max(hi));
     }
-    let base = values[0];
-    if values.iter().all(|&v| v == base) {
-        return BdiResult {
-            mode: BdiMode::Repeated,
-            bytes: 4,
-            lanes,
-        };
+    // Zeros and Repeated fall out of the 4-byte extremes.
+    if words.0 == words.1 {
+        return uniform(values[0], lanes);
     }
-    // (mode, chunk bytes, delta bytes) in canonical order.
-    const MODES: [(BdiMode, usize, usize); 6] = [
-        (BdiMode::Base8Delta1, 8, 1),
-        (BdiMode::Base8Delta2, 8, 2),
-        (BdiMode::Base8Delta4, 8, 4),
-        (BdiMode::Base4Delta1, 4, 1),
-        (BdiMode::Base4Delta2, 4, 2),
-        (BdiMode::Base2Delta1, 2, 1),
+    let range = |(min, max): (u32, u32)| Range {
+        min: min.into(),
+        max: max.into(),
+    };
+    let words = Some((range(words), u64::from(values[0])));
+    let halves = Some((range(halves), u64::from(values[0] & 0xFFFF)));
+    // Lane pairs form the 8-byte chunks (even lane low); an odd lane
+    // count has none.
+    let pairs = lanes.is_multiple_of(2).then(|| {
+        let pair = |p: &[u32]| u64::from(p[0]) | (u64::from(p[1]) << 32);
+        let base = pair(values);
+        let (min, max) = values
+            .chunks_exact(2)
+            .map(pair)
+            .fold((base, base), |(lo, hi), c| (lo.min(c), hi.max(c)));
+        (Range { min, max }, base)
+    });
+    // (mode, chunk bytes, delta bytes, chunk range and base) in
+    // canonical order.
+    let modes = [
+        (BdiMode::Base8Delta1, 8, 1, pairs),
+        (BdiMode::Base8Delta2, 8, 2, pairs),
+        (BdiMode::Base8Delta4, 8, 4, pairs),
+        (BdiMode::Base4Delta1, 4, 1, words),
+        (BdiMode::Base4Delta2, 4, 2, words),
+        (BdiMode::Base2Delta1, 2, 1, halves),
     ];
     let mut best = BdiResult {
         mode: BdiMode::Uncompressed,
         bytes: total,
         lanes,
     };
-    for (mode, cb, db) in MODES {
-        if !total.is_multiple_of(cb) {
+    for (mode, cb, db, chunks) in modes {
+        let Some((range, base)) = chunks else {
             continue;
-        }
+        };
         let size = mode_size(total, cb, db);
-        if size < best.bytes && fits(values, cb, db) {
+        if size < best.bytes && range.fits(base, db) {
             best = BdiResult {
                 mode,
                 bytes: size,

@@ -30,7 +30,10 @@ const MAX_DELTA_BYTES: usize = 4 * MAX_LANES;
 /// difference bits. (Observably equivalent to broadcasting the first
 /// active value over inactive lanes before the Figure 7(a) comparison
 /// chain — see the `divergent_mask_matches_broadcast_formulation`
-/// test — but the mechanism is masking, not broadcasting.)
+/// test — but the mechanism is masking, not broadcasting.) When
+/// `mask` covers every lane of `values` (bits past the register are
+/// ignored) nothing needs masking, and the comparison is a plain
+/// OR-fold of `v ^ first`.
 ///
 /// # Panics
 ///
@@ -38,6 +41,10 @@ const MAX_DELTA_BYTES: usize = 4 * MAX_LANES;
 #[must_use]
 pub fn eq_planes(values: &[u32], mask: u64) -> u8 {
     let first = first_active(values, mask);
+    let full = crate::full_mask(values.len().min(MAX_LANES));
+    if values.len() <= MAX_LANES && mask & full == full {
+        return eq_bits(values.iter().fold(0, |acc, &v| acc | (v ^ first)));
+    }
     let broadcast = (u64::from(first) << 32) | u64::from(first);
     // OR-accumulated masked difference bits, two lanes per word.
     let mut acc = 0u64;
@@ -54,8 +61,13 @@ pub fn eq_planes(values: &[u32], mask: u64) -> u8 {
         let lane_mask = ((mask >> lane) & 1) * 0xFFFF_FFFF;
         acc |= (u64::from(v) ^ u64::from(first)) & lane_mask;
     }
-    // Fold the two packed lanes, then extract one eq bit per byte plane.
-    let diff = (acc as u32) | ((acc >> 32) as u32);
+    // Fold the two packed lanes.
+    eq_bits((acc as u32) | ((acc >> 32) as u32))
+}
+
+/// The `eq[3:0]` signals of OR-accumulated difference bits: one eq bit
+/// per byte plane with no difference.
+fn eq_bits(diff: u32) -> u8 {
     u8::from(diff & 0x0000_00FF == 0)
         | (u8::from(diff & 0x0000_FF00 == 0) << 1)
         | (u8::from(diff & 0x00FF_0000 == 0) << 2)

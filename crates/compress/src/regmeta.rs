@@ -336,7 +336,18 @@ impl RegFileMeta {
                 decompress_move: false,
             };
         }
-        let (stored, arrays) = if self.cfg.half {
+        let (stored, arrays) = if self.cfg.half && enc == Encoding::Scalar {
+            // A uniform register: every chunk is scalar with the one
+            // value as its base, with no lanes to scan.
+            let chunks = self.cfg.warp_size.div_ceil(CHUNK_LANES);
+            meta.chunks[..chunks].fill(ChunkMeta {
+                enc,
+                bvr: values[0],
+            });
+            meta.num_chunks = chunks as u8;
+            meta.fs = true;
+            (enc, 0)
+        } else if self.cfg.half {
             let mut arrays = 0;
             let mut fs = true;
             for (i, (enc, bvr)) in bytewise::encode_chunks(values).enumerate() {

@@ -84,9 +84,14 @@ impl Json {
     /// # Errors
     ///
     /// Returns a message with a byte offset on malformed input,
-    /// non-finite numbers, or invalid escapes.
+    /// non-finite numbers, invalid escapes, or arrays and objects
+    /// nested deeper than [`MAX_DEPTH`].
     pub fn parse(s: &str) -> Result<Json, String> {
-        let mut p = Parser { s, pos: 0 };
+        let mut p = Parser {
+            s,
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -155,9 +160,17 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")
 }
 
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// parser recurses once per level, so without a cap a small document
+/// of brackets (a request body, say) overflows the thread's stack;
+/// nothing this workspace writes nests more than a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     s: &'a str,
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -199,8 +212,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -208,6 +221,21 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go
+    /// past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -351,6 +379,36 @@ mod tests {
         let text = v.to_string();
         let parsed = Json::parse(&text).expect("parses");
         assert_eq!(parsed, v);
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nest = |open: &str, close: &str, n: usize| open.repeat(n) + &close.repeat(n);
+        let ok = nest("[", "]", MAX_DEPTH);
+        assert!(Json::parse(&ok).is_ok());
+        let err = Json::parse(&nest("[", "]", MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}")
+        );
+        let obj = |n: usize| "{\"k\":".repeat(n) + "1" + &"}".repeat(n);
+        assert!(Json::parse(&obj(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&obj(MAX_DEPTH + 1)).is_err());
+        // Far deeper than any stack could recurse: a spawned thread
+        // (default 2 MiB stack, like a server connection's) gets an
+        // error, not an overflow, even for unclosed input.
+        for n in [10_000, 1_000_000] {
+            let docs = [
+                "[".repeat(n),
+                nest("[", "]", n),
+                "{\"k\":".repeat(n),
+                obj(n),
+            ];
+            let errs = std::thread::spawn(move || docs.map(|d| Json::parse(&d).is_err()))
+                .join()
+                .expect("parser thread must not overflow its stack");
+            assert_eq!(errs, [true; 4], "depth {n}");
+        }
     }
 
     #[test]

@@ -623,3 +623,25 @@ fn stats_report_latency_over_terminal_jobs() {
     srv.shutdown();
     std::fs::remove_dir_all(&root).ok();
 }
+
+#[test]
+fn deeply_nested_body_is_rejected_and_the_server_lives() {
+    let root = fresh_root("nesting");
+    let journal = Arc::new(Mutex::new(Vec::new()));
+    let mut srv = JobServer::start(
+        cfg(root.clone()),
+        "127.0.0.1:0".parse().unwrap(),
+        logging_builder(journal),
+    )
+    .expect("start");
+    let addr = srv.addr();
+    // 10 KB of brackets: far under the body limit, far deeper than a
+    // connection thread's stack could recurse.
+    let (status, body) = http(addr, "POST", "/jobs", &"[".repeat(10_000));
+    assert!(status.contains("400"), "{status}: {body}");
+    assert!(body.contains("nesting"), "{body}");
+    let (status, body) = http(addr, "GET", "/healthz", "");
+    assert!(status.contains("200"), "{status}: {body}");
+    srv.shutdown();
+    std::fs::remove_dir_all(&root).ok();
+}

@@ -225,7 +225,55 @@ impl GpuConfig {
     pub fn arrays_per_bank(&self) -> usize {
         4 * self.warp_size.div_ceil(gscalar_compress::CHUNK_LANES)
     }
+
+    /// Checks the limits the simulator's bitmask state relies on: lane
+    /// masks, collector-slot masks and bank busy masks are `u64`, so
+    /// warps, operand collectors and register banks each number 1 to
+    /// 64. [`crate::Gpu::new`] refuses a config that fails this.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated limit.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        const LIMIT: std::ops::RangeInclusive<usize> = 1..=64;
+        if !LIMIT.contains(&self.warp_size) {
+            return Err(ConfigError::WarpSize(self.warp_size));
+        }
+        if !LIMIT.contains(&self.operand_collectors) {
+            return Err(ConfigError::OperandCollectors(self.operand_collectors));
+        }
+        if !LIMIT.contains(&self.rf_banks) {
+            return Err(ConfigError::RfBanks(self.rf_banks));
+        }
+        Ok(())
+    }
 }
+
+/// A [`GpuConfig`] limit violation found by [`GpuConfig::validate`];
+/// each variant carries the offending value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConfigError {
+    /// `warp_size` outside 1..=64 (lane masks are `u64`).
+    WarpSize(usize),
+    /// `operand_collectors` outside 1..=64 (collector-slot masks are
+    /// `u64`).
+    OperandCollectors(usize),
+    /// `rf_banks` outside 1..=64 (bank busy masks are `u64`).
+    RfBanks(usize),
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (field, v) = match *self {
+            ConfigError::WarpSize(v) => ("warp_size", v),
+            ConfigError::OperandCollectors(v) => ("operand_collectors", v),
+            ConfigError::RfBanks(v) => ("rf_banks", v),
+        };
+        write!(f, "{field} = {v} is outside 1..=64")
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 impl Default for GpuConfig {
     fn default() -> Self {
@@ -341,6 +389,42 @@ mod tests {
         // Other tests in this process may set the global default, so
         // assert through the hook rather than assuming it is untouched.
         assert_eq!(GpuConfig::gtx480().exec_threads, default_exec_threads());
+    }
+
+    #[test]
+    fn presets_validate() {
+        assert_eq!(GpuConfig::gtx480().validate(), Ok(()));
+        assert_eq!(GpuConfig::test_small().validate(), Ok(()));
+        let mut wide = GpuConfig::gtx480();
+        wide.warp_size = 64;
+        wide.operand_collectors = 64;
+        wide.rf_banks = 64;
+        assert_eq!(wide.validate(), Ok(()));
+    }
+
+    #[test]
+    fn each_limit_has_its_own_error() {
+        type Case = (fn(&mut GpuConfig, usize), fn(usize) -> ConfigError);
+        let cases: [Case; 3] = [
+            (|c, v| c.warp_size = v, ConfigError::WarpSize),
+            (
+                |c, v| c.operand_collectors = v,
+                ConfigError::OperandCollectors,
+            ),
+            (|c, v| c.rf_banks = v, ConfigError::RfBanks),
+        ];
+        for (set, err) in cases {
+            for v in [0, 65, 1000] {
+                let mut c = GpuConfig::gtx480();
+                set(&mut c, v);
+                assert_eq!(c.validate(), Err(err(v)));
+                assert!(err(v).to_string().contains(&v.to_string()));
+            }
+        }
+        assert_eq!(
+            ConfigError::RfBanks(65).to_string(),
+            "rf_banks = 65 is outside 1..=64"
+        );
     }
 
     #[test]

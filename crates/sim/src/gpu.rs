@@ -84,8 +84,15 @@ pub struct Gpu {
 impl Gpu {
     /// Creates a GPU with the given hardware and architecture
     /// configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` fails [`GpuConfig::validate`].
     #[must_use]
     pub fn new(cfg: GpuConfig, arch: ArchConfig) -> Self {
+        if let Err(e) = cfg.validate() {
+            panic!("invalid GpuConfig: {e}");
+        }
         Gpu { cfg, arch }
     }
 

@@ -65,7 +65,7 @@ pub mod sm;
 pub mod stats;
 pub mod warp;
 
-pub use config::{ArchConfig, GpuConfig, IdealConfig, Latencies};
+pub use config::{ArchConfig, ConfigError, GpuConfig, IdealConfig, Latencies};
 pub use gpu::{Gpu, NullObserver, RunObserver};
 pub use live::LiveObserver;
 pub use metrics::MetricsObserver;
@@ -76,3 +76,15 @@ pub use gscalar_profile::{KernelProfile, Profiler};
 
 /// Re-export of [`gscalar_compress::full_mask`] for convenience.
 pub use gscalar_compress::full_mask;
+
+/// Iterates the set bits of `mask`, lowest first: the lanes of a lane
+/// mask, or the slots of a slot mask, in index order.
+pub(crate) fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
+}

@@ -3,6 +3,8 @@
 
 use std::collections::HashMap;
 
+use crate::bits;
+
 const PAGE_SHIFT: u32 = 12;
 const PAGE_BYTES: usize = 1 << PAGE_SHIFT;
 
@@ -158,6 +160,57 @@ impl GlobalMemory {
         out
     }
 
+    /// Reads the word at `addrs[lane]` into `out[lane]` for each lane
+    /// of `mask`, in lane order, looking each page up once per run of
+    /// consecutive active lanes whose words lie in it. Other lanes of
+    /// `out` are left alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mask` selects a lane outside `addrs` or `out`.
+    pub fn read_lanes(&self, addrs: &[u64], mask: u64, out: &mut [u32]) {
+        let mut lanes = mask;
+        while lanes != 0 {
+            let Some((page, run)) = page_run(addrs, &mut lanes) else {
+                // A straddling word: byte by byte.
+                let lane = lanes.trailing_zeros() as usize;
+                out[lane] = self.read_u32(addrs[lane]);
+                lanes &= lanes - 1;
+                continue;
+            };
+            let page = self.page(page << PAGE_SHIFT);
+            for lane in bits(run) {
+                let off = page_offset(addrs[lane]);
+                out[lane] = page.map_or(0, |p| word(&p[off..]));
+            }
+        }
+    }
+
+    /// Writes `values[lane]` to the word at `addrs[lane]` for each lane
+    /// of `mask`, in lane order (a later lane's bytes win where words
+    /// overlap), looking each page up once per run of consecutive
+    /// active lanes whose words lie in it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mask` selects a lane outside `addrs` or `values`.
+    pub fn write_lanes(&mut self, addrs: &[u64], mask: u64, values: &[u32]) {
+        let mut lanes = mask;
+        while lanes != 0 {
+            let Some((page, run)) = page_run(addrs, &mut lanes) else {
+                let lane = lanes.trailing_zeros() as usize;
+                self.write_u32(addrs[lane], values[lane]);
+                lanes &= lanes - 1;
+                continue;
+            };
+            let page = self.page_mut(page << PAGE_SHIFT);
+            for lane in bits(run) {
+                let off = page_offset(addrs[lane]);
+                page[off..off + 4].copy_from_slice(&values[lane].to_le_bytes());
+            }
+        }
+    }
+
     /// Number of resident (touched) pages.
     #[must_use]
     pub fn resident_pages(&self) -> usize {
@@ -197,6 +250,25 @@ impl GlobalMemory {
     pub fn content_eq(&self, other: &GlobalMemory) -> bool {
         self.first_difference(other).is_none()
     }
+}
+
+/// Splits off the run of lowest lanes in `lanes` whose words lie
+/// within one page: returns that page's number and the run's lanes,
+/// and clears them from `lanes`. `None` (with `lanes` untouched) when
+/// the lowest lane's word straddles a page boundary.
+fn page_run(addrs: &[u64], lanes: &mut u64) -> Option<(u64, u64)> {
+    let mut run = 0u64;
+    let mut page = None;
+    for lane in bits(*lanes) {
+        let a = addrs[lane];
+        if words_left(page_offset(a)) == 0 || page.is_some_and(|p| p != a >> PAGE_SHIFT) {
+            break;
+        }
+        page = Some(a >> PAGE_SHIFT);
+        run |= 1 << lane;
+    }
+    *lanes &= !run;
+    page.map(|p| (p, run))
 }
 
 /// The little-endian word in the first four bytes of `b`.

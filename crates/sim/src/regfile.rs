@@ -17,6 +17,8 @@
 //!   operands in the prior-work dedicated-scalar-register-file design,
 //!   the serialization bottleneck the paper calls out.
 
+use crate::bits;
+
 /// Which physical port a pending operand read needs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PortKind {
@@ -188,6 +190,10 @@ impl ArbResult {
 
 /// The operand-collector array with bank arbitration.
 ///
+/// Slot state lives in `u64` bitmasks (at most 64 collectors over at
+/// most 64 banks; [`crate::GpuConfig::validate`] enforces both), so a
+/// cycle costs the slots that still wait for reads, not every slot.
+///
 /// # Examples
 ///
 /// ```
@@ -204,106 +210,110 @@ impl ArbResult {
 #[derive(Debug, Clone)]
 pub struct OperandCollectors<T> {
     slots: Vec<Option<OcEntry<T>>>,
-    /// Number of `Some` slots, kept so the per-cycle occupancy queries
-    /// and an empty cycle's arbitration are O(1).
-    occupied: usize,
+    /// Bit `i` for every slot `i`.
+    all: u64,
+    /// Bit `i`: slot `i` is occupied.
+    occupied: u64,
+    /// Bit `i`: slot `i` is occupied and some read is not granted yet.
+    /// The other occupied slots are complete and wait for dispatch.
+    waiting: u64,
     banks: usize,
+    /// Round-robin start slot of the next arbitration, in `0..slots`.
     rr: usize,
-    /// Per-bank data-port busy flags, reset (not reallocated) each
-    /// arbitration cycle.
-    data_busy: Vec<bool>,
-    /// Per-bank BVR-port busy flags, same lifecycle as `data_busy`.
-    bvr_busy: Vec<bool>,
 }
 
 impl<T> OperandCollectors<T> {
     /// Creates `slots` collectors over `banks` register banks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slots` or `banks` exceeds 64.
     #[must_use]
     pub fn new(slots: usize, banks: usize) -> Self {
+        assert!(
+            slots <= 64 && banks <= 64,
+            "at most 64 operand collectors and 64 banks"
+        );
         OperandCollectors {
             slots: (0..slots).map(|_| None).collect(),
+            all: crate::full_mask(slots),
             occupied: 0,
+            waiting: 0,
             banks,
             rr: 0,
-            data_busy: vec![false; banks],
-            bvr_busy: vec![false; banks],
         }
     }
 
     /// Number of free collector slots.
     #[must_use]
     pub fn free_slots(&self) -> usize {
-        self.slots.len() - self.occupied
+        self.slots.len() - self.occupancy()
+    }
+
+    /// Whether a collector slot is free.
+    #[must_use]
+    pub fn has_free_slot(&self) -> bool {
+        self.occupied != self.all
     }
 
     /// Number of occupied collector slots.
     #[must_use]
     pub fn occupancy(&self) -> usize {
-        self.occupied
+        self.occupied.count_ones() as usize
     }
 
-    /// Inserts an entry into a free slot.
+    /// Inserts an entry into the lowest free slot.
     ///
     /// # Panics
     ///
     /// Panics if no slot is free — callers must check
     /// [`OperandCollectors::free_slots`] first.
     pub fn insert(&mut self, entry: OcEntry<T>) {
-        let slot = self
-            .slots
-            .iter_mut()
-            .find(|s| s.is_none())
-            .expect("no free operand collector");
-        *slot = Some(entry);
-        self.occupied += 1;
+        let i = self.occupied.trailing_ones() as usize;
+        assert!(i < self.slots.len(), "no free operand collector");
+        let bit = 1u64 << i;
+        self.occupied |= bit;
+        if !entry.reads.all_done() {
+            self.waiting |= bit;
+        }
+        self.slots[i] = Some(entry);
     }
 
     /// Runs one cycle of bank arbitration. `write_banks` lists banks
     /// whose data port is consumed by a writeback this cycle (writes
     /// have priority on the single-ported SRAMs).
+    ///
+    /// Collectors are visited round-robin from slot `rr`: the waiting
+    /// slots at or above it, then those below. Complete slots would
+    /// issue no reads, so skipping them changes no grant.
     pub fn arbitrate(&mut self, write_banks: &[usize]) -> ArbResult {
         let mut res = ArbResult::default();
-        let n = self.slots.len();
-        if self.occupied == 0 {
-            // Nothing to grant, but the rotation still advances: later
-            // arbitration order depends on it.
-            self.rr = (self.rr + 1) % n.max(1);
+        let rr = self.rr;
+        // The rotation advances every cycle, busy or idle: later
+        // arbitration order depends on it.
+        self.rr = if rr + 1 >= self.slots.len() {
+            0
+        } else {
+            rr + 1
+        };
+        if self.waiting == 0 {
             return res;
         }
-        self.data_busy.fill(false);
+        let mut data_busy = 0u64;
         for &b in write_banks {
             if b < self.banks {
-                self.data_busy[b] = true;
+                data_busy |= 1 << b;
             }
         }
-        self.bvr_busy.fill(false);
+        let mut bvr_busy = 0u64;
         let mut scalar_rf_busy = false;
-        // Round-robin over collectors for fairness.
-        for i in 0..n {
-            let idx = (self.rr + i) % n;
-            let Some(entry) = self.slots[idx].as_mut() else {
-                continue;
-            };
+        let from_rr = self.waiting & (u64::MAX << rr);
+        for idx in bits(from_rr).chain(bits(self.waiting & !from_rr)) {
+            let entry = self.slots[idx].as_mut().expect("waiting slot is occupied");
             for r in entry.reads.iter_mut().filter(|r| !r.done) {
-                match r.port {
-                    PortKind::Data => {
-                        if self.data_busy[r.bank] {
-                            res.data_conflicts += 1;
-                        } else {
-                            self.data_busy[r.bank] = true;
-                            r.done = true;
-                            res.grants += 1;
-                        }
-                    }
-                    PortKind::Bvr => {
-                        if self.bvr_busy[r.bank] {
-                            res.bvr_conflicts += 1;
-                        } else {
-                            self.bvr_busy[r.bank] = true;
-                            r.done = true;
-                            res.grants += 1;
-                        }
-                    }
+                let (busy, lost) = match r.port {
+                    PortKind::Data => (&mut data_busy, &mut res.data_conflicts),
+                    PortKind::Bvr => (&mut bvr_busy, &mut res.bvr_conflicts),
                     PortKind::ScalarRf => {
                         if scalar_rf_busy {
                             res.scalar_serializations += 1;
@@ -312,11 +322,22 @@ impl<T> OperandCollectors<T> {
                             r.done = true;
                             res.grants += 1;
                         }
+                        continue;
                     }
+                };
+                let port = 1u64 << r.bank;
+                if *busy & port != 0 {
+                    *lost += 1;
+                } else {
+                    *busy |= port;
+                    r.done = true;
+                    res.grants += 1;
                 }
             }
+            if entry.reads.all_done() {
+                self.waiting &= !(1 << idx);
+            }
         }
-        self.rr = (self.rr + 1) % n.max(1);
         res
     }
 
@@ -327,19 +348,16 @@ impl<T> OperandCollectors<T> {
         out
     }
 
-    /// Removes complete entries accepted by `accept`, appending them to
-    /// `out` (a caller-owned buffer the per-cycle path reuses); rejected
-    /// entries stay in their collector (structural backpressure toward
-    /// the schedulers).
+    /// Removes complete entries accepted by `accept`, in slot order,
+    /// appending them to `out` (a caller-owned buffer the per-cycle
+    /// path reuses); rejected entries stay in their collector
+    /// (structural backpressure toward the schedulers).
     pub fn take_ready_into(&mut self, out: &mut Vec<T>, mut accept: impl FnMut(&T) -> bool) {
-        if self.occupied == 0 {
-            return;
-        }
-        for slot in &mut self.slots {
-            let complete = slot.as_ref().is_some_and(|e| e.reads.all_done());
-            if complete && accept(&slot.as_ref().expect("checked above").payload) {
+        for idx in bits(self.occupied & !self.waiting) {
+            let slot = &mut self.slots[idx];
+            if accept(&slot.as_ref().expect("complete slot is occupied").payload) {
                 out.push(slot.take().expect("checked above").payload);
-                self.occupied -= 1;
+                self.occupied &= !(1 << idx);
             }
         }
     }
@@ -347,13 +365,171 @@ impl<T> OperandCollectors<T> {
     /// Whether any entry is still collecting.
     #[must_use]
     pub fn any_pending(&self) -> bool {
-        self.occupied > 0
+        self.occupied != 0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The slot scan the bitmask collectors replaced, kept as their
+    /// model: every cycle it visits all slots in `(rr + i) % n` order
+    /// against per-bank busy flags, and `take_ready_into` and `insert`
+    /// scan every slot in index order.
+    struct ScanModel<T> {
+        slots: Vec<Option<OcEntry<T>>>,
+        banks: usize,
+        rr: usize,
+    }
+
+    impl<T> ScanModel<T> {
+        fn new(slots: usize, banks: usize) -> Self {
+            ScanModel {
+                slots: (0..slots).map(|_| None).collect(),
+                banks,
+                rr: 0,
+            }
+        }
+
+        fn free_slots(&self) -> usize {
+            self.slots.iter().filter(|s| s.is_none()).count()
+        }
+
+        fn insert(&mut self, entry: OcEntry<T>) {
+            let slot = self.slots.iter_mut().find(|s| s.is_none()).expect("free");
+            *slot = Some(entry);
+        }
+
+        fn arbitrate(&mut self, write_banks: &[usize]) -> ArbResult {
+            let mut res = ArbResult::default();
+            let n = self.slots.len();
+            let mut data_busy = vec![false; self.banks];
+            for &b in write_banks {
+                if b < self.banks {
+                    data_busy[b] = true;
+                }
+            }
+            let mut bvr_busy = vec![false; self.banks];
+            let mut scalar_rf_busy = false;
+            for i in 0..n {
+                let idx = (self.rr + i) % n;
+                let Some(entry) = self.slots[idx].as_mut() else {
+                    continue;
+                };
+                for r in entry.reads.iter_mut().filter(|r| !r.done) {
+                    let busy = match r.port {
+                        PortKind::Data => &mut data_busy[r.bank],
+                        PortKind::Bvr => &mut bvr_busy[r.bank],
+                        PortKind::ScalarRf => &mut scalar_rf_busy,
+                    };
+                    if *busy {
+                        match r.port {
+                            PortKind::Data => res.data_conflicts += 1,
+                            PortKind::Bvr => res.bvr_conflicts += 1,
+                            PortKind::ScalarRf => res.scalar_serializations += 1,
+                        }
+                    } else {
+                        *busy = true;
+                        r.done = true;
+                        res.grants += 1;
+                    }
+                }
+            }
+            self.rr = (self.rr + 1) % n.max(1);
+            res
+        }
+
+        fn take_ready_into(&mut self, out: &mut Vec<T>, mut accept: impl FnMut(&T) -> bool) {
+            for slot in &mut self.slots {
+                let complete = slot.as_ref().is_some_and(|e| e.reads.all_done());
+                if complete && accept(&slot.as_ref().expect("checked").payload) {
+                    out.push(slot.take().expect("checked").payload);
+                }
+            }
+        }
+    }
+
+    /// Random insert / arbitrate / take sequences: the bitmask
+    /// collectors must reproduce the scan's arbitration results, each
+    /// read's grant (every slot's state after every cycle), the
+    /// entries offered to `accept`, and the take order.
+    fn matches_scan_model(slots: usize, banks: usize, seed: u64) {
+        let mut rng = proptest::rng::TestRng::seed(seed);
+        let mut oc: OperandCollectors<u32> = OperandCollectors::new(slots, banks);
+        let mut model: ScanModel<u32> = ScanModel::new(slots, banks);
+        let mut next = 0u32;
+        for cycle in 0..4000 {
+            let inserts = rng.below(4);
+            for _ in 0..inserts {
+                if oc.free_slots() == 0 {
+                    break;
+                }
+                let mut reads = ReadSet::new();
+                for _ in 0..rng.below(4) {
+                    let bank = rng.below(banks as u128) as usize;
+                    reads.push(match rng.below(8) {
+                        0 => ReadReq::scalar_rf(),
+                        1..=3 => ReadReq::bvr(bank),
+                        _ => ReadReq::data(bank),
+                    });
+                }
+                oc.insert(OcEntry {
+                    payload: next,
+                    reads,
+                });
+                model.insert(OcEntry {
+                    payload: next,
+                    reads,
+                });
+                next += 1;
+            }
+            // Idle-rotation cycles too: collectors sometimes drain.
+            let write_banks: Vec<usize> = (0..rng.below(4))
+                .map(|_| rng.below(banks as u128 + 2) as usize)
+                .collect();
+            assert_eq!(
+                oc.arbitrate(&write_banks),
+                model.arbitrate(&write_banks),
+                "cycle {cycle}"
+            );
+            for (i, (got, want)) in oc.slots.iter().zip(&model.slots).enumerate() {
+                let got = got.as_ref().map(|e| (e.payload, e.reads));
+                let want = want.as_ref().map(|e| (e.payload, e.reads));
+                assert_eq!(got, want, "slot {i} after cycle {cycle}");
+            }
+            // Dispatch accepts up to `budget` entries and logs every
+            // entry it is offered.
+            fn accept(offered: &mut Vec<u32>, mut budget: u64) -> impl FnMut(&u32) -> bool + '_ {
+                move |p| {
+                    offered.push(*p);
+                    let ok = budget > 0;
+                    budget = budget.saturating_sub(1);
+                    ok
+                }
+            }
+            let budget = rng.below(5);
+            let (mut offered, mut offered_model) = (Vec::new(), Vec::new());
+            let (mut out, mut out_model) = (Vec::new(), Vec::new());
+            oc.take_ready_into(&mut out, accept(&mut offered, budget));
+            model.take_ready_into(&mut out_model, accept(&mut offered_model, budget));
+            assert_eq!(offered, offered_model, "cycle {cycle}");
+            assert_eq!(out, out_model, "cycle {cycle}");
+            assert_eq!(oc.free_slots(), model.free_slots());
+            assert_eq!(oc.has_free_slot(), model.free_slots() > 0);
+        }
+        assert!(next > 1000, "the sequence kept the collectors busy");
+    }
+
+    #[test]
+    fn bitmask_collectors_match_the_slot_scan() {
+        for seed in 0..8 {
+            matches_scan_model(16, 16, seed);
+            matches_scan_model(32, 32, seed);
+            matches_scan_model(3, 5, seed);
+            matches_scan_model(64, 64, seed);
+        }
+    }
 
     #[test]
     fn distinct_banks_collect_in_one_cycle() {

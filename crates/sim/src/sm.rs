@@ -1,6 +1,7 @@
 //! The streaming multiprocessor: per-cycle issue, operand collection,
 //! execution, and writeback — with the G-Scalar mechanisms folded in.
 
+use gscalar_compress::bytewise::MAX_LANES;
 use gscalar_compress::regmeta::MetaConfig;
 use gscalar_compress::{bdi, bytewise, Encoding, RegFileMeta};
 use gscalar_hostprof as hostprof;
@@ -8,6 +9,7 @@ use gscalar_isa::{AluOp, Dim3, FuncUnit, Instr, InstrKind, Kernel, Operand, Reg,
 use gscalar_profile::{EligClass, Profiler};
 use gscalar_trace::{ModeKind, StallReason, TraceEvent, Tracer, UnitKind};
 
+use crate::bits;
 use crate::config::{ArchConfig, GpuConfig};
 use crate::exec;
 use crate::memory::{GlobalMemory, SharedMemory};
@@ -126,6 +128,33 @@ impl MemPort<'_> {
                         .unwrap_or_else(|| gmem.read_u8(a));
                 }
                 u32::from_le_bytes(bytes)
+            }
+        }
+    }
+
+    /// Reads each active lane's word in lane order ([`GlobalMemory::read_lanes`];
+    /// buffered mode goes lane by lane through the overlay).
+    fn read_lanes(&self, addrs: &[u64], mask: u64, out: &mut [u32]) {
+        match self {
+            MemPort::Direct { gmem, .. } => gmem.read_lanes(addrs, mask, out),
+            MemPort::Buffered { .. } => {
+                for lane in bits(mask) {
+                    out[lane] = self.read_u32(addrs[lane]);
+                }
+            }
+        }
+    }
+
+    /// Writes each active lane's word in lane order
+    /// ([`GlobalMemory::write_lanes`]; buffered mode goes lane by lane
+    /// into the overlay).
+    fn write_lanes(&mut self, addrs: &[u64], mask: u64, values: &[u32]) {
+        match self {
+            MemPort::Direct { gmem, .. } => gmem.write_lanes(addrs, mask, values),
+            MemPort::Buffered { .. } => {
+                for lane in bits(mask) {
+                    self.write_u32(addrs[lane], values[lane]);
+                }
             }
         }
     }
@@ -838,7 +867,7 @@ impl Sm {
         tracer: &mut Tracer<'_>,
         profiler: &mut Profiler,
     ) -> usize {
-        let oc_free = self.oc.free_slots() > 0;
+        let oc_free = self.oc.has_free_slot();
         // Warp pick and (on a miss) stall classification are the
         // scheduler's host cost; the issued path hands off to Execute.
         let sched_phase = hostprof::phase(hostprof::Phase::Scheduler);
@@ -1285,13 +1314,17 @@ impl Sm {
         let mut vals = std::mem::take(&mut self.exec_vals);
         let mut mem_lines = self.line_pool.pop().unwrap_or_default();
         let warp = self.warps[w].as_mut().expect("picked warp exists");
-        let resolve = |warp: &Warp, op: Operand, lane: usize| -> u32 {
-            match op {
-                Operand::Reg(r) if r.is_zero() => 0,
-                Operand::Reg(r) => warp.reg(r.index())[lane],
-                Operand::Imm(v) => v,
-            }
-        };
+        // Sources that are all scalar hold one value across the active
+        // lanes (`ReadInfo::scalar`; immediates and RZ are uniform), and
+        // the ALU, SFU, compare and global-load arms below are pure
+        // functions of their operands: evaluating them once, at the
+        // first active lane, and broadcasting is exact.
+        let uniform = all_scalar;
+        let first = mask.trailing_zeros() as usize;
+        if uniform && cfg!(debug_assertions) {
+            check_uniform_sources(warp, &instr, mask);
+        }
+        let line_bytes = self.cfg.line_bytes as u64;
         let mut result: Option<Reg> = None;
         let mut shared_access = false;
         let mut store = false;
@@ -1299,15 +1332,25 @@ impl Sm {
         match instr.kind {
             InstrKind::Alu { op, dst, a, b, c } => {
                 warp.fill_reg_or_zero(dst, &mut vals);
-                for (lane, v) in vals.iter_mut().enumerate() {
-                    if mask & (1 << lane) != 0 {
-                        *v = exec::eval_alu(
-                            op,
-                            resolve(warp, a, lane),
-                            resolve(warp, b, lane),
-                            resolve(warp, c, lane),
-                        );
-                    }
+                if uniform {
+                    let v = exec::eval_alu(
+                        op,
+                        warp.operand(a, first),
+                        warp.operand(b, first),
+                        warp.operand(c, first),
+                    );
+                    broadcast(&mut vals, mask, v);
+                } else {
+                    let mut splat = [[0u32; MAX_LANES]; 3];
+                    let [sa, sb, sc] = &mut splat;
+                    exec::eval_alu_lanes(
+                        op,
+                        &mut vals,
+                        mask,
+                        warp.operand_lanes(a, sa),
+                        warp.operand_lanes(b, sb),
+                        warp.operand_lanes(c, sc),
+                    );
                 }
                 if op == AluOp::IDiv {
                     extra_latency = self.cfg.lat.int_div - self.cfg.lat.int_alu;
@@ -1316,28 +1359,26 @@ impl Sm {
             }
             InstrKind::Sfu { op, dst, a } => {
                 warp.fill_reg_or_zero(dst, &mut vals);
-                for (lane, v) in vals.iter_mut().enumerate() {
-                    if mask & (1 << lane) != 0 {
-                        *v = exec::eval_sfu(op, resolve(warp, a, lane));
+                if uniform {
+                    broadcast(&mut vals, mask, exec::eval_sfu(op, warp.operand(a, first)));
+                } else {
+                    for lane in bits(mask) {
+                        vals[lane] = exec::eval_sfu(op, warp.operand(a, lane));
                     }
                 }
                 result = Some(dst);
             }
             InstrKind::Mov { dst, src } => {
                 warp.fill_reg_or_zero(dst, &mut vals);
-                for (lane, v) in vals.iter_mut().enumerate() {
-                    if mask & (1 << lane) != 0 {
-                        *v = resolve(warp, src, lane);
-                    }
+                for lane in bits(mask) {
+                    vals[lane] = warp.operand(src, lane);
                 }
                 result = Some(dst);
             }
             InstrKind::S2R { dst, sreg } => {
                 warp.fill_reg_or_zero(dst, &mut vals);
-                for (lane, v) in vals.iter_mut().enumerate() {
-                    if mask & (1 << lane) != 0 {
-                        *v = warp.sreg_value(sreg, lane, ws);
-                    }
+                for lane in bits(mask) {
+                    vals[lane] = warp.sreg_value(sreg, lane, ws);
                 }
                 result = Some(dst);
             }
@@ -1348,20 +1389,20 @@ impl Sm {
                 a,
                 b,
             } => {
-                let mut bits = 0u64;
-                for lane in 0..ws {
-                    if mask & (1 << lane) != 0
-                        && exec::eval_cmp(
-                            cmp,
-                            float,
-                            resolve(warp, a, lane),
-                            resolve(warp, b, lane),
-                        )
-                    {
-                        bits |= 1 << lane;
+                let holds =
+                    |lane| exec::eval_cmp(cmp, float, warp.operand(a, lane), warp.operand(b, lane));
+                let taken = if uniform {
+                    if holds(first) {
+                        mask
+                    } else {
+                        0
                     }
-                }
-                warp.write_pred(dst, bits, mask);
+                } else {
+                    bits(mask)
+                        .filter(|&lane| holds(lane))
+                        .fold(0, |acc, lane| acc | 1 << lane)
+                };
+                warp.write_pred(dst, taken, mask);
             }
             InstrKind::Ld {
                 space,
@@ -1372,23 +1413,24 @@ impl Sm {
                 warp.fill_reg_or_zero(dst, &mut vals);
                 let slot = warp.cta_slot;
                 match space {
+                    Space::Global if uniform => {
+                        let a = lane_addr(warp, addr, offset, first);
+                        broadcast(&mut vals, mask, port.read_u32(a));
+                        push_line(&mut mem_lines, a, line_bytes);
+                    }
                     Space::Global => {
-                        for (lane, v) in vals.iter_mut().enumerate() {
-                            if mask & (1 << lane) != 0 {
-                                let a = lane_addr(warp, addr, offset, lane);
-                                *v = port.read_u32(a);
-                                push_line(&mut mem_lines, a, self.cfg.line_bytes as u64);
-                            }
+                        let addrs = lane_addrs(warp, addr, offset, mask);
+                        port.read_lanes(&addrs, mask, &mut vals);
+                        for lane in bits(mask) {
+                            push_line(&mut mem_lines, addrs[lane], line_bytes);
                         }
                     }
                     Space::Shared => {
                         shared_access = true;
                         let shared = &self.ctas[slot].as_ref().expect("CTA resident").shared;
-                        for (lane, v) in vals.iter_mut().enumerate() {
-                            if mask & (1 << lane) != 0 {
-                                let a = lane_addr(warp, addr, offset, lane) as u32;
-                                *v = shared.read_u32(a);
-                            }
+                        for lane in bits(mask) {
+                            let a = lane_addr(warp, addr, offset, lane) as u32;
+                            vals[lane] = shared.read_u32(a);
                         }
                     }
                 }
@@ -1404,12 +1446,10 @@ impl Sm {
                 let slot = warp.cta_slot;
                 match space {
                     Space::Global => {
-                        for lane in 0..ws {
-                            if mask & (1 << lane) != 0 {
-                                let a = lane_addr(warp, addr, offset, lane);
-                                port.write_u32(a, warp.reg(src.index())[lane]);
-                                push_line(&mut mem_lines, a, self.cfg.line_bytes as u64);
-                            }
+                        let addrs = lane_addrs(warp, addr, offset, mask);
+                        port.write_lanes(&addrs, mask, warp.reg(src.index()));
+                        for lane in bits(mask) {
+                            push_line(&mut mem_lines, addrs[lane], line_bytes);
                         }
                     }
                     Space::Shared => {
@@ -1420,11 +1460,9 @@ impl Sm {
                         // needed.
                         let warp = self.warps[w].as_ref().expect("picked warp exists");
                         let shared = &mut self.ctas[slot].as_mut().expect("CTA resident").shared;
-                        for lane in 0..ws {
-                            if mask & (1 << lane) != 0 {
-                                let a = lane_addr(warp, addr, offset, lane) as u32;
-                                shared.write_u32(a, warp.reg(src.index())[lane]);
-                            }
+                        for lane in bits(mask) {
+                            let a = lane_addr(warp, addr, offset, lane) as u32;
+                            shared.write_u32(a, warp.reg(src.index())[lane]);
                         }
                     }
                 }
@@ -1618,7 +1656,13 @@ impl Sm {
         } else {
             s.scalar_rf_arrays += total;
         }
-        let bdi_res = bdi::compress(vals);
+        // A full-mask uniform write holds one value in every lane.
+        let full = mask == crate::full_mask(self.cfg.warp_size);
+        let bdi_res = if full && winfo.enc == Encoding::Scalar {
+            bdi::uniform(vals[0], vals.len())
+        } else {
+            bdi::compress(vals)
+        };
         let bdi_arrays =
             u8::try_from(bdi_res.arrays_active(16)).expect("a register spans at most 16 arrays");
         s.bdi_arrays += u64::from(bdi_arrays);
@@ -1628,7 +1672,7 @@ impl Sm {
         // full-mask write.
         self.rf_class[phys] = RfClass {
             bdi_arrays,
-            enc: (mask == crate::full_mask(self.cfg.warp_size)).then_some(winfo.enc),
+            enc: full.then_some(winfo.enc),
         };
         if divergent {
             s.histogram.record_divergent();
@@ -1825,12 +1869,41 @@ impl Sm {
 
 /// Computes a lane's effective byte address.
 fn lane_addr(warp: &Warp, addr: Reg, offset: i32, lane: usize) -> u64 {
-    let base = if addr.is_zero() {
-        0
-    } else {
-        warp.reg(addr.index())[lane]
-    };
+    let base = warp.operand(Operand::Reg(addr), lane);
     (u64::from(base)).wrapping_add(offset as i64 as u64)
+}
+
+/// Every active lane's effective byte address (other lanes: 0).
+fn lane_addrs(warp: &Warp, addr: Reg, offset: i32, mask: u64) -> [u64; MAX_LANES] {
+    let mut addrs = [0u64; MAX_LANES];
+    for lane in bits(mask) {
+        addrs[lane] = lane_addr(warp, addr, offset, lane);
+    }
+    addrs
+}
+
+/// Writes `v` to every lane of `mask`.
+fn broadcast(vals: &mut [u32], mask: u64, v: u32) {
+    for (lane, d) in vals.iter_mut().enumerate() {
+        if mask >> lane & 1 != 0 {
+            *d = v;
+        }
+    }
+}
+
+/// The debug oracle of uniform-once execution: every active lane of
+/// every source register holds the first active lane's value.
+fn check_uniform_sources(warp: &Warp, instr: &Instr, mask: u64) {
+    let first = mask.trailing_zeros() as usize;
+    for r in instr.src_regs() {
+        let lanes = warp.reg(r.index());
+        for lane in bits(mask) {
+            assert_eq!(
+                lanes[lane], lanes[first],
+                "source {r:?} of scalar-classified {instr:?} differs at lane {lane} (mask {mask:#x})"
+            );
+        }
+    }
 }
 
 /// Adds the cache line of `addr` to `lines` if not yet present.
@@ -1849,9 +1922,31 @@ impl Warp {
     fn fill_reg_or_zero(&self, dst: Reg, out: &mut Vec<u32>) {
         out.clear();
         if dst.is_zero() {
-            out.resize(self.reg(0).len().max(1), 0);
+            out.resize(self.warp_size(), 0);
         } else {
             out.extend_from_slice(self.reg(dst.index()));
+        }
+    }
+
+    /// The value `op` has at `lane` (RZ reads zero).
+    fn operand(&self, op: Operand, lane: usize) -> u32 {
+        match op {
+            Operand::Reg(r) if r.is_zero() => 0,
+            Operand::Reg(r) => self.reg(r.index())[lane],
+            Operand::Imm(v) => v,
+        }
+    }
+
+    /// `op`'s lane values: a register's own lanes, or an immediate (or
+    /// RZ's zero) written into `splat`.
+    fn operand_lanes<'a>(&'a self, op: Operand, splat: &'a mut [u32; MAX_LANES]) -> &'a [u32] {
+        match op {
+            Operand::Reg(r) if !r.is_zero() => self.reg(r.index()),
+            _ => {
+                let lanes = &mut splat[..self.warp_size()];
+                lanes.fill(self.operand(op, 0));
+                lanes
+            }
         }
     }
 }

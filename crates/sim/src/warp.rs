@@ -17,8 +17,11 @@ pub struct Warp {
     pub simt: SimtStack,
     /// Lane mask of threads that exist (partial last warp of a CTA).
     pub thread_mask: u64,
-    /// Per-register lane values: `regs[r][lane]`.
-    regs: Vec<Vec<u32>>,
+    /// Lanes per register.
+    warp_size: usize,
+    /// Every register's lane values in one allocation: register `r`'s
+    /// lanes are `regs[r * warp_size..][..warp_size]`.
+    regs: Vec<u32>,
     /// Per-predicate lane bitmasks.
     preds: [u64; Pred::COUNT],
     /// Waiting at a CTA barrier.
@@ -62,7 +65,8 @@ impl Warp {
             cta_slot,
             simt: SimtStack::new(0, mask),
             thread_mask: mask,
-            regs: vec![vec![0u32; warp_size]; num_regs.max(1)],
+            warp_size,
+            regs: vec![0u32; warp_size * num_regs.max(1)],
             preds: [0; Pred::COUNT],
             at_barrier: false,
             tid_base,
@@ -92,17 +96,28 @@ impl Warp {
     /// caller).
     #[must_use]
     pub fn reg(&self, reg: u8) -> &[u32] {
-        &self.regs[reg as usize]
+        &self.regs[usize::from(reg) * self.warp_size..][..self.warp_size]
     }
 
     /// Writes `values` into `reg` for lanes in `mask`.
     pub fn write_reg(&mut self, reg: u8, values: &[u32], mask: u64) {
-        let dst = &mut self.regs[reg as usize];
-        for (lane, v) in values.iter().enumerate() {
+        let dst = &mut self.regs[usize::from(reg) * self.warp_size..][..self.warp_size];
+        let full = crate::full_mask(dst.len());
+        if values.len() == dst.len() && mask & full == full {
+            dst.copy_from_slice(values);
+            return;
+        }
+        for (lane, (d, &v)) in dst.iter_mut().zip(values).enumerate() {
             if mask & (1 << lane) != 0 {
-                dst[lane] = *v;
+                *d = v;
             }
         }
+    }
+
+    /// Lanes per register.
+    #[must_use]
+    pub fn warp_size(&self) -> usize {
+        self.warp_size
     }
 
     /// Reads a predicate's lane bitmask.
@@ -180,6 +195,18 @@ mod tests {
         assert_eq!(w.reg(2)[0], 1);
         assert_eq!(w.reg(2)[3], 1);
         assert_eq!(w.reg(2)[4], 0);
+    }
+
+    #[test]
+    fn registers_are_disjoint_lane_ranges() {
+        let mut w = warp();
+        let lanes: Vec<u32> = (0..32).collect();
+        w.write_reg(3, &lanes, u64::MAX);
+        assert_eq!(w.reg(3), &lanes[..]);
+        assert!(w.reg(2).iter().chain(w.reg(4)).all(|&v| v == 0));
+        w.write_reg(7, &lanes, 1 << 31);
+        assert_eq!(w.reg(7)[31], 31);
+        assert_eq!(w.reg(7)[..31], [0; 31]);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! `GlobalMemory` against a byte-map model: random interleavings of
-//! byte, word, float and slice accesses at aligned, unaligned,
+//! byte, word, float, slice and per-lane accesses at aligned, unaligned,
 //! page-straddling and top-of-address-space addresses, plus a kernel
 //! whose store wraps past `u64::MAX` in the serial engine, the parallel
 //! engine and the reference interpreter alike.
@@ -67,6 +67,9 @@ enum Op {
     R32(u64),
     RF32(u64),
     RSlice(u64, usize),
+    /// Per-lane words: addresses, lane mask, values.
+    WLanes(Vec<u64>, u64, Vec<u32>),
+    RLanes(Vec<u64>, u64),
 }
 
 /// Addresses that collide often: two page boundaries low in memory
@@ -92,6 +95,19 @@ fn len() -> impl Strategy<Value = usize> {
     prop_oneof![6 => 0usize..8, 1 => 1000usize..1100]
 }
 
+/// A warp's lane addresses: strided from one base (runs within a
+/// page, overlapping and straddling words, one shared word) or each
+/// lane anywhere.
+fn lane_addrs() -> impl Strategy<Value = Vec<u64>> {
+    let stride = proptest::sample::select(vec![0u64, 1, 2, 3, 4, 8, 128, 4096]);
+    prop_oneof![
+        3 => (addr(), stride, 1usize..=64).prop_map(|(base, stride, n)| {
+            (0..n as u64).map(|i| base.wrapping_add(i * stride)).collect()
+        }),
+        1 => proptest::collection::vec(addr(), 1..=64),
+    ]
+}
+
 fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
         (addr(), any::<u8>()).prop_map(|(a, v)| Op::W8(a, v)),
@@ -107,7 +123,20 @@ fn op() -> impl Strategy<Value = Op> {
         addr().prop_map(Op::R32),
         addr().prop_map(Op::RF32),
         (addr(), len()).prop_map(|(a, n)| Op::RSlice(a, n)),
+        (lane_addrs(), any::<u64>()).prop_flat_map(|(addrs, mask)| {
+            let n = addrs.len();
+            proptest::collection::vec(value(), n)
+                .prop_map(move |vs| Op::WLanes(addrs.clone(), mask, vs))
+        }),
+        (lane_addrs(), any::<u64>()).prop_map(|(addrs, mask)| Op::RLanes(addrs, mask)),
     ]
+}
+
+/// `mask` restricted to the lanes `addrs` has (never empty: lane 0
+/// stays in).
+fn lane_mask(addrs: &[u64], mask: u64) -> u64 {
+    let n = addrs.len();
+    (mask | 1) & if n == 64 { u64::MAX } else { (1 << n) - 1 }
 }
 
 /// Applies `op` to both memories and checks every read against the
@@ -148,6 +177,27 @@ fn apply(m: &mut GlobalMemory, model: &mut Model, op: &Op) -> Result<(), TestCas
                 .map(|i| model.read_u32(a.wrapping_add(4 * i)))
                 .collect();
             prop_assert_eq!(m.read_u32_slice(*a, *n), want, "slice at {:#x}", a);
+        }
+        Op::WLanes(addrs, mask, vs) => {
+            // Lane order: a later lane's bytes win where words overlap.
+            let mask = lane_mask(addrs, *mask);
+            m.write_lanes(addrs, mask, vs);
+            for lane in (0..addrs.len()).filter(|l| mask >> l & 1 != 0) {
+                model.write_u32(addrs[lane], vs[lane]);
+            }
+        }
+        Op::RLanes(addrs, mask) => {
+            let mask = lane_mask(addrs, *mask);
+            let mut got = vec![0xDEAD_BEEF; addrs.len()];
+            m.read_lanes(addrs, mask, &mut got);
+            for (lane, &g) in got.iter().enumerate() {
+                let want = if mask >> lane & 1 != 0 {
+                    model.read_u32(addrs[lane])
+                } else {
+                    0xDEAD_BEEF
+                };
+                prop_assert_eq!(g, want, "lane {} at {:#x}", lane, addrs[lane]);
+            }
         }
     }
     prop_assert_eq!(m.resident_pages(), model.resident_pages(), "after {:?}", op);
