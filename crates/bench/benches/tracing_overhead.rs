@@ -4,12 +4,19 @@
 //! reference.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use gscalar_core::{Arch, Runner};
+use gscalar_core::{Arch, Instruments, Runner, Workload};
 use gscalar_profile::Profiler;
-use gscalar_sim::{Gpu, GpuConfig, MetricsObserver, NullObserver};
+use gscalar_sim::{GpuConfig, MetricsObserver, Stats};
 use gscalar_trace::{EventBuf, Tracer};
 use gscalar_workloads::{by_abbr, Scale};
 use std::hint::black_box;
+
+/// One G-Scalar run of `w` with `ins` attached.
+fn run_with(runner: &Runner, w: &Workload, ins: &mut Instruments<'_>) -> Stats {
+    runner
+        .run_with(w, Arch::GScalar.config(), ins)
+        .expect("no budget set")
+}
 
 fn bench_overhead(c: &mut Criterion) {
     let mut g = c.benchmark_group("tracing");
@@ -24,12 +31,12 @@ fn bench_overhead(c: &mut Criterion) {
         b.iter(|| black_box(runner.run(&w, Arch::GScalar).stats.cycles))
     });
 
-    // Explicit off-tracer through the traced entry point: measures the
-    // dispatch overhead of the Option branch alone.
+    // Explicit off-tracer through the instrumented entry point:
+    // measures the dispatch overhead of the Option branch alone.
     g.bench_function("off/run_traced", |b| {
         b.iter(|| {
-            let mut t = Tracer::off();
-            black_box(runner.run_traced(&w, Arch::GScalar, &mut t, 0).stats.cycles)
+            let mut ins = Instruments::default();
+            black_box(run_with(&runner, &w, &mut ins).cycles)
         })
     });
 
@@ -37,68 +44,51 @@ fn bench_overhead(c: &mut Criterion) {
     g.bench_function("on/event_buf", |b| {
         b.iter(|| {
             let mut buf = EventBuf::new(1 << 16);
-            let mut t = Tracer::new(&mut buf);
-            let cycles = runner
-                .run_traced(&w, Arch::GScalar, &mut t, 64)
-                .stats
-                .cycles;
+            let mut ins = Instruments {
+                tracer: Tracer::new(&mut buf),
+                snapshot_interval: 64,
+                ..Instruments::default()
+            };
+            let cycles = run_with(&runner, &w, &mut ins).cycles;
             black_box((cycles, buf.len()))
         })
     });
 
-    // Metrics-off: the observed entry point with a null observer and no
-    // sampling — measures the per-iteration interval check alone.
+    // Metrics-off: no observer and no sampling — measures the
+    // per-iteration interval check alone.
     g.bench_function("metrics-off/run_observed", |b| {
         b.iter(|| {
-            let mut gpu = Gpu::new(GpuConfig::test_small(), Arch::GScalar.config());
-            let mut mem = w.memory.clone();
-            let stats = gpu.run_observed(
-                &w.kernel,
-                w.launch,
-                &mut mem,
-                &mut Tracer::off(),
-                0,
-                0,
-                &mut NullObserver,
-            );
-            black_box(stats.cycles)
+            let mut ins = Instruments {
+                sample_interval: 0,
+                ..Instruments::default()
+            };
+            black_box(run_with(&runner, &w, &mut ins).cycles)
         })
     });
 
     // Metrics-on: registry observer with 64-cycle interval series.
     g.bench_function("metrics-on/run_observed", |b| {
         b.iter(|| {
-            let mut gpu = Gpu::new(GpuConfig::test_small(), Arch::GScalar.config());
-            let mut mem = w.memory.clone();
             let mut obs = MetricsObserver::new();
-            let stats = gpu.run_observed(
-                &w.kernel,
-                w.launch,
-                &mut mem,
-                &mut Tracer::off(),
-                0,
-                64,
-                &mut obs,
-            );
-            black_box((stats.cycles, obs.into_registry().flatten().len()))
+            let mut ins = Instruments {
+                observers: vec![&mut obs],
+                sample_interval: 64,
+                ..Instruments::default()
+            };
+            let cycles = run_with(&runner, &w, &mut ins).cycles;
+            black_box((cycles, obs.into_registry().flatten().len()))
         })
     });
 
-    // Profiler-off: the profiled entry point with a disabled profiler —
-    // measures the per-hook `Option` checks alone (same ≤2% target as
-    // the off-tracer path).
+    // Profiler-off: a disabled profiler — measures the per-hook
+    // `Option` checks alone (same ≤2% target as the off-tracer path).
     g.bench_function("profile-off/run_profiled", |b| {
         b.iter(|| {
-            let mut gpu = Gpu::new(GpuConfig::test_small(), Arch::GScalar.config());
-            let mut mem = w.memory.clone();
-            let stats = gpu.run_profiled(
-                &w.kernel,
-                w.launch,
-                &mut mem,
-                &mut Tracer::off(),
-                &mut Profiler::off(),
-            );
-            black_box(stats.cycles)
+            let mut ins = Instruments {
+                profiler: Profiler::off(),
+                ..Instruments::default()
+            };
+            black_box(run_with(&runner, &w, &mut ins).cycles)
         })
     });
 

@@ -35,7 +35,7 @@ use std::fs;
 use std::process::ExitCode;
 
 use gscalar_bench::{experiments::CliOptions, Report};
-use gscalar_core::{Arch, Runner};
+use gscalar_core::{Arch, Instruments, Runner};
 use gscalar_sim::GpuConfig;
 use gscalar_trace::export::{
     chrome_json, csv_timeseries, mem_level_counts, stall_report, waterfall,
@@ -69,8 +69,15 @@ fn main() -> ExitCode {
 
     let runner = Runner::new(GpuConfig::test_small());
     let mut buf = EventBuf::new(CAPACITY);
-    let mut tracer = Tracer::new(&mut buf);
-    let report = runner.run_traced(&workload, Arch::GScalar, &mut tracer, SNAPSHOT_INTERVAL);
+    let mut ins = Instruments {
+        tracer: Tracer::new(&mut buf),
+        snapshot_interval: SNAPSHOT_INTERVAL,
+        ..Instruments::default()
+    };
+    let stats = runner
+        .run_with(&workload, Arch::GScalar.config(), &mut ins)
+        .expect("no budget set");
+    let report = runner.report(Arch::GScalar, stats);
     let stats = &report.stats;
 
     // The drop count must be read before the ring is consumed; it is

@@ -15,7 +15,7 @@
 
 use gscalar_analyze::{analyze_trace, CpiStack, MlpProfile, Projection, WhatIf, COMPONENT_LABELS};
 use gscalar_core::Arch;
-use gscalar_sim::{Gpu, GpuConfig, RunObserver, Stats};
+use gscalar_sim::{Gpu, GpuConfig, Instruments, RunObserver, Stats};
 use gscalar_sweep::{JobError, JobOutput, JobSpec, ResultSet};
 use gscalar_trace::{EventBuf, Tracer};
 use gscalar_workloads::{Scale, ABBRS};
@@ -61,16 +61,17 @@ pub fn grid(scale: Scale) -> Vec<JobSpec> {
         let mut buf = EventBuf::new(TRACE_CAPACITY);
         let mut capture = PerSmCapture::default();
         let stats = {
-            let mut tracer = Tracer::new(&mut buf);
-            gpu.run_observed(
+            gpu.run_with(
                 &w.kernel,
                 w.launch,
                 &mut mem,
-                &mut tracer,
-                0,
-                0,
-                &mut capture,
+                &mut Instruments {
+                    tracer: Tracer::new(&mut buf),
+                    observers: vec![&mut capture],
+                    ..Instruments::default()
+                },
             )
+            .unwrap()
         };
         sim.charge(stats.cycles)?;
 

@@ -19,7 +19,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use gscalar_core::{Arch, BudgetExceeded, RunReport, Runner, Workload};
+use gscalar_core::{Arch, BudgetExceeded, Instruments, RunReport, Runner, Workload};
 use gscalar_sim::GpuConfig;
 use gscalar_sweep::{
     run_sweep, JobCtx, JobError, JobOutput, JobSpec, Progress, ResultSet, SweepConfig,
@@ -123,7 +123,7 @@ pub fn by_name(name: &str) -> Option<Experiment> {
 /// a [`BudgetExceeded`] into the job-level [`JobError::Budget`] with
 /// cumulative cycle counts. When the allowance is already exhausted the
 /// next run gets a budget of 1 cycle, so it trips deterministically on
-/// its first observer sample.
+/// its first sample boundary.
 pub struct JobSim {
     budget: u64,
     used: u64,
@@ -172,17 +172,12 @@ impl JobSim {
         workload: &Workload,
         arch: Arch,
     ) -> Result<RunReport, JobError> {
-        match runner.run_budgeted(workload, arch, self.remaining()) {
-            Ok(r) => {
-                self.used += r.stats.cycles;
-                Ok(r)
-            }
-            Err(e) => Err(self.overrun(e.cycles)),
-        }
+        let stats = self.simulate(runner, workload, arch.config())?;
+        Ok(runner.report(arch, stats))
     }
 
-    /// Runs `workload` under a custom [`gscalar_sim::ArchConfig`] with
-    /// the remaining budget.
+    /// Runs `workload` under a custom [`GpuConfig`] and
+    /// [`gscalar_sim::ArchConfig`] with the remaining budget.
     ///
     /// # Errors
     ///
@@ -193,7 +188,20 @@ impl JobSim {
         arch_cfg: gscalar_sim::ArchConfig,
         workload: &Workload,
     ) -> Result<gscalar_sim::Stats, JobError> {
-        match gscalar_core::run_stats_budgeted(cfg, arch_cfg, workload, self.remaining()) {
+        self.simulate(&Runner::new(cfg.clone()), workload, arch_cfg)
+    }
+
+    fn simulate(
+        &mut self,
+        runner: &Runner,
+        workload: &Workload,
+        arch_cfg: gscalar_sim::ArchConfig,
+    ) -> Result<gscalar_sim::Stats, JobError> {
+        let mut ins = Instruments {
+            budget: self.remaining(),
+            ..Instruments::default()
+        };
+        match runner.run_with(workload, arch_cfg, &mut ins) {
             Ok(s) => {
                 self.used += s.cycles;
                 Ok(s)

@@ -17,7 +17,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use gscalar_core::{Arch, Runner};
+use gscalar_core::{Arch, Instruments, Runner};
 use gscalar_sim::GpuConfig;
 use gscalar_trace::export::chrome_json;
 use gscalar_trace::{EventBuf, Tracer};
@@ -40,8 +40,14 @@ fn digest_lines() -> String {
         let w = by_abbr(abbr, Scale::Test).expect("known benchmark");
         for arch in [Arch::Baseline, Arch::GScalar] {
             let mut buf = EventBuf::new(CAPACITY);
-            let mut tracer = Tracer::new(&mut buf);
-            let _ = runner.run_traced(&w, arch, &mut tracer, SNAPSHOT_INTERVAL);
+            let mut ins = Instruments {
+                tracer: Tracer::new(&mut buf),
+                snapshot_interval: SNAPSHOT_INTERVAL,
+                ..Instruments::default()
+            };
+            runner
+                .run_with(&w, arch.config(), &mut ins)
+                .expect("no budget set");
             assert_eq!(
                 buf.dropped(),
                 0,

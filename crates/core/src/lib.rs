@@ -41,6 +41,5 @@ pub mod rng;
 pub mod runner;
 
 pub use arch::Arch;
-pub use runner::{
-    run_stats_budgeted, BudgetExceeded, MeteredRun, ProfiledRun, RunReport, Runner, Workload,
-};
+pub use gscalar_sim::{BudgetExceeded, Instruments};
+pub use runner::{MeteredRun, ProfiledRun, RunReport, Runner, Workload};

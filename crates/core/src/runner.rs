@@ -1,14 +1,13 @@
 //! Workload container and the high-level simulation runner.
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-
 use gscalar_isa::{Kernel, LaunchConfig};
 use gscalar_metrics::MetricsRegistry;
 use gscalar_power::{chip_power, EnergyModel, PowerReport, PowerTimeline, RfScheme};
 use gscalar_profile::{KernelProfile, Profiler};
 use gscalar_sim::memory::GlobalMemory;
-use gscalar_sim::{Gpu, GpuConfig, LiveObserver, MetricsObserver, RunObserver, Stats};
-use gscalar_trace::Tracer;
+use gscalar_sim::{
+    ArchConfig, BudgetExceeded, Gpu, GpuConfig, Instruments, LiveObserver, MetricsObserver, Stats,
+};
 
 use crate::arch::Arch;
 
@@ -94,176 +93,6 @@ pub struct ProfiledRun {
     pub registry: MetricsRegistry,
 }
 
-/// A simulation was aborted because it crossed its simulated-cycle
-/// budget (see [`Runner::run_budgeted`]).
-///
-/// The abort is *deterministic*: it triggers on simulated cycles, not
-/// wall time, so a budgeted run fails identically on every machine and
-/// thread count — the property the sweep engine's byte-identical
-/// manifests rely on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BudgetExceeded {
-    /// Simulated cycles when the budget tripped (the first observer
-    /// sample at or past the budget).
-    pub cycles: u64,
-    /// The budget that applied.
-    pub budget: u64,
-}
-
-impl std::fmt::Display for BudgetExceeded {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "cycle budget exceeded: {} simulated of {} allowed",
-            self.cycles, self.budget
-        )
-    }
-}
-
-/// Granularity of budget checks: the abort observer samples every this
-/// many cycles (or at the budget itself, whichever is finer).
-const BUDGET_CHECK_INTERVAL: u64 = 4096;
-
-/// Panic payload used to unwind out of a budget-crossed simulation.
-/// Thrown with [`resume_unwind`] so the global panic hook never fires
-/// (a budget abort is an expected outcome, not a bug to report).
-struct BudgetAbort {
-    cycles: u64,
-}
-
-/// Observer that aborts the run at the first sample past the budget.
-struct BudgetObserver {
-    budget: u64,
-}
-
-impl RunObserver for BudgetObserver {
-    fn sample(&mut self, cycle: u64, _stats: &Stats) {
-        if cycle >= self.budget {
-            resume_unwind(Box::new(BudgetAbort { cycles: cycle }));
-        }
-    }
-
-    fn finish(&mut self, _cycle: u64, _merged: &Stats, _per_sm: &[Stats]) {}
-}
-
-/// Runs `workload` functionally+temporally under an explicit
-/// architecture configuration, aborting deterministically once the
-/// simulation crosses `budget` cycles (`budget == 0` disables the
-/// check). This is the raw entry point for ablations that build their
-/// own [`gscalar_sim::ArchConfig`]; see [`Runner::run_budgeted`] for
-/// the arch-variant path.
-///
-/// # Errors
-///
-/// Returns [`BudgetExceeded`] when the simulation crossed the budget;
-/// any other panic propagates unchanged.
-pub fn run_stats_budgeted(
-    cfg: &GpuConfig,
-    arch_cfg: gscalar_sim::ArchConfig,
-    workload: &Workload,
-    budget: u64,
-) -> Result<Stats, BudgetExceeded> {
-    let arch_name = arch_cfg.name.clone();
-    let mut gpu = Gpu::new(cfg.clone(), arch_cfg);
-    let mut mem = workload.memory.clone();
-    let mut live = attach_live(workload, &arch_name, cfg.num_sms);
-    if budget == 0 {
-        return Ok(match live.as_mut() {
-            None => gpu.run(&workload.kernel, workload.launch, &mut mem),
-            Some(obs) => {
-                let interval = obs.sample_interval();
-                gpu.run_observed(
-                    &workload.kernel,
-                    workload.launch,
-                    &mut mem,
-                    &mut Tracer::off(),
-                    0,
-                    interval,
-                    obs,
-                )
-            }
-        });
-    }
-    // The budget observer's cadence is part of the determinism
-    // contract (it fixes where `BudgetExceeded.cycles` lands), so live
-    // telemetry must ride along at this interval unchanged and
-    // downsample internally.
-    let interval = budget.clamp(1, BUDGET_CHECK_INTERVAL);
-    let mut observer = BudgetObserver { budget };
-    let attempt = catch_unwind(AssertUnwindSafe(|| match live.as_mut() {
-        None => gpu.run_observed(
-            &workload.kernel,
-            workload.launch,
-            &mut mem,
-            &mut Tracer::off(),
-            0,
-            interval,
-            &mut observer,
-        ),
-        Some(obs) => {
-            // Live first: the snapshot at the abort boundary still
-            // streams before the budget unwinds.
-            let mut pair = PairObserver {
-                a: obs,
-                b: &mut observer,
-            };
-            gpu.run_observed(
-                &workload.kernel,
-                workload.launch,
-                &mut mem,
-                &mut Tracer::off(),
-                0,
-                interval,
-                &mut pair,
-            )
-        }
-    }));
-    match attempt {
-        Ok(stats) => Ok(stats),
-        Err(payload) => match payload.downcast::<BudgetAbort>() {
-            Ok(abort) => Err(BudgetExceeded {
-                cycles: abort.cycles,
-                budget,
-            }),
-            Err(other) => resume_unwind(other),
-        },
-    }
-}
-
-/// Forwards observer callbacks to two observers watching the same run.
-struct PairObserver<'a> {
-    a: &'a mut dyn RunObserver,
-    b: &'a mut dyn RunObserver,
-}
-
-impl RunObserver for PairObserver<'_> {
-    fn sample(&mut self, cycle: u64, stats: &Stats) {
-        self.a.sample(cycle, stats);
-        self.b.sample(cycle, stats);
-    }
-
-    fn sample_sm(&mut self, cycle: u64, sm: usize, stats: &Stats) {
-        self.a.sample_sm(cycle, sm, stats);
-        self.b.sample_sm(cycle, sm, stats);
-    }
-
-    fn finish(&mut self, cycle: u64, merged: &Stats, per_sm: &[Stats]) {
-        self.a.finish(cycle, merged, per_sm);
-        self.b.finish(cycle, merged, per_sm);
-    }
-}
-
-/// When a process-wide live stream is installed (see
-/// [`gscalar_live::install`]), announces `workload` on it and returns
-/// the observer to attach to the run. Telemetry is strictly read-only:
-/// attaching the observer must never change what the engine computes,
-/// so callers keep their own sample interval whenever one is already
-/// required (budget checks, metrics cadences) and let the observer
-/// downsample internally.
-fn attach_live(workload: &Workload, arch: &str, num_sms: usize) -> Option<LiveObserver> {
-    gscalar_live::installed().map(|h| LiveObserver::start(h, &workload.name, arch, num_sms))
-}
-
 /// Runs workloads under configurable hardware and energy models.
 ///
 /// # Examples
@@ -324,43 +153,43 @@ impl Runner {
     /// Runs `workload` on `arch` and returns statistics plus power.
     #[must_use]
     pub fn run(&self, workload: &Workload, arch: Arch) -> RunReport {
-        self.run_traced(workload, arch, &mut Tracer::off(), 0)
+        let stats = self
+            .run_with(workload, arch.config(), &mut Instruments::default())
+            .expect("a run without a budget cannot exceed it");
+        self.report(arch, stats)
     }
 
-    /// [`Runner::run`] with cycle-level tracing: events go to `tracer`
-    /// and, when `snapshot_interval > 0`, per-SM interval metrics are
-    /// emitted every `snapshot_interval` cycles.
-    #[must_use]
-    pub fn run_traced(
+    /// The path every run takes: simulates `workload` under `arch` (a
+    /// preset's [`Arch::config`] or a custom ablation) on a fresh GPU
+    /// and a copy of the workload's input memory, with `ins` attached
+    /// (see [`Instruments`]). Price the result with [`Runner::report`].
+    ///
+    /// When a live stream is installed (see [`gscalar_live::install`]),
+    /// the run is announced on it and `ins.live` carries its telemetry
+    /// for the run's duration; telemetry never changes the result.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BudgetExceeded`] when the run crossed `ins.budget`.
+    pub fn run_with(
         &self,
         workload: &Workload,
-        arch: Arch,
-        tracer: &mut Tracer<'_>,
-        snapshot_interval: u64,
-    ) -> RunReport {
-        let mut gpu = Gpu::new(self.cfg.clone(), arch.config());
+        arch: ArchConfig,
+        ins: &mut Instruments<'_>,
+    ) -> Result<Stats, BudgetExceeded> {
+        ins.live = gscalar_live::installed()
+            .map(|h| LiveObserver::start(h, &workload.name, &arch.name, self.cfg.num_sms));
+        let mut gpu = Gpu::new(self.cfg.clone(), arch);
         let mut mem = workload.memory.clone();
-        let stats = match attach_live(workload, arch.label(), self.cfg.num_sms).as_mut() {
-            None => gpu.run_traced(
-                &workload.kernel,
-                workload.launch,
-                &mut mem,
-                tracer,
-                snapshot_interval,
-            ),
-            Some(obs) => {
-                let interval = obs.sample_interval();
-                gpu.run_observed(
-                    &workload.kernel,
-                    workload.launch,
-                    &mut mem,
-                    tracer,
-                    snapshot_interval,
-                    interval,
-                    obs,
-                )
-            }
-        };
+        let result = gpu.run_with(&workload.kernel, workload.launch, &mut mem, ins);
+        ins.live = None;
+        result
+    }
+
+    /// Prices `stats` of a run on `arch`: chip power under the
+    /// architecture's RF scheme.
+    #[must_use]
+    pub fn report(&self, arch: Arch, stats: Stats) -> RunReport {
         let power = chip_power(
             &stats,
             &self.cfg,
@@ -382,8 +211,6 @@ impl Runner {
     /// produces a complete machine-readable record of the run.
     #[must_use]
     pub fn run_metered(&self, workload: &Workload, arch: Arch, sample_interval: u64) -> MeteredRun {
-        let mut gpu = Gpu::new(self.cfg.clone(), arch.config());
-        let mut mem = workload.memory.clone();
         let mut metrics = MetricsObserver::new();
         let mut timeline = PowerTimeline::new(
             &self.cfg,
@@ -391,50 +218,20 @@ impl Runner {
             arch.has_codec(),
             self.energy.clone(),
         );
-        // Live telemetry rides along at the caller's cadence: changing
-        // `sample_interval` here would change the metrics/power series
-        // that end up in manifests. With `sample_interval == 0` the
-        // engine delivers no samples, so the stream then carries only
-        // run_start/run_end for this run.
-        let mut live = attach_live(workload, arch.label(), self.cfg.num_sms);
-        let stats = {
-            let mut pair = PairObserver {
-                a: &mut metrics,
-                b: &mut timeline,
-            };
-            let mut with_live;
-            let observer: &mut dyn RunObserver = match live.as_mut() {
-                None => &mut pair,
-                Some(obs) => {
-                    with_live = PairObserver {
-                        a: obs,
-                        b: &mut pair,
-                    };
-                    &mut with_live
-                }
-            };
-            gpu.run_observed(
-                &workload.kernel,
-                workload.launch,
-                &mut mem,
-                &mut Tracer::off(),
-                0,
-                sample_interval,
-                observer,
-            )
+        let mut ins = Instruments {
+            observers: vec![&mut metrics, &mut timeline],
+            sample_interval,
+            ..Instruments::default()
         };
-        let power = chip_power(
-            &stats,
-            &self.cfg,
-            arch.rf_scheme(),
-            arch.has_codec(),
-            &self.energy,
-        );
+        let stats = self
+            .run_with(workload, arch.config(), &mut ins)
+            .expect("a run without a budget cannot exceed it");
+        let report = self.report(arch, stats);
         let mut registry = metrics.into_registry();
         timeline.export(&mut registry.scope("power"));
         let mut e = registry.scope("energy");
         for (name, pj) in gscalar_power::component_energies_pj(
-            &stats,
+            &report.stats,
             arch.rf_scheme(),
             arch.has_codec(),
             &self.energy,
@@ -444,17 +241,17 @@ impl Runner {
         e.gauge_set(
             "total_pj",
             gscalar_power::total_energy_pj(
-                &stats,
+                &report.stats,
                 &self.cfg,
                 arch.rf_scheme(),
                 arch.has_codec(),
                 &self.energy,
             ),
         );
-        registry.gauge_set("power/total_w", power.total_w());
-        registry.gauge_set("power/ipc_per_watt", power.ipc_per_watt());
+        registry.gauge_set("power/total_w", report.power.total_w());
+        registry.gauge_set("power/ipc_per_watt", report.power.ipc_per_watt());
         MeteredRun {
-            report: RunReport { arch, stats, power },
+            report,
             timeline,
             registry,
         }
@@ -472,60 +269,26 @@ impl Runner {
     /// built from a flatten are byte-stable.
     #[must_use]
     pub fn run_profiled(&self, workload: &Workload, arch: Arch) -> ProfiledRun {
-        let mut gpu = Gpu::new(self.cfg.clone(), arch.config());
-        let mut mem = workload.memory.clone();
-        let mut profiler = Profiler::for_kernel(0, workload.kernel.name(), workload.kernel.len());
-        let stats = gpu.run_profiled(
-            &workload.kernel,
-            workload.launch,
-            &mut mem,
-            &mut Tracer::off(),
-            &mut profiler,
-        );
-        let power = chip_power(
-            &stats,
-            &self.cfg,
-            arch.rf_scheme(),
-            arch.has_codec(),
-            &self.energy,
-        );
-        let profile = profiler
+        let kernel = &workload.kernel;
+        let mut ins = Instruments {
+            profiler: Profiler::for_kernel(0, kernel.name(), kernel.len()),
+            ..Instruments::default()
+        };
+        let stats = self
+            .run_with(workload, arch.config(), &mut ins)
+            .expect("a run without a budget cannot exceed it");
+        let profile = ins
+            .profiler
             .into_profile()
             .expect("profiler was created enabled");
         let mut registry = MetricsRegistry::new();
         stats.export(&mut registry.scope("gpu"));
         profile.export(&mut registry.scope("profile"));
         ProfiledRun {
-            report: RunReport { arch, stats, power },
+            report: self.report(arch, stats),
             profile,
             registry,
         }
-    }
-
-    /// [`Runner::run`] under a simulated-cycle budget: the run aborts
-    /// deterministically at the first budget check past `budget`
-    /// cycles (`budget == 0` disables the check). Statistics and power
-    /// of a within-budget run are identical to [`Runner::run`]'s.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BudgetExceeded`] when the simulation crossed the
-    /// budget.
-    pub fn run_budgeted(
-        &self,
-        workload: &Workload,
-        arch: Arch,
-        budget: u64,
-    ) -> Result<RunReport, BudgetExceeded> {
-        let stats = run_stats_budgeted(&self.cfg, arch.config(), workload, budget)?;
-        let power = chip_power(
-            &stats,
-            &self.cfg,
-            arch.rf_scheme(),
-            arch.has_codec(),
-            &self.energy,
-        );
-        Ok(RunReport { arch, stats, power })
     }
 
     /// Runs `workload` on every Figure 11 architecture.
@@ -691,52 +454,58 @@ mod tests {
         assert!(pcs.iter().all(|&pc| pc < w.kernel.len()));
     }
 
-    #[test]
-    fn run_budgeted_within_budget_matches_plain_run() {
-        let runner = Runner::new(GpuConfig::test_small());
-        let w = mixed_workload();
-        let plain = runner.run(&w, Arch::GScalar);
-        let budgeted = runner
-            .run_budgeted(&w, Arch::GScalar, plain.stats.cycles + 1)
-            .expect("within budget");
-        assert_eq!(budgeted.stats, plain.stats);
-        assert_eq!(budgeted.power, plain.power);
-        // Budget 0 disables the check entirely.
-        let unlimited = runner
-            .run_budgeted(&w, Arch::GScalar, 0)
-            .expect("unlimited");
-        assert_eq!(unlimited.stats, plain.stats);
+    fn budgeted(runner: &Runner, w: &Workload, budget: u64) -> Result<Stats, BudgetExceeded> {
+        let mut ins = Instruments {
+            budget,
+            ..Instruments::default()
+        };
+        runner.run_with(w, Arch::GScalar.config(), &mut ins)
     }
 
     #[test]
-    fn run_budgeted_aborts_deterministically() {
+    fn run_within_budget_matches_plain_run() {
+        let runner = Runner::new(GpuConfig::test_small());
+        let w = mixed_workload();
+        let plain = runner.run(&w, Arch::GScalar);
+        let within = budgeted(&runner, &w, plain.stats.cycles + 1).expect("within budget");
+        assert_eq!(within, plain.stats);
+        assert_eq!(runner.report(Arch::GScalar, within).power, plain.power);
+        // Budget 0 disables the check entirely.
+        let unlimited = budgeted(&runner, &w, 0).expect("unlimited");
+        assert_eq!(unlimited, plain.stats);
+    }
+
+    #[test]
+    fn run_over_budget_aborts_deterministically() {
         let runner = Runner::new(GpuConfig::test_small());
         let w = mixed_workload();
         let full = runner.run(&w, Arch::GScalar).stats.cycles;
         assert!(full > 2, "workload too small to truncate");
-        let err = runner
-            .run_budgeted(&w, Arch::GScalar, 2)
-            .expect_err("must trip");
+        let err = budgeted(&runner, &w, 2).expect_err("must trip");
         assert_eq!(err.budget, 2);
         assert!(err.cycles >= 2 && err.cycles < full);
         // Deterministic: the abort point is cycle-based, not
         // wall-clock-based, so it reproduces exactly.
-        let again = runner
-            .run_budgeted(&w, Arch::GScalar, 2)
-            .expect_err("must trip again");
+        let again = budgeted(&runner, &w, 2).expect_err("must trip again");
         assert_eq!(again, err);
         assert!(err.to_string().contains("cycle budget exceeded"));
     }
 
     #[test]
-    fn run_stats_budgeted_accepts_custom_arch_configs() {
+    fn run_with_accepts_custom_arch_configs() {
         let w = mixed_workload();
-        let cfg = GpuConfig::test_small();
+        let runner = Runner::new(GpuConfig::test_small());
         let mut arch = Arch::GScalar.config();
-        arch.extra_latency = 3;
-        let stats = run_stats_budgeted(&cfg, arch.clone(), &w, 0).expect("unlimited");
+        arch.extra_latency = 5;
+        let stats = runner
+            .run_with(&w, arch.clone(), &mut Instruments::default())
+            .expect("unlimited");
         assert!(stats.cycles > 0);
-        let err = run_stats_budgeted(&cfg, arch, &w, 2).expect_err("must trip");
+        let mut ins = Instruments {
+            budget: 2,
+            ..Instruments::default()
+        };
+        let err = runner.run_with(&w, arch, &mut ins).expect_err("must trip");
         assert_eq!(err.budget, 2);
     }
 

@@ -54,8 +54,7 @@ impl PowerInterval {
 /// ```
 /// use gscalar_isa::{KernelBuilder, LaunchConfig, Operand};
 /// use gscalar_power::{telemetry::PowerTimeline, EnergyModel, RfScheme};
-/// use gscalar_sim::{memory::GlobalMemory, ArchConfig, Gpu, GpuConfig};
-/// use gscalar_trace::Tracer;
+/// use gscalar_sim::{memory::GlobalMemory, ArchConfig, Gpu, GpuConfig, Instruments};
 ///
 /// let mut b = KernelBuilder::new("tiny");
 /// b.mov(Operand::Imm(7));
@@ -67,15 +66,14 @@ impl PowerInterval {
 ///     PowerTimeline::new(&cfg, RfScheme::Baseline, false, EnergyModel::default_40nm());
 /// let mut gpu = Gpu::new(cfg.clone(), ArchConfig::baseline());
 /// let mut mem = GlobalMemory::new();
-/// let stats = gpu.run_observed(
-///     &kernel,
-///     LaunchConfig::linear(2, 64),
-///     &mut mem,
-///     &mut Tracer::off(),
-///     0,
-///     8,
-///     &mut timeline,
-/// );
+/// let mut ins = Instruments {
+///     observers: vec![&mut timeline],
+///     sample_interval: 8,
+///     ..Instruments::default()
+/// };
+/// let stats = gpu
+///     .run_with(&kernel, LaunchConfig::linear(2, 64), &mut mem, &mut ins)
+///     .unwrap();
 /// let total = gscalar_power::model::total_energy_pj(
 ///     &stats,
 ///     &cfg,
@@ -196,8 +194,7 @@ mod tests {
     use super::*;
     use crate::model::total_energy_pj;
     use gscalar_isa::{KernelBuilder, LaunchConfig, Operand, SReg};
-    use gscalar_sim::{memory::GlobalMemory, ArchConfig, Gpu};
-    use gscalar_trace::Tracer;
+    use gscalar_sim::{memory::GlobalMemory, ArchConfig, Gpu, Instruments};
 
     fn kernel() -> gscalar_isa::Kernel {
         let mut b = KernelBuilder::new("work");
@@ -220,15 +217,18 @@ mod tests {
             PowerTimeline::new(&cfg, RfScheme::ByteWise, true, EnergyModel::default_40nm());
         let mut gpu = Gpu::new(cfg.clone(), ArchConfig::baseline());
         let mut mem = GlobalMemory::new();
-        let stats = gpu.run_observed(
-            &kernel(),
-            LaunchConfig::linear(4, 64),
-            &mut mem,
-            &mut Tracer::off(),
-            0,
-            interval,
-            &mut timeline,
-        );
+        let stats = gpu
+            .run_with(
+                &kernel(),
+                LaunchConfig::linear(4, 64),
+                &mut mem,
+                &mut Instruments {
+                    observers: vec![&mut timeline],
+                    sample_interval: interval,
+                    ..Instruments::default()
+                },
+            )
+            .unwrap();
         (stats, timeline, cfg)
     }
 

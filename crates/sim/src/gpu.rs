@@ -1,4 +1,16 @@
-//! The full GPU: SMs, the CTA scheduler, and the run loop.
+//! The full GPU: SMs, the CTA scheduler, and the one run driver both
+//! execution engines share.
+//!
+//! A run is a loop of simulated cycles. The engines differ only in how
+//! one cycle of every SM runs: the serial engine steps each SM in id
+//! order against the shared memory in place, the parallel engine (see
+//! [`crate::parallel`]) steps them concurrently against buffered ports
+//! and replays their effects at a barrier. Everything else — CTA fill
+//! and refill, activity detection, the idle skip, trace snapshots,
+//! observer samples, the budget, the watchdog and the final merge —
+//! is the run driver's, written once.
+
+use std::ops::ControlFlow;
 
 use gscalar_hostprof as hostprof;
 use gscalar_isa::{Dim3, Kernel, LaunchConfig};
@@ -6,24 +18,31 @@ use gscalar_profile::Profiler;
 use gscalar_trace::{TraceEvent, Tracer};
 
 use crate::config::{ArchConfig, GpuConfig};
+use crate::live::LiveObserver;
 use crate::memory::GlobalMemory;
 use crate::memsys::MemSystem;
-use crate::sm::Sm;
+use crate::sm::{MemPort, Sm};
 use crate::stats::Stats;
 
 /// Safety valve: a run exceeding this many cycles panics instead of
 /// spinning forever (a workload bug, not a hardware condition).
-pub(crate) const WATCHDOG_CYCLES: u64 = 2_000_000_000;
+const WATCHDOG_CYCLES: u64 = 2_000_000_000;
+
+/// Budget-check cadence of a budgeted run that sets no
+/// [`Instruments::sample_interval`] of its own (or the budget itself,
+/// when smaller).
+const BUDGET_CHECK_INTERVAL: u64 = 4096;
 
 /// Receives interval samples and the final state of a simulation run.
 ///
 /// Implementations feed metrics registries and power timelines without
-/// the run loop knowing about either. [`Gpu::run_observed`] calls
+/// the run loop knowing about either. The driver calls
 /// [`sample`](RunObserver::sample) with *cumulative* merged-across-SMs
-/// statistics each time the clock crosses a multiple of the sample
-/// interval (idle-skip jumps may cross several boundaries; one sample at
-/// the latest boundary is delivered, since the counters are cumulative),
-/// and [`finish`](RunObserver::finish) exactly once at the end.
+/// statistics each time the clock crosses a multiple of
+/// [`Instruments::sample_interval`] (idle-skip jumps may cross several
+/// boundaries; one sample at the latest boundary is delivered, since
+/// the counters are cumulative), and [`finish`](RunObserver::finish)
+/// exactly once at the end of a run that completes.
 pub trait RunObserver {
     /// One interval sample: `stats` is the cumulative merged state of
     /// every SM with `stats.cycles` set to the boundary cycle.
@@ -48,12 +67,97 @@ pub trait RunObserver {
     }
 }
 
-/// The no-op observer used by [`Gpu::run`] and [`Gpu::run_traced`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullObserver;
+/// A simulation was aborted because it crossed its simulated-cycle
+/// budget (see [`Instruments::budget`]).
+///
+/// The abort is *deterministic*: it triggers on simulated cycles, not
+/// wall time, so a budgeted run fails identically on every machine and
+/// thread count — the property the sweep engine's byte-identical
+/// manifests rely on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BudgetExceeded {
+    /// Simulated cycles when the budget tripped (the first sample
+    /// boundary at or past the budget).
+    pub cycles: u64,
+    /// The budget that applied.
+    pub budget: u64,
+}
 
-impl RunObserver for NullObserver {
-    fn sample(&mut self, _cycle: u64, _stats: &Stats) {}
+impl std::fmt::Display for BudgetExceeded {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "cycle budget exceeded: {} simulated of {} allowed",
+            self.cycles, self.budget
+        )
+    }
+}
+
+/// Everything a run records besides its result, and the budget that
+/// may cut it short: the one argument of [`Gpu::run_with`].
+/// [`Instruments::default`] records nothing and sets no budget.
+///
+/// Instruments only read the simulation: no field changes what the
+/// engine computes, only what it reports.
+pub struct Instruments<'a> {
+    /// Cycle-level event sink ([`Tracer::off`] records nothing).
+    pub tracer: Tracer<'a>,
+    /// While tracing, a [`TraceEvent::Snapshot`] with cumulative per-SM
+    /// counters is emitted each time the clock crosses a multiple of
+    /// this many cycles (0 = none; an idle skip crossing several
+    /// multiples emits one snapshot, at the latest).
+    pub snapshot_interval: u64,
+    /// Per-static-instruction profiler ([`Profiler::off`] records
+    /// nothing); read it back with [`Profiler::into_profile`].
+    pub profiler: Profiler,
+    /// Observers of the run, called in order at every sample and once
+    /// at the end (see [`RunObserver`]).
+    pub observers: Vec<&'a mut dyn RunObserver>,
+    /// Live telemetry for the run (`gscalar_core::Runner` attaches it
+    /// from the installed stream). It observes ahead of `observers` and
+    /// downsamples internally, so it never changes the run's cadence:
+    /// only a run with no cadence of its own (no `sample_interval`, no
+    /// `budget`, no `observers`) samples at the stream's.
+    pub live: Option<LiveObserver>,
+    /// Observers are sampled, and the budget checked, each time the
+    /// clock crosses a multiple of this many cycles (0 = never; a
+    /// budgeted run then checks every `min(budget, 4096)` cycles).
+    pub sample_interval: u64,
+    /// Simulated-cycle budget (0 = none): the run returns
+    /// [`BudgetExceeded`] at the first sample boundary at or past it,
+    /// after the observers have seen that sample and without calling
+    /// [`RunObserver::finish`].
+    pub budget: u64,
+}
+
+impl Default for Instruments<'_> {
+    fn default() -> Self {
+        Instruments {
+            tracer: Tracer::off(),
+            snapshot_interval: 0,
+            profiler: Profiler::off(),
+            observers: Vec::new(),
+            live: None,
+            sample_interval: 0,
+            budget: 0,
+        }
+    }
+}
+
+impl Instruments<'_> {
+    fn observed(&self) -> bool {
+        self.live.is_some() || !self.observers.is_empty()
+    }
+
+    /// Calls `f` on every observer of the run, live telemetry first.
+    fn watch(&mut self, mut f: impl FnMut(&mut dyn RunObserver)) {
+        if let Some(live) = &mut self.live {
+            f(live);
+        }
+        for o in &mut self.observers {
+            f(&mut **o);
+        }
+    }
 }
 
 /// A complete GPU executing one kernel launch at a time.
@@ -116,277 +220,337 @@ impl Gpu {
     /// Panics if a CTA cannot fit on an empty SM (CTA too large for the
     /// configuration) or the watchdog trips.
     pub fn run(&mut self, kernel: &Kernel, launch: LaunchConfig, gmem: &mut GlobalMemory) -> Stats {
-        self.run_traced(kernel, launch, gmem, &mut Tracer::off(), 0)
+        self.run_with(kernel, launch, gmem, &mut Instruments::default())
+            .expect("a run without a budget cannot exceed it")
     }
 
-    /// [`Gpu::run_traced`] plus interval observation: when
-    /// `sample_interval > 0`, `observer` receives cumulative
-    /// merged-across-SMs statistics at every crossed multiple of the
-    /// interval, and a final [`RunObserver::finish`] call either way.
+    /// [`Gpu::run`] with `ins` attached: tracing, profiling, observers
+    /// and a cycle budget (see [`Instruments`]). Runs on the parallel
+    /// engine when the resolved [`GpuConfig::exec_threads`] exceeds 1,
+    /// with byte-identical results.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BudgetExceeded`] when the run crossed `ins.budget`.
     ///
     /// # Panics
     ///
     /// Panics under the same conditions as [`Gpu::run`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_observed(
+    pub fn run_with(
         &mut self,
         kernel: &Kernel,
         launch: LaunchConfig,
         gmem: &mut GlobalMemory,
-        tracer: &mut Tracer<'_>,
-        snapshot_interval: u64,
-        sample_interval: u64,
-        observer: &mut dyn RunObserver,
-    ) -> Stats {
-        self.run_inner(
-            kernel,
-            launch,
-            gmem,
-            tracer,
-            snapshot_interval,
-            sample_interval,
-            observer,
-            &mut Profiler::off(),
-        )
-    }
-
-    /// [`Gpu::run`] with per-static-instruction profiling: every issue
-    /// slot, attributed stall cycle, eligibility classification,
-    /// execution span, compressor outcome, and branch execution is
-    /// recorded into `profiler` (see `gscalar_profile`). Combine with a
-    /// live `tracer` freely; the two instruments are independent.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Gpu::run`].
-    pub fn run_profiled(
-        &mut self,
-        kernel: &Kernel,
-        launch: LaunchConfig,
-        gmem: &mut GlobalMemory,
-        tracer: &mut Tracer<'_>,
-        profiler: &mut Profiler,
-    ) -> Stats {
-        self.run_inner(
-            kernel,
-            launch,
-            gmem,
-            tracer,
-            0,
-            0,
-            &mut NullObserver,
-            profiler,
-        )
-    }
-
-    /// [`Gpu::run`] with cycle-level tracing: events are emitted into
-    /// `tracer`, and when `snapshot_interval > 0` a
-    /// [`TraceEvent::Snapshot`] with cumulative per-SM counters is
-    /// emitted each time the clock crosses a multiple of the interval
-    /// (idle-skip jumps emit one snapshot at the latest boundary
-    /// crossed).
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Gpu::run`].
-    pub fn run_traced(
-        &mut self,
-        kernel: &Kernel,
-        launch: LaunchConfig,
-        gmem: &mut GlobalMemory,
-        tracer: &mut Tracer<'_>,
-        snapshot_interval: u64,
-    ) -> Stats {
-        self.run_inner(
-            kernel,
-            launch,
-            gmem,
-            tracer,
-            snapshot_interval,
-            0,
-            &mut NullObserver,
-            &mut Profiler::off(),
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_inner(
-        &mut self,
-        kernel: &Kernel,
-        launch: LaunchConfig,
-        gmem: &mut GlobalMemory,
-        tracer: &mut Tracer<'_>,
-        snapshot_interval: u64,
-        sample_interval: u64,
-        observer: &mut dyn RunObserver,
-        profiler: &mut Profiler,
-    ) -> Stats {
-        let exec_threads =
-            gscalar_pool::resolve_threads(self.cfg.exec_threads).min(self.cfg.num_sms);
-        if exec_threads > 1 {
-            return crate::parallel::run_parallel(
-                &self.cfg,
-                &self.arch,
-                exec_threads,
-                kernel,
-                launch,
-                gmem,
-                tracer,
-                snapshot_interval,
-                sample_interval,
-                observer,
-                profiler,
-            );
-        }
-        let mut memsys = MemSystem::new(&self.cfg);
+        ins: &mut Instruments<'_>,
+    ) -> Result<Stats, BudgetExceeded> {
         let mut sms: Vec<Sm> = (0..self.cfg.num_sms)
             .map(|i| Sm::new(i, &self.cfg, &self.arch, kernel.num_regs() as usize))
             .collect();
-
-        // CTA work list in linear order.
-        let total_ctas = launch.grid.count();
-        let mut next_cta: u64 = 0;
-        let mut ctas_done: u64 = 0;
-        let threads = launch.threads_per_cta() as usize;
-        let warps_per_cta = threads.div_ceil(self.cfg.warp_size);
-
-        // Initial fill, round-robin over SMs.
-        let fill_phase = hostprof::phase(hostprof::Phase::CtaLaunch);
-        let mut made_progress = true;
-        while made_progress && next_cta < total_ctas {
-            made_progress = false;
+        let mut memsys = MemSystem::new(&self.cfg);
+        let mut driver = Driver::start(&self.cfg, kernel, launch, ins, &mut sms);
+        let threads = gscalar_pool::resolve_threads(self.cfg.exec_threads).min(self.cfg.num_sms);
+        if threads > 1 {
+            return crate::parallel::run(&mut driver, threads, sms, &mut memsys, gmem, ins);
+        }
+        // The serial engine: every SM in id order, straight against the
+        // shared memory state.
+        let mut now = 0;
+        loop {
             for sm in &mut sms {
-                if next_cta >= total_ctas {
-                    break;
-                }
-                if sm.can_accept_cta(warps_per_cta, kernel.shared_mem_bytes()) {
-                    sm.launch_cta(
-                        kernel,
-                        cta_coord(next_cta, launch.grid),
-                        launch.grid,
-                        launch.block,
-                    );
-                    next_cta += 1;
-                    made_progress = true;
-                }
+                let mut port = MemPort::Direct {
+                    gmem,
+                    memsys: &mut memsys,
+                };
+                let outcome = step(
+                    sm,
+                    now,
+                    kernel,
+                    &mut port,
+                    &mut ins.tracer,
+                    &mut ins.profiler,
+                );
+                driver.settle(sm, outcome);
+            }
+            match driver.end_cycle(now, &mut sms[..], ins) {
+                ControlFlow::Continue(next) => now = next,
+                ControlFlow::Break(result) => return result,
+            }
+        }
+    }
+}
+
+/// What one SM's cycle reports to [`Driver::settle`].
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Outcome {
+    /// CTAs that completed this cycle (the driver refills the SM).
+    completed: u64,
+    /// Whether the SM completed a CTA, issued, allocated an operand
+    /// collector or holds a pending one: any of these rules out the
+    /// idle skip.
+    active: bool,
+}
+
+/// Runs cycle `now` of `sm` against `port` and reports its [`Outcome`].
+pub(crate) fn step(
+    sm: &mut Sm,
+    now: u64,
+    kernel: &Kernel,
+    port: &mut MemPort<'_>,
+    tracer: &mut Tracer<'_>,
+    profiler: &mut Profiler,
+) -> Outcome {
+    let before = sm.stats.pipe.issued + sm.stats.pipe.oc_allocs;
+    let completed = sm.cycle_port(now, kernel, port, tracer, profiler) as u64;
+    let active = completed > 0
+        || sm.stats.pipe.issued + sm.stats.pipe.oc_allocs != before
+        || sm.collectors_pending();
+    Outcome { completed, active }
+}
+
+/// The SMs as the [`Driver`] reaches them between two cycles. The
+/// serial engine owns them outright; the parallel engine locks one slot
+/// at a time.
+pub(crate) trait Shards {
+    /// Calls `f` on every SM in id order.
+    fn each(&mut self, f: impl FnMut(&mut Sm));
+}
+
+impl Shards for [Sm] {
+    fn each(&mut self, f: impl FnMut(&mut Sm)) {
+        self.iter_mut().for_each(f);
+    }
+}
+
+/// The steps of a run both engines share: everything between one cycle
+/// of every SM and the next.
+pub(crate) struct Driver<'k> {
+    kernel: &'k Kernel,
+    launch: LaunchConfig,
+    warps_per_cta: usize,
+    total_ctas: u64,
+    next_cta: u64,
+    ctas_done: u64,
+    /// Whether any SM settled so far this cycle was active.
+    any_activity: bool,
+    /// The cadence of observer samples and budget checks.
+    sample_interval: u64,
+    last_snapshot: u64,
+    last_sample: u64,
+}
+
+impl<'k> Driver<'k> {
+    /// Starts a run: fills `sms` round-robin with the launch's first
+    /// CTAs, in linear CTA order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a CTA does not fit on an empty SM.
+    fn start(
+        cfg: &GpuConfig,
+        kernel: &'k Kernel,
+        launch: LaunchConfig,
+        ins: &Instruments<'_>,
+        sms: &mut [Sm],
+    ) -> Self {
+        let threads = launch.threads_per_cta() as usize;
+        let sample_interval = match ins.sample_interval {
+            0 if ins.budget > 0 => ins.budget.min(BUDGET_CHECK_INTERVAL),
+            0 if ins.observers.is_empty() => {
+                ins.live.as_ref().map_or(0, LiveObserver::sample_interval)
+            }
+            n => n,
+        };
+        let mut driver = Driver {
+            kernel,
+            launch,
+            warps_per_cta: threads.div_ceil(cfg.warp_size),
+            total_ctas: launch.grid.count(),
+            next_cta: 0,
+            ctas_done: 0,
+            any_activity: false,
+            sample_interval,
+            last_snapshot: 0,
+            last_sample: 0,
+        };
+        let _fill_phase = hostprof::phase(hostprof::Phase::CtaLaunch);
+        let mut progress = true;
+        while progress {
+            progress = false;
+            for sm in sms.iter_mut() {
+                progress |= driver.launch_next(sm);
             }
         }
         assert!(
-            next_cta > 0,
+            driver.next_cta > 0,
             "CTA of {threads} threads does not fit the configuration"
         );
-        drop(fill_phase);
-
-        let mut now: u64 = 0;
-        let mut last_snapshot: u64 = 0;
-        let mut last_sample: u64 = 0;
-        while ctas_done < total_ctas {
-            let mut any_activity = false;
-            for sm in &mut sms {
-                let before = sm.stats.pipe.issued + sm.stats.pipe.oc_allocs;
-                let completed = sm.cycle(now, kernel, gmem, &mut memsys, tracer, profiler);
-                if completed > 0 {
-                    ctas_done += completed as u64;
-                    // Refill this SM.
-                    let _fill_phase = hostprof::phase(hostprof::Phase::CtaLaunch);
-                    while next_cta < total_ctas
-                        && sm.can_accept_cta(warps_per_cta, kernel.shared_mem_bytes())
-                    {
-                        sm.launch_cta(
-                            kernel,
-                            cta_coord(next_cta, launch.grid),
-                            launch.grid,
-                            launch.block,
-                        );
-                        next_cta += 1;
-                    }
-                }
-                if completed > 0
-                    || sm.stats.pipe.issued + sm.stats.pipe.oc_allocs != before
-                    || sm.collectors_pending()
-                {
-                    any_activity = true;
-                }
-            }
-            if ctas_done >= total_ctas {
-                now += 1;
-                break;
-            }
-            if any_activity {
-                now += 1;
-            } else {
-                // Idle: skip ahead to the next pipeline completion or
-                // scoreboard release.
-                let _idle_phase = hostprof::phase(hostprof::Phase::IdleScan);
-                let next = sms
-                    .iter()
-                    .flat_map(|sm| {
-                        sm.next_event()
-                            .into_iter()
-                            .chain((sm.last_release() > now).then(|| sm.last_release()))
-                    })
-                    .min();
-                let new_now = next.map_or(now + 1, |t| t.max(now + 1));
-                // The jumped-over cycles were charged to no scheduler;
-                // attribute them in bulk so the per-scheduler CPI ledger
-                // still sums exactly to elapsed cycles.
-                let skipped = new_now - (now + 1);
-                for sm in &mut sms {
-                    sm.charge_idle_skip(skipped);
-                }
-                now = new_now;
-            }
-            // Interval metrics: cumulative per-SM counters at each
-            // boundary crossing. Idle-skip jumps may pass several
-            // boundaries at once; one snapshot at the latest suffices
-            // since the counters are cumulative.
-            if snapshot_interval > 0 && tracer.is_on() {
-                let boundary = now / snapshot_interval * snapshot_interval;
-                if boundary > last_snapshot {
-                    let _snap_phase = hostprof::phase(hostprof::Phase::Snapshot);
-                    last_snapshot = boundary;
-                    for (i, sm) in sms.iter().enumerate() {
-                        let s = &sm.stats;
-                        tracer.emit_with(boundary, || TraceEvent::Snapshot {
-                            sm: i as u32,
-                            issued: s.pipe.issued,
-                            scalar: s.instr.executed_scalar,
-                            rf_bytes_compressed: s.rf.ours_bytes,
-                            rf_bytes_uncompressed: s.rf.raw_bytes,
-                            rf_activations: s.rf.ours_arrays,
-                        });
-                    }
-                }
-            }
-            // Observer samples: cumulative merged statistics at each
-            // sample-interval boundary crossing (same idle-skip
-            // semantics as snapshots above).
-            if let Some(intervals) = now.checked_div(sample_interval) {
-                let boundary = intervals * sample_interval;
-                if boundary > last_sample {
-                    let _snap_phase = hostprof::phase(hostprof::Phase::Snapshot);
-                    last_sample = boundary;
-                    let mut cum = Stats::default();
-                    for (i, sm) in sms.iter().enumerate() {
-                        observer.sample_sm(boundary, i, &sm.stats);
-                        cum.merge(&sm.stats);
-                    }
-                    cum.cycles = boundary;
-                    observer.sample(boundary, &cum);
-                }
-            }
-            assert!(now < WATCHDOG_CYCLES, "simulation watchdog tripped");
-        }
-
-        let mut stats = Stats::default();
-        for sm in &sms {
-            stats.merge(&sm.stats);
-        }
-        stats.cycles = now;
-        let per_sm: Vec<Stats> = sms.iter().map(|sm| sm.stats.clone()).collect();
-        observer.finish(now, &stats, &per_sm);
-        stats
+        driver
     }
+
+    /// The kernel being run.
+    pub(crate) fn kernel(&self) -> &'k Kernel {
+        self.kernel
+    }
+
+    /// Launches the next CTA on `sm` if one remains and fits.
+    fn launch_next(&mut self, sm: &mut Sm) -> bool {
+        let fits = self.next_cta < self.total_ctas
+            && sm.can_accept_cta(self.warps_per_cta, self.kernel.shared_mem_bytes());
+        if fits {
+            let grid = self.launch.grid;
+            sm.launch_cta(
+                self.kernel,
+                cta_coord(self.next_cta, grid),
+                grid,
+                self.launch.block,
+            );
+            self.next_cta += 1;
+        }
+        fits
+    }
+
+    /// Takes `sm`'s [`Outcome`] of the cycle and refills the CTAs it
+    /// completed. The engines settle every SM once per cycle, in id
+    /// order, before [`Driver::end_cycle`]; a launch touches only its
+    /// own SM and the CTA counter, so no SM's cycle can see another's.
+    pub(crate) fn settle(&mut self, sm: &mut Sm, outcome: Outcome) {
+        if outcome.completed > 0 {
+            self.ctas_done += outcome.completed;
+            let _fill_phase = hostprof::phase(hostprof::Phase::CtaLaunch);
+            while self.launch_next(sm) {}
+        }
+        self.any_activity |= outcome.active;
+    }
+
+    /// Ends cycle `now` once every SM has run and settled it: either
+    /// finishes the run or advances the clock — one cycle, or past an
+    /// idle stretch — emitting the snapshots and samples whose
+    /// boundaries it crossed. Continues with the next cycle to run, or
+    /// breaks with the run's result.
+    pub(crate) fn end_cycle(
+        &mut self,
+        now: u64,
+        sms: &mut (impl Shards + ?Sized),
+        ins: &mut Instruments<'_>,
+    ) -> ControlFlow<Result<Stats, BudgetExceeded>, u64> {
+        if self.ctas_done >= self.total_ctas {
+            return ControlFlow::Break(Ok(finish(now + 1, sms, ins)));
+        }
+        let now = if std::mem::take(&mut self.any_activity) {
+            now + 1
+        } else {
+            skip_idle(now, sms)
+        };
+        self.snapshot(now, sms, ins);
+        if let Some(exceeded) = self.sample(now, sms, ins) {
+            return ControlFlow::Break(Err(exceeded));
+        }
+        assert!(now < WATCHDOG_CYCLES, "simulation watchdog tripped");
+        ControlFlow::Continue(now)
+    }
+
+    /// Emits one [`TraceEvent::Snapshot`] per SM when `now` crossed a
+    /// snapshot boundary.
+    fn snapshot(&mut self, now: u64, sms: &mut (impl Shards + ?Sized), ins: &mut Instruments<'_>) {
+        if !ins.tracer.is_on() {
+            return;
+        }
+        let Some(intervals) = now.checked_div(ins.snapshot_interval) else {
+            return;
+        };
+        let boundary = intervals * ins.snapshot_interval;
+        if boundary <= self.last_snapshot {
+            return;
+        }
+        let _snap_phase = hostprof::phase(hostprof::Phase::Snapshot);
+        self.last_snapshot = boundary;
+        let mut id = 0;
+        sms.each(|sm| {
+            let s = &sm.stats;
+            ins.tracer.emit_with(boundary, || TraceEvent::Snapshot {
+                sm: id,
+                issued: s.pipe.issued,
+                scalar: s.instr.executed_scalar,
+                rf_bytes_compressed: s.rf.ours_bytes,
+                rf_bytes_uncompressed: s.rf.raw_bytes,
+                rf_activations: s.rf.ours_arrays,
+            });
+            id += 1;
+        });
+    }
+
+    /// Samples the observers when `now` crossed a sample boundary, and
+    /// reports a budget that boundary reached.
+    fn sample(
+        &mut self,
+        now: u64,
+        sms: &mut (impl Shards + ?Sized),
+        ins: &mut Instruments<'_>,
+    ) -> Option<BudgetExceeded> {
+        let boundary = now.checked_div(self.sample_interval)? * self.sample_interval;
+        if boundary <= self.last_sample {
+            return None;
+        }
+        self.last_sample = boundary;
+        if ins.observed() {
+            let _snap_phase = hostprof::phase(hostprof::Phase::Snapshot);
+            let mut cum = Stats::default();
+            let mut id = 0;
+            sms.each(|sm| {
+                ins.watch(|o| o.sample_sm(boundary, id, &sm.stats));
+                cum.merge(&sm.stats);
+                id += 1;
+            });
+            cum.cycles = boundary;
+            ins.watch(|o| o.sample(boundary, &cum));
+        }
+        (ins.budget > 0 && boundary >= ins.budget).then_some(BudgetExceeded {
+            cycles: boundary,
+            budget: ins.budget,
+        })
+    }
+}
+
+/// No SM showed activity: jumps the clock to the next pipeline
+/// completion or scoreboard release, and charges the jumped-over cycles
+/// in bulk so the per-scheduler CPI ledger still sums exactly to
+/// elapsed cycles.
+fn skip_idle(now: u64, sms: &mut (impl Shards + ?Sized)) -> u64 {
+    let _idle_phase = hostprof::phase(hostprof::Phase::IdleScan);
+    let mut next: Option<u64> = None;
+    sms.each(|sm| {
+        let release = sm.last_release();
+        for t in sm
+            .next_event()
+            .into_iter()
+            .chain((release > now).then_some(release))
+        {
+            next = Some(next.map_or(t, |n| n.min(t)));
+        }
+    });
+    let target = next.map_or(now + 1, |t| t.max(now + 1));
+    let skipped = target - (now + 1);
+    if skipped > 0 {
+        sms.each(|sm| sm.charge_idle_skip(skipped));
+    }
+    target
+}
+
+/// Merges every SM's statistics into the run's result at cycle `end`
+/// and tells the observers the run is complete.
+fn finish(end: u64, sms: &mut (impl Shards + ?Sized), ins: &mut Instruments<'_>) -> Stats {
+    let observed = ins.observed();
+    let mut stats = Stats::default();
+    let mut per_sm = Vec::new();
+    sms.each(|sm| {
+        stats.merge(&sm.stats);
+        if observed {
+            per_sm.push(sm.stats.clone());
+        }
+    });
+    stats.cycles = end;
+    ins.watch(|o| o.finish(end, &stats, &per_sm));
+    stats
 }
 
 /// Converts a linear CTA index to grid coordinates.
@@ -612,15 +776,14 @@ mod tests {
 
         let mut gpu = Gpu::new(GpuConfig::test_small(), ArchConfig::baseline());
         let mut mem = GlobalMemory::new();
-        let mut profiler = Profiler::for_kernel(0, kernel.name(), kernel.len());
-        let stats = gpu.run_profiled(
-            &kernel,
-            LaunchConfig::linear(2, 64),
-            &mut mem,
-            &mut Tracer::off(),
-            &mut profiler,
-        );
-        let prof = profiler.into_profile().unwrap();
+        let mut ins = Instruments {
+            profiler: Profiler::for_kernel(0, kernel.name(), kernel.len()),
+            ..Instruments::default()
+        };
+        let stats = gpu
+            .run_with(&kernel, LaunchConfig::linear(2, 64), &mut mem, &mut ins)
+            .unwrap();
+        let prof = ins.profiler.into_profile().unwrap();
 
         // Every scheduler cycle is either an issue charged to a PC or a
         // stall charged to a PC / the unattributed pool.

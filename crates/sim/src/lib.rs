@@ -66,7 +66,7 @@ pub mod stats;
 pub mod warp;
 
 pub use config::{ArchConfig, ConfigError, GpuConfig, IdealConfig, Latencies};
-pub use gpu::{Gpu, NullObserver, RunObserver};
+pub use gpu::{BudgetExceeded, Gpu, Instruments, RunObserver};
 pub use live::LiveObserver;
 pub use metrics::MetricsObserver;
 pub use stats::{ScalarClass, SchedStats, Stats};

@@ -1,6 +1,6 @@
 //! Bridges the simulator's [`Stats`] into a live telemetry stream.
 //!
-//! A [`LiveObserver`] plugs into [`Gpu::run_observed`](crate::Gpu) the
+//! A [`LiveObserver`] plugs into [`Gpu::run_with`](crate::Gpu::run_with) the
 //! same way [`MetricsObserver`](crate::MetricsObserver) does, but emits
 //! NDJSON [`LiveRecord`]s to a [`gscalar_live::LiveHandle`] *while the
 //! run executes*: one `run_start`, periodic `snapshot`s (cumulative
@@ -33,7 +33,7 @@ pub struct LiveObserver {
 
 impl LiveObserver {
     /// Announces a new run on `handle` (emitting `run_start`) and
-    /// returns the observer to pass to `run_observed`.
+    /// returns the observer to attach to a run.
     #[must_use]
     pub fn start(handle: LiveHandle, workload: &str, arch: &str, sms: usize) -> Self {
         let run = handle.next_run_id();
@@ -140,11 +140,10 @@ impl RunObserver for LiveObserver {
 mod tests {
     use super::*;
     use crate::config::{ArchConfig, GpuConfig};
-    use crate::gpu::Gpu;
+    use crate::gpu::{Gpu, Instruments};
     use crate::memory::GlobalMemory;
     use gscalar_isa::{KernelBuilder, LaunchConfig, Operand, SReg};
     use gscalar_live::StreamConfig;
-    use gscalar_trace::Tracer;
 
     fn busy_kernel() -> gscalar_isa::Kernel {
         let mut b = KernelBuilder::new("busy");
@@ -170,15 +169,18 @@ mod tests {
         let mut mem = GlobalMemory::new();
         let mut obs = LiveObserver::start(handle.clone(), "busy", "base", 4);
         let interval = obs.sample_interval();
-        let stats = gpu.run_observed(
-            &busy_kernel(),
-            LaunchConfig::linear(4, 64),
-            &mut mem,
-            &mut Tracer::off(),
-            0,
-            interval,
-            &mut obs,
-        );
+        let stats = gpu
+            .run_with(
+                &busy_kernel(),
+                LaunchConfig::linear(4, 64),
+                &mut mem,
+                &mut Instruments {
+                    observers: vec![&mut obs],
+                    sample_interval: interval,
+                    ..Instruments::default()
+                },
+            )
+            .unwrap();
         handle.close();
         (stats, handle.collected().unwrap())
     }
@@ -258,15 +260,17 @@ mod tests {
         let mut gpu = Gpu::new(GpuConfig::test_small(), ArchConfig::baseline());
         let mut mem = GlobalMemory::new();
         let mut obs = LiveObserver::start(handle.clone(), "busy", "base", 1);
-        gpu.run_observed(
+        gpu.run_with(
             &busy_kernel(),
             LaunchConfig::linear(1, 32),
             &mut mem,
-            &mut Tracer::off(),
-            0,
-            2,
-            &mut obs,
-        );
+            &mut Instruments {
+                observers: vec![&mut obs],
+                sample_interval: 2,
+                ..Instruments::default()
+            },
+        )
+        .unwrap();
         handle.close();
         let cycles: Vec<u64> = handle
             .collected()

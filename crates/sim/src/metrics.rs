@@ -1,7 +1,7 @@
 //! Bridges the simulator's [`Stats`] into a
 //! [`gscalar_metrics::MetricsRegistry`].
 //!
-//! A [`MetricsObserver`] plugs into [`Gpu::run_observed`](crate::Gpu):
+//! A [`MetricsObserver`] plugs into [`Gpu::run_with`](crate::Gpu::run_with):
 //! during the run it appends interval time-series (IPC, issue count,
 //! scalar-execution rate) from the cumulative samples; at the end it
 //! exports every counter of the merged statistics under `gpu/…` and of
@@ -20,9 +20,8 @@ use crate::stats::Stats;
 /// ```
 /// use gscalar_isa::{KernelBuilder, LaunchConfig, Operand};
 /// use gscalar_sim::{
-///     memory::GlobalMemory, ArchConfig, Gpu, GpuConfig, MetricsObserver,
+///     memory::GlobalMemory, ArchConfig, Gpu, GpuConfig, Instruments, MetricsObserver,
 /// };
-/// use gscalar_trace::Tracer;
 ///
 /// let mut b = KernelBuilder::new("tiny");
 /// b.mov(Operand::Imm(7));
@@ -32,15 +31,14 @@ use crate::stats::Stats;
 /// let mut gpu = Gpu::new(GpuConfig::test_small(), ArchConfig::baseline());
 /// let mut mem = GlobalMemory::new();
 /// let mut obs = MetricsObserver::new();
-/// let stats = gpu.run_observed(
-///     &kernel,
-///     LaunchConfig::linear(2, 64),
-///     &mut mem,
-///     &mut Tracer::off(),
-///     0,
-///     16,
-///     &mut obs,
-/// );
+/// let mut ins = Instruments {
+///     observers: vec![&mut obs],
+///     sample_interval: 16,
+///     ..Instruments::default()
+/// };
+/// let stats = gpu
+///     .run_with(&kernel, LaunchConfig::linear(2, 64), &mut mem, &mut ins)
+///     .unwrap();
 /// let reg = obs.into_registry();
 /// assert_eq!(reg.counter("gpu/cycles"), Some(stats.cycles));
 /// assert_eq!(
@@ -98,10 +96,9 @@ impl RunObserver for MetricsObserver {
 mod tests {
     use super::*;
     use crate::config::{ArchConfig, GpuConfig};
-    use crate::gpu::Gpu;
+    use crate::gpu::{Gpu, Instruments};
     use crate::memory::GlobalMemory;
     use gscalar_isa::{KernelBuilder, LaunchConfig, Operand, SReg};
-    use gscalar_trace::Tracer;
 
     fn busy_kernel() -> gscalar_isa::Kernel {
         let mut b = KernelBuilder::new("busy");
@@ -121,15 +118,18 @@ mod tests {
         let mut gpu = Gpu::new(cfg, ArchConfig::baseline());
         let mut mem = GlobalMemory::new();
         let mut obs = MetricsObserver::new();
-        let stats = gpu.run_observed(
-            &busy_kernel(),
-            LaunchConfig::linear(4, 64),
-            &mut mem,
-            &mut Tracer::off(),
-            0,
-            8,
-            &mut obs,
-        );
+        let stats = gpu
+            .run_with(
+                &busy_kernel(),
+                LaunchConfig::linear(4, 64),
+                &mut mem,
+                &mut Instruments {
+                    observers: vec![&mut obs],
+                    sample_interval: 8,
+                    ..Instruments::default()
+                },
+            )
+            .unwrap();
         let reg = obs.into_registry();
         assert_eq!(reg.counter("gpu/cycles"), Some(stats.cycles));
         assert_eq!(reg.counter("gpu/pipe/issued"), Some(stats.pipe.issued));
@@ -161,15 +161,16 @@ mod tests {
         let mut gpu = Gpu::new(GpuConfig::test_small(), ArchConfig::baseline());
         let mut mem = GlobalMemory::new();
         let mut obs = MetricsObserver::new();
-        gpu.run_observed(
+        gpu.run_with(
             &busy_kernel(),
             LaunchConfig::linear(1, 32),
             &mut mem,
-            &mut Tracer::off(),
-            0,
-            0,
-            &mut obs,
-        );
+            &mut Instruments {
+                observers: vec![&mut obs],
+                ..Instruments::default()
+            },
+        )
+        .unwrap();
         let reg = obs.into_registry();
         assert!(reg.counter("gpu/cycles").is_some());
         assert!(reg.series("gpu/interval/ipc").is_none());

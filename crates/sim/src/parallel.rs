@@ -1,7 +1,9 @@
-//! The in-process parallel execution engine: shards the per-cycle SM
-//! loop of [`crate::Gpu::run`] across a small pool of persistent
-//! worker threads while producing **byte-identical** results to the
-//! serial engine at any thread count.
+//! The in-process parallel execution engine: runs each cycle's SM steps
+//! of [`crate::Gpu::run_with`] on a small pool of persistent worker
+//! threads while producing **byte-identical** results to the serial
+//! engine at any thread count. Everything between two cycles is the
+//! shared driver's (see [`crate::gpu`]); this module only steps the SMs
+//! against buffered ports and replays their effects at the barrier.
 //!
 //! # Determinism contract
 //!
@@ -35,16 +37,14 @@
 //! suite compares engines on every benchmark and on randomized
 //! kernels.
 
-use std::panic::AssertUnwindSafe;
+use std::ops::ControlFlow;
 use std::sync::{Mutex, RwLock};
 
 use gscalar_hostprof as hostprof;
-use gscalar_isa::{Kernel, LaunchConfig};
 use gscalar_profile::Profiler;
 use gscalar_trace::{Record, TraceEvent, TraceSink, Tracer};
 
-use crate::config::{ArchConfig, GpuConfig};
-use crate::gpu::{cta_coord, RunObserver, WATCHDOG_CYCLES};
+use crate::gpu::{step, BudgetExceeded, Driver, Instruments, Outcome, Shards};
 use crate::memory::GlobalMemory;
 use crate::memsys::MemSystem;
 use crate::sm::{EpochBuffer, MemPort, Sm};
@@ -74,300 +74,140 @@ struct SmSlot {
     buf: EpochBuffer,
     sink: EpochSink,
     profiler: Profiler,
-    /// CTAs completed this epoch (consumed at the barrier).
-    completed: u64,
-    /// This SM's contribution to the cycle's activity flag.
-    active: bool,
+    /// This SM's outcome of the epoch, settled at the barrier.
+    outcome: Outcome,
 }
 
-/// Parallel counterpart of `Gpu::run_inner`; entered when the resolved
-/// [`GpuConfig::exec_threads`] exceeds 1.
+impl Shards for &[Mutex<SmSlot>] {
+    fn each(&mut self, mut f: impl FnMut(&mut Sm)) {
+        for slot in self.iter() {
+            f(&mut slot.lock().expect("slot lock").sm);
+        }
+    }
+}
+
+/// The parallel engine's part of [`crate::Gpu::run_with`], entered when
+/// the resolved [`GpuConfig::exec_threads`](crate::GpuConfig) exceeds
+/// 1: each epoch steps every SM on the pool against buffered ports,
+/// then the barrier replays and settles them in id order and hands the
+/// cycle to the shared `driver`.
 ///
 /// # Panics
 ///
 /// Panics under the same conditions as the serial engine (unfittable
 /// CTA, watchdog); panics from worker threads propagate to the caller.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_parallel(
-    cfg: &GpuConfig,
-    arch: &ArchConfig,
+pub(crate) fn run(
+    driver: &mut Driver<'_>,
     threads: usize,
-    kernel: &Kernel,
-    launch: LaunchConfig,
+    sms: Vec<Sm>,
+    memsys: &mut MemSystem,
     gmem: &mut GlobalMemory,
-    tracer: &mut Tracer<'_>,
-    snapshot_interval: u64,
-    sample_interval: u64,
-    observer: &mut dyn RunObserver,
-    profiler: &mut Profiler,
-) -> Stats {
-    // Global memory moves into a lock for the duration of the run:
-    // workers read the epoch-start snapshot, the coordinator applies
-    // buffered stores at the barrier. Restored below even on unwind
-    // (watchdog, budget abort) so the caller's memory matches what a
-    // serial run would have left behind.
-    let gmem_lock = RwLock::new(std::mem::take(gmem));
-    let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        run_epochs_inner(
-            cfg,
-            arch,
-            threads,
-            kernel,
-            launch,
-            &gmem_lock,
-            tracer,
-            snapshot_interval,
-            sample_interval,
-            observer,
-            profiler,
-        )
-    }));
-    *gmem = gmem_lock
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    match result {
-        Ok(stats) => stats,
-        Err(payload) => std::panic::resume_unwind(payload),
-    }
-}
-
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-fn run_epochs_inner(
-    cfg: &GpuConfig,
-    arch: &ArchConfig,
-    threads: usize,
-    kernel: &Kernel,
-    launch: LaunchConfig,
-    gmem_lock: &RwLock<GlobalMemory>,
-    tracer: &mut Tracer<'_>,
-    snapshot_interval: u64,
-    sample_interval: u64,
-    observer: &mut dyn RunObserver,
-    profiler: &mut Profiler,
-) -> Stats {
-    let mut memsys = MemSystem::new(cfg);
-    let mut slots: Vec<Mutex<SmSlot>> = (0..cfg.num_sms)
-        .map(|i| {
+    ins: &mut Instruments<'_>,
+) -> Result<Stats, BudgetExceeded> {
+    let kernel = driver.kernel();
+    let slots: Vec<Mutex<SmSlot>> = sms
+        .into_iter()
+        .map(|sm| {
             Mutex::new(SmSlot {
-                sm: Sm::new(i, cfg, arch, kernel.num_regs() as usize),
+                sm,
                 buf: EpochBuffer::default(),
                 sink: EpochSink::default(),
-                profiler: profiler.fork(),
-                completed: 0,
-                active: false,
+                profiler: ins.profiler.fork(),
+                outcome: Outcome::default(),
             })
         })
         .collect();
-
-    // CTA work list in linear order; initial fill round-robin over SMs
-    // — identical to the serial engine.
-    let total_ctas = launch.grid.count();
-    let mut next_cta: u64 = 0;
-    let mut ctas_done: u64 = 0;
-    let cta_threads = launch.threads_per_cta() as usize;
-    let warps_per_cta = cta_threads.div_ceil(cfg.warp_size);
-    let fill_phase = hostprof::phase(hostprof::Phase::CtaLaunch);
-    let mut made_progress = true;
-    while made_progress && next_cta < total_ctas {
-        made_progress = false;
-        for slot in &mut slots {
-            if next_cta >= total_ctas {
-                break;
-            }
-            let sm = &mut slot.get_mut().expect("no contention yet").sm;
-            if sm.can_accept_cta(warps_per_cta, kernel.shared_mem_bytes()) {
-                sm.launch_cta(
-                    kernel,
-                    cta_coord(next_cta, launch.grid),
-                    launch.grid,
-                    launch.block,
-                );
-                next_cta += 1;
-                made_progress = true;
+    // Workers read global memory during an epoch, the coordinator
+    // writes the buffered stores at the barrier.
+    let gmem = RwLock::new(gmem);
+    let tracing = ins.tracer.is_on();
+    let mut result = None;
+    // One SM's cycle against its private buffers and the shared
+    // read-only memory snapshot; runs on workers and the coordinator
+    // alike.
+    let work = |i: usize, now: u64| {
+        let mut guard = slots[i].lock().expect("slot lock");
+        let slot = &mut *guard;
+        let gmem = gmem.read().expect("gmem read lock");
+        let mut local = if tracing {
+            Tracer::new(&mut slot.sink)
+        } else {
+            Tracer::off()
+        };
+        let mut port = MemPort::Buffered {
+            gmem: &gmem,
+            buf: &mut slot.buf,
+        };
+        slot.outcome = step(
+            &mut slot.sm,
+            now,
+            kernel,
+            &mut port,
+            &mut local,
+            &mut slot.profiler,
+        );
+    };
+    // The barrier: replay and settle every SM in sm-id order, then end
+    // the cycle exactly as the serial engine does.
+    let barrier = |now: u64| {
+        // The whole barrier is Barrier host time; nested guards
+        // (Memsys in resolve_pending, CtaLaunch, IdleScan, Snapshot)
+        // carve out their own shares.
+        let _barrier_phase = hostprof::phase(hostprof::Phase::Barrier);
+        {
+            let mut gmem = gmem.write().expect("gmem write lock");
+            for slot in &slots {
+                let mut guard = slot.lock().expect("slot lock");
+                let slot = &mut *guard;
+                replay(slot, memsys, &mut gmem, &mut ins.tracer);
+                driver.settle(&mut slot.sm, slot.outcome);
             }
         }
-    }
-    assert!(
-        next_cta > 0,
-        "CTA of {cta_threads} threads does not fit the configuration"
-    );
-    drop(fill_phase);
-
-    let tracing = tracer.is_on();
-    let mut last_snapshot: u64 = 0;
-    let mut last_sample: u64 = 0;
-    let mut end_now: u64 = 0;
-
-    {
-        let slots = &slots;
-        // Phase 1, run on workers and the coordinator alike: one SM's
-        // cycle against its private buffers and the shared read-only
-        // memory snapshot.
-        let work = |i: usize, now: u64| {
-            let mut guard = slots[i].lock().expect("slot lock");
-            let slot = &mut *guard;
-            let gmem = gmem_lock.read().expect("gmem read lock");
-            let before = slot.sm.stats.pipe.issued + slot.sm.stats.pipe.oc_allocs;
-            let mut local = if tracing {
-                Tracer::new(&mut slot.sink)
-            } else {
-                Tracer::off()
-            };
-            let completed = slot.sm.cycle_port(
-                now,
-                kernel,
-                &mut MemPort::Buffered {
-                    gmem: &gmem,
-                    buf: &mut slot.buf,
-                },
-                &mut local,
-                &mut slot.profiler,
-            );
-            slot.completed = completed as u64;
-            slot.active = completed > 0
-                || slot.sm.stats.pipe.issued + slot.sm.stats.pipe.oc_allocs != before
-                || slot.sm.collectors_pending();
-        };
-        // Phase 2, the barrier: apply every SM's buffered effects in
-        // sm-id order, then advance the clock exactly as the serial
-        // loop does.
-        let next = |now: u64| -> Option<u64> {
-            // The whole serial barrier section is Barrier host time;
-            // nested guards (Memsys in resolve_pending, CtaLaunch,
-            // IdleScan, Snapshot below) carve out their own shares.
-            let barrier_phase = hostprof::phase(hostprof::Phase::Barrier);
-            let mut any_activity = false;
-            {
-                let mut gmem = gmem_lock.write().expect("gmem write lock");
-                for slot in slots {
-                    let mut guard = slot.lock().expect("slot lock");
-                    let SmSlot {
-                        sm,
-                        buf,
-                        sink,
-                        profiler,
-                        completed,
-                        active,
-                    } = &mut *guard;
-                    // Replay the epoch's local trace, pausing at each
-                    // deferred memory request's recorded position so
-                    // its Mem/ExecSpan events land exactly where the
-                    // serial engine emitted them.
-                    let events = std::mem::take(&mut sink.events);
-                    let mut replayed = 0usize;
-                    for p in buf.take_pending() {
-                        while (replayed as u64) < p.trace_pos {
-                            let r = &events[replayed];
-                            tracer.emit_with(r.now, || r.ev.clone());
-                            replayed += 1;
-                        }
-                        sm.resolve_pending(p, &mut memsys, tracer, profiler);
-                    }
-                    for r in &events[replayed..] {
-                        tracer.emit_with(r.now, || r.ev.clone());
-                    }
-                    buf.apply_writes(&mut gmem);
-                    if *completed > 0 {
-                        ctas_done += *completed;
-                        let _fill_phase = hostprof::phase(hostprof::Phase::CtaLaunch);
-                        while next_cta < total_ctas
-                            && sm.can_accept_cta(warps_per_cta, kernel.shared_mem_bytes())
-                        {
-                            sm.launch_cta(
-                                kernel,
-                                cta_coord(next_cta, launch.grid),
-                                launch.grid,
-                                launch.block,
-                            );
-                            next_cta += 1;
-                        }
-                    }
-                    any_activity |= *active;
-                }
+        match driver.end_cycle(now, &mut &slots[..], ins) {
+            ControlFlow::Continue(next) => Some(next),
+            ControlFlow::Break(end) => {
+                result = Some(end);
+                None
             }
-            if ctas_done >= total_ctas {
-                end_now = now + 1;
-                return None;
-            }
-            let new_now = if any_activity {
-                now + 1
-            } else {
-                // Idle: skip ahead to the next pipeline completion or
-                // scoreboard release.
-                let _idle_phase = hostprof::phase(hostprof::Phase::IdleScan);
-                let next_t = slots
-                    .iter()
-                    .flat_map(|slot| {
-                        let sm = &slot.lock().expect("slot lock").sm;
-                        sm.next_event()
-                            .into_iter()
-                            .chain((sm.last_release() > now).then(|| sm.last_release()))
-                            .collect::<Vec<_>>()
-                    })
-                    .min();
-                let target = next_t.map_or(now + 1, |t| t.max(now + 1));
-                // Mirror the serial engine: attribute the jumped-over
-                // cycles so the per-scheduler CPI ledger stays exact.
-                let skipped = target - (now + 1);
-                if skipped > 0 {
-                    for slot in slots {
-                        let mut guard = slot.lock().expect("slot lock");
-                        guard.sm.charge_idle_skip(skipped);
-                    }
-                }
-                target
-            };
-            if snapshot_interval > 0 && tracing {
-                let boundary = new_now / snapshot_interval * snapshot_interval;
-                if boundary > last_snapshot {
-                    let _snap_phase = hostprof::phase(hostprof::Phase::Snapshot);
-                    last_snapshot = boundary;
-                    for (i, slot) in slots.iter().enumerate() {
-                        let s = &slot.lock().expect("slot lock").sm.stats;
-                        let (issued, scalar) = (s.pipe.issued, s.instr.executed_scalar);
-                        let (comp, raw, act) = (s.rf.ours_bytes, s.rf.raw_bytes, s.rf.ours_arrays);
-                        tracer.emit_with(boundary, || TraceEvent::Snapshot {
-                            sm: i as u32,
-                            issued,
-                            scalar,
-                            rf_bytes_compressed: comp,
-                            rf_bytes_uncompressed: raw,
-                            rf_activations: act,
-                        });
-                    }
-                }
-            }
-            if let Some(intervals) = new_now.checked_div(sample_interval) {
-                let boundary = intervals * sample_interval;
-                if boundary > last_sample {
-                    let _snap_phase = hostprof::phase(hostprof::Phase::Snapshot);
-                    last_sample = boundary;
-                    let mut cum = Stats::default();
-                    for (i, slot) in slots.iter().enumerate() {
-                        let guard = slot.lock().expect("slot lock");
-                        observer.sample_sm(boundary, i, &guard.sm.stats);
-                        cum.merge(&guard.sm.stats);
-                    }
-                    cum.cycles = boundary;
-                    observer.sample(boundary, &cum);
-                }
-            }
-            assert!(new_now < WATCHDOG_CYCLES, "simulation watchdog tripped");
-            drop(barrier_phase);
-            Some(new_now)
-        };
-        gscalar_pool::run_epochs(threads, cfg.num_sms, 0, work, next);
-    }
-
-    let mut stats = Stats::default();
-    let mut per_sm: Vec<Stats> = Vec::with_capacity(slots.len());
+        }
+    };
+    gscalar_pool::run_epochs(threads, slots.len(), 0, work, barrier);
     for slot in slots {
         let slot = slot.into_inner().expect("workers have exited");
-        stats.merge(&slot.sm.stats);
-        per_sm.push(slot.sm.stats);
-        profiler.absorb(slot.profiler);
+        ins.profiler.absorb(slot.profiler);
     }
-    stats.cycles = end_now;
-    observer.finish(end_now, &stats, &per_sm);
-    stats
+    result.expect("the driver ends every run")
+}
+
+/// Applies one SM's deferred effects of the epoch: its local trace,
+/// paused at every deferred memory request's recorded position so its
+/// Mem/ExecSpan events land exactly where the serial engine emitted
+/// them; the requests themselves; and the buffered stores.
+fn replay(
+    slot: &mut SmSlot,
+    memsys: &mut MemSystem,
+    gmem: &mut GlobalMemory,
+    tracer: &mut Tracer<'_>,
+) {
+    let SmSlot {
+        sm,
+        buf,
+        sink,
+        profiler,
+        ..
+    } = slot;
+    let mut replayed = 0usize;
+    for p in buf.take_pending() {
+        while (replayed as u64) < p.trace_pos {
+            let r = &sink.events[replayed];
+            tracer.emit_with(r.now, || r.ev.clone());
+            replayed += 1;
+        }
+        sm.resolve_pending(p, memsys, tracer, profiler);
+    }
+    for r in &sink.events[replayed..] {
+        tracer.emit_with(r.now, || r.ev.clone());
+    }
+    sink.events.clear();
+    buf.apply_writes(gmem);
 }

@@ -570,27 +570,6 @@ impl Sm {
         phys % self.cfg.rf_banks
     }
 
-    /// Runs one SM cycle against the shared memory state in place (the
-    /// serial engine's entry point). Returns the number of CTAs that
-    /// completed this cycle (the GPU replenishes them).
-    pub fn cycle(
-        &mut self,
-        now: u64,
-        kernel: &Kernel,
-        gmem: &mut GlobalMemory,
-        memsys: &mut MemSystem,
-        tracer: &mut Tracer<'_>,
-        profiler: &mut Profiler,
-    ) -> usize {
-        self.cycle_port(
-            now,
-            kernel,
-            &mut MemPort::Direct { gmem, memsys },
-            tracer,
-            profiler,
-        )
-    }
-
     /// Runs one SM cycle against an arbitrary [`MemPort`]. With a
     /// buffered port the cycle touches no shared state: stores land in
     /// the buffer's overlay and memory-system requests are deferred for

@@ -4,7 +4,7 @@
 
 use gscalar_isa::{CmpOp, KernelBuilder, LaunchConfig, Operand, SReg};
 use gscalar_sim::memory::GlobalMemory;
-use gscalar_sim::{ArchConfig, Gpu, GpuConfig, Stats};
+use gscalar_sim::{ArchConfig, Gpu, GpuConfig, Instruments, Stats};
 use gscalar_trace::{EventBuf, StallReason, TraceEvent, Tracer};
 
 fn gscalar() -> ArchConfig {
@@ -305,8 +305,16 @@ fn stall_reclassifies_when_the_load_releases_before_the_alu_producer() {
         let mut gpu = Gpu::new(GpuConfig::test_small(), arch);
         let mut mem = GlobalMemory::new();
         let mut buf = EventBuf::new(1 << 16);
-        let mut tracer = Tracer::new(&mut buf);
-        gpu.run_traced(&k, LaunchConfig::linear(1, 32), &mut mem, &mut tracer, 0);
+        gpu.run_with(
+            &k,
+            LaunchConfig::linear(1, 32),
+            &mut mem,
+            &mut Instruments {
+                tracer: Tracer::new(&mut buf),
+                ..Instruments::default()
+            },
+        )
+        .unwrap();
         let records = buf.records();
         let end_of = |pc: u32| {
             records

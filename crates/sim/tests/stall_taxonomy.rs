@@ -5,7 +5,7 @@
 
 use gscalar_isa::{CmpOp, Kernel, KernelBuilder, LaunchConfig, Operand, SReg};
 use gscalar_sim::memory::GlobalMemory;
-use gscalar_sim::{ArchConfig, Gpu, GpuConfig, Stats};
+use gscalar_sim::{ArchConfig, Gpu, GpuConfig, Instruments, Stats};
 use gscalar_trace::{EventBuf, StallReason, TraceEvent, Tracer};
 
 fn gscalar() -> ArchConfig {
@@ -176,8 +176,17 @@ fn traced_run_matches_untraced_and_emits_one_stall_event_per_idle_cycle() {
     let mut gpu = Gpu::new(GpuConfig::test_small(), gscalar());
     let mut mem = GlobalMemory::new();
     let mut buf = EventBuf::new(1 << 20);
-    let mut tracer = Tracer::new(&mut buf);
-    let traced = gpu.run_traced(&kernel, launch, &mut mem, &mut tracer, 0);
+    let traced = gpu
+        .run_with(
+            &kernel,
+            launch,
+            &mut mem,
+            &mut Instruments {
+                tracer: Tracer::new(&mut buf),
+                ..Instruments::default()
+            },
+        )
+        .unwrap();
 
     // Tracing must not perturb timing or counters.
     assert_eq!(traced.cycles, untraced.cycles);

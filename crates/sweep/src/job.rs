@@ -59,9 +59,9 @@ impl fmt::Display for JobId {
 #[derive(Debug, Clone)]
 pub struct JobCtx {
     /// Simulated-cycle budget for the whole job (0 = unlimited). Jobs
-    /// running simulations should enforce it via
-    /// `Runner::run_budgeted` (deterministic mid-flight abort) and map
-    /// the overrun to [`JobError::Budget`].
+    /// running simulations should enforce it through the `budget` of
+    /// the `Instruments` they run with (a deterministic mid-flight
+    /// abort) and map the overrun to [`JobError::Budget`].
     pub cycle_budget: u64,
 }
 

@@ -4,11 +4,14 @@
 //! analyzer's stacks reconcile to `cycles × ledgers` at kernel, per-SM
 //! and per-scheduler granularity, serial and parallel byte-identically.
 
+mod common;
+
+use common::{build_kernel, initial_memory, step_strategy};
 use gscalar::analyze::CpiStack;
 use gscalar::core::Arch;
-use gscalar::isa::{CmpOp, Kernel, KernelBuilder, LaunchConfig, Operand, SReg};
+use gscalar::isa::{Kernel, LaunchConfig};
 use gscalar::sim::memory::GlobalMemory;
-use gscalar::sim::{Gpu, GpuConfig, RunObserver, Stats};
+use gscalar::sim::{Gpu, GpuConfig, Instruments, RunObserver, Stats};
 use gscalar::workloads::{suite, Scale};
 use proptest::prelude::*;
 
@@ -43,15 +46,17 @@ fn run_with_per_sm(
     let mut gpu = Gpu::new(multi_sm_config(threads), Arch::Baseline.config());
     let mut mem = init.clone();
     let mut capture = PerSmCapture { per_sm: Vec::new() };
-    let stats = gpu.run_observed(
-        kernel,
-        launch,
-        &mut mem,
-        &mut gscalar::trace::Tracer::off(),
-        0,
-        0,
-        &mut capture,
-    );
+    let stats = gpu
+        .run_with(
+            kernel,
+            launch,
+            &mut mem,
+            &mut Instruments {
+                observers: vec![&mut capture],
+                ..Instruments::default()
+            },
+        )
+        .unwrap();
     (stats, capture.per_sm)
 }
 
@@ -99,102 +104,19 @@ fn suite_stacks_reconcile_on_the_full_chip_config() {
         let mut gpu = Gpu::new(cfg.clone(), Arch::Baseline.config());
         let mut mem = w.memory.clone();
         let mut capture = PerSmCapture { per_sm: Vec::new() };
-        let merged = gpu.run_observed(
-            &w.kernel,
-            w.launch,
-            &mut mem,
-            &mut gscalar::trace::Tracer::off(),
-            0,
-            0,
-            &mut capture,
-        );
+        let merged = gpu
+            .run_with(
+                &w.kernel,
+                w.launch,
+                &mut mem,
+                &mut Instruments {
+                    observers: vec![&mut capture],
+                    ..Instruments::default()
+                },
+            )
+            .unwrap();
         assert_reconciles(&merged, &capture.per_sm, cfg.num_sms, &w.abbr);
     }
-}
-
-/// One randomly chosen kernel body step (divergence, loops, memory).
-#[derive(Debug, Clone)]
-enum Step {
-    AddImm(u32),
-    XorTid,
-    Load,
-    Store,
-    Diverge(u32),
-    Loop(u32),
-}
-
-fn step_strategy() -> impl Strategy<Value = Step> {
-    prop_oneof![
-        (1u32..1000).prop_map(Step::AddImm),
-        Just(Step::XorTid),
-        Just(Step::Load),
-        Just(Step::Store),
-        (1u32..31).prop_map(Step::Diverge),
-        (2u32..5).prop_map(Step::Loop),
-    ]
-}
-
-/// Builds a kernel with tid-disjoint global accesses mixing ALU work,
-/// loads, stores, divergence, and loops according to `steps`.
-fn build_kernel(steps: &[Step]) -> Kernel {
-    let base = 0x10_0000u32;
-    let mut b = KernelBuilder::new("rand");
-    let tid = b.s2r(SReg::TidX);
-    let ctaid = b.s2r(SReg::CtaIdX);
-    let ntid = b.s2r(SReg::NTidX);
-    let gid = b.imad(ctaid.into(), ntid.into(), tid.into());
-    let off = b.shl(gid.into(), Operand::Imm(2));
-    let addr = b.iadd(off.into(), Operand::Imm(base));
-    let acc = b.mov(Operand::Imm(1));
-    for step in steps {
-        match step {
-            Step::AddImm(k) => {
-                let t = b.iadd(acc.into(), Operand::Imm(*k));
-                b.mov_to(acc, t.into());
-            }
-            Step::XorTid => {
-                let t = b.xor(acc.into(), tid.into());
-                b.mov_to(acc, t.into());
-            }
-            Step::Load => {
-                let v = b.ld_global(addr, 0);
-                let t = b.iadd(acc.into(), v.into());
-                b.mov_to(acc, t.into());
-            }
-            Step::Store => {
-                b.st_global(addr, acc, 0);
-            }
-            Step::Diverge(k) => {
-                let p = b.isetp(CmpOp::Lt, tid.into(), Operand::Imm(*k));
-                b.if_else(
-                    p.into(),
-                    |b| {
-                        let t = b.iadd(acc.into(), Operand::Imm(7));
-                        b.mov_to(acc, t.into());
-                    },
-                    |b| {
-                        let t = b.xor(acc.into(), Operand::Imm(3));
-                        b.mov_to(acc, t.into());
-                    },
-                );
-            }
-            Step::Loop(n) => {
-                let i = b.mov(Operand::Imm(0));
-                b.while_loop(
-                    |b| b.isetp(CmpOp::Lt, i.into(), Operand::Imm(*n)).into(),
-                    |b| {
-                        let t = b.iadd(acc.into(), i.into());
-                        b.mov_to(acc, t.into());
-                        let t2 = b.iadd(i.into(), Operand::Imm(1));
-                        b.mov_to(i, t2.into());
-                    },
-                );
-            }
-        }
-    }
-    b.st_global(addr, acc, 0);
-    b.exit();
-    b.build().unwrap()
 }
 
 proptest! {
@@ -208,10 +130,7 @@ proptest! {
     ) {
         let kernel = build_kernel(&steps);
         let launch = LaunchConfig::linear(ctas, warps * 32);
-        let mut init = GlobalMemory::new();
-        for t in 0..u64::from(ctas * warps * 32) {
-            init.write_u32(0x10_0000 + t * 4, (t * 17 + 3) as u32);
-        }
+        let init = initial_memory(ctas * warps * 32);
         let (serial, serial_per_sm) = run_with_per_sm(&kernel, launch, &init, 1);
         assert_reconciles(&serial, &serial_per_sm, 4, "serial");
         // The new ledgers obey the determinism contract too: a 4-thread
