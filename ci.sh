@@ -97,6 +97,12 @@ cmp "$tmp/serial-probe.json" "$tmp/hp-t1.json"
 cmp "$tmp/serial-probe.json" "$tmp/hp-t2.json"
 cmp "$tmp/serial-probe.json" "$tmp/hp-t4.json"
 test -s "$tmp/hp-t1.host.json"
+# Results are byte-identical at every --sim-threads setting, so only
+# the parallel engine's epoch count shows that the flag reached it.
+epochs() { grep -o '"host/pool/epochs":[0-9]*' "$1" | cut -d: -f2; }
+test "$(epochs "$tmp/hp-t1.host.json")" -eq 0
+test "$(epochs "$tmp/hp-t2.host.json")" -gt 0
+test "$(epochs "$tmp/hp-t4.host.json")" -gt 0
 rm "$tmp"/hp-t[124].json "$tmp"/hp-t[124].host.json
 
 echo "== live telemetry (stream advisory, manifests byte-identical)"
@@ -117,6 +123,13 @@ cmp "$tmp/serial-probe.json" "$tmp/live/live-on.json"
 cmp "$tmp/serial-probe.json" "$tmp/live/live-par.json"
 ./target/release/watch check "$tmp/live/probe.ndjson" > /dev/null
 ./target/release/watch check "$tmp/live/probe-par.ndjson" > /dev/null
+# Live also rides traced, observed runs: bottleneck's baseline carries
+# the event tracer and a per-SM observer.
+./target/release/bottleneck --scale test --deterministic \
+    --live "$tmp/live/bottleneck.ndjson" --live-interval 256 \
+    --json "$tmp/live/bottleneck.json" > /dev/null
+cmp "$tmp/bottleneck.json" "$tmp/live/bottleneck.json"
+./target/release/watch check "$tmp/live/bottleneck.ndjson" > /dev/null
 # Capture first: grep -q closing the pipe early would SIGPIPE the
 # renderer under pipefail.
 frame=$(./target/release/watch "$tmp/live/probe.ndjson" --once)

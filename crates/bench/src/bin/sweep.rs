@@ -147,10 +147,9 @@ fn run() -> Result<ExitCode, String> {
         }
         return Ok(ExitCode::SUCCESS);
     }
-    // Live telemetry is advisory: run snapshots stream through the
-    // globally installed handle, sweep lifecycle events through
-    // `SweepConfig::live`. Closed (flushing the terminal `stream_end`)
-    // whether the sweep succeeds or fails.
+    // Live telemetry is advisory: lifecycle events and every job's run
+    // records stream through `SweepConfig::live`. Closed (flushing the
+    // terminal `stream_end`) whether the sweep succeeds or fails.
     let live = match &o.live {
         None => None,
         Some(target) => Some(
@@ -165,12 +164,8 @@ fn run() -> Result<ExitCode, String> {
             .map_err(|e| format!("--live: {e}"))?,
         ),
     };
-    if let Some(h) = &live {
-        gscalar_live::install(h.clone());
-    }
     let result = run_selected(&o, live.clone());
     if let Some(h) = live {
-        gscalar_live::uninstall();
         h.close();
     }
     result
@@ -178,10 +173,6 @@ fn run() -> Result<ExitCode, String> {
 
 fn run_selected(o: &Options, live: Option<gscalar_live::LiveHandle>) -> Result<ExitCode, String> {
     let exps = select(o)?;
-
-    // Simulator-level parallelism (within one job) on top of job-level
-    // parallelism; byte-identical results make the combination safe.
-    gscalar_sim::config::set_default_exec_threads(o.sim_threads);
 
     // Build the whole job grid in registry order; job IDs are
     // deterministic, so the merged output never depends on scheduling.
@@ -222,6 +213,10 @@ fn run_selected(o: &Options, live: Option<gscalar_live::LiveHandle>) -> Result<E
         max_retries: o.retries,
         progress: Progress::PerJob,
         live,
+        // Simulator-level parallelism (within one job) on top of
+        // job-level parallelism; byte-identical results make the
+        // combination safe.
+        sim_threads: o.sim_threads,
         cache: cache
             .clone()
             .map(|c| c as std::sync::Arc<dyn gscalar_sweep::JobCache>),

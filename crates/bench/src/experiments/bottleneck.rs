@@ -15,7 +15,7 @@
 
 use gscalar_analyze::{analyze_trace, CpiStack, MlpProfile, Projection, WhatIf, COMPONENT_LABELS};
 use gscalar_core::Arch;
-use gscalar_sim::{Gpu, GpuConfig, Instruments, RunObserver, Stats};
+use gscalar_sim::{GpuConfig, Instruments, RunObserver, Stats};
 use gscalar_sweep::{JobError, JobOutput, JobSpec, ResultSet};
 use gscalar_trace::{EventBuf, Tracer};
 use gscalar_workloads::{Scale, ABBRS};
@@ -56,24 +56,18 @@ pub fn grid(scale: Scale) -> Vec<JobSpec> {
         let mut sim = JobSim::new(ctx);
 
         // Baseline: one simulation feeding all three analyses.
-        let mut gpu = Gpu::new(cfg.clone(), Arch::Baseline.config());
-        let mut mem = w.memory.clone();
         let mut buf = EventBuf::new(TRACE_CAPACITY);
         let mut capture = PerSmCapture::default();
-        let stats = {
-            gpu.run_with(
-                &w.kernel,
-                w.launch,
-                &mut mem,
-                &mut Instruments {
-                    tracer: Tracer::new(&mut buf),
-                    observers: vec![&mut capture],
-                    ..Instruments::default()
-                },
-            )
-            .unwrap()
-        };
-        sim.charge(stats.cycles)?;
+        let stats = sim.run_with(
+            &cfg,
+            Arch::Baseline.config(),
+            w,
+            &mut Instruments {
+                tracer: Tracer::new(&mut buf),
+                observers: vec![&mut capture],
+                ..Instruments::default()
+            },
+        )?;
 
         // CPI stacks at every granularity, all hard-reconciled.
         let stack = CpiStack::kernel(&stats, cfg.num_sms);

@@ -3,8 +3,8 @@
 //! per-branch attribution of that divergence from the PC-level
 //! profiler.
 
-use gscalar_core::{Arch, Runner};
-use gscalar_sim::GpuConfig;
+use gscalar_core::{Arch, Instruments};
+use gscalar_sim::{GpuConfig, Profiler};
 use gscalar_sweep::{JobOutput, ResultSet};
 use gscalar_workloads::{by_abbr, Scale, ABBRS};
 
@@ -21,12 +21,21 @@ pub const NAME: &str = "fig01_divergence";
 /// (`branch<pc>/execs|diverged|div_share%`).
 pub fn grid(scale: Scale) -> Vec<JobSpec> {
     suite_grid(NAME, scale, |w, ctx| {
-        let cfg = GpuConfig::gtx480();
-        let runner = Runner::new(cfg);
-        let mut sim = JobSim::new(ctx);
-        let run = runner.run_profiled(w, Arch::Baseline);
-        let stats = &run.report.stats;
-        sim.charge(stats.cycles)?;
+        let kernel = &w.kernel;
+        let mut ins = Instruments {
+            profiler: Profiler::for_kernel(0, kernel.name(), kernel.len()),
+            ..Instruments::default()
+        };
+        let stats = JobSim::new(ctx).run_with(
+            &GpuConfig::gtx480(),
+            Arch::Baseline.config(),
+            w,
+            &mut ins,
+        )?;
+        let profile = ins
+            .profiler
+            .into_profile()
+            .expect("profiler was created enabled");
         let wi = stats.instr.warp_instrs as f64;
         let mut out = JobOutput {
             sim_cycles: stats.cycles,
@@ -45,8 +54,8 @@ pub fn grid(scale: Scale) -> Vec<JobSpec> {
         // branch, so the diverged branches (sorted by diverged count)
         // tell *where* Figure 1's divergence comes from.
         let total_div = stats.instr.divergent_instrs.max(1) as f64;
-        for pc in run.profile.executed_pcs() {
-            let rec = run.profile.record(pc);
+        for pc in profile.executed_pcs() {
+            let rec = profile.record(pc);
             if rec.branch.diverged == 0 {
                 continue;
             }
@@ -57,7 +66,7 @@ pub fn grid(scale: Scale) -> Vec<JobSpec> {
                 .reconvergence_pc(pc)
                 .unwrap_or_else(|| w.kernel.len());
             let under: u64 = (pc + 1..reconv)
-                .map(|q| run.profile.record(q).divergent_issues)
+                .map(|q| profile.record(q).divergent_issues)
                 .sum();
             out.metric(format!("branch{pc}/execs"), rec.branch.execs as f64);
             out.metric(format!("branch{pc}/diverged"), rec.branch.diverged as f64);

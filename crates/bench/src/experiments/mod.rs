@@ -20,7 +20,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use gscalar_core::{Arch, BudgetExceeded, Instruments, RunReport, Runner, Workload};
-use gscalar_sim::GpuConfig;
+use gscalar_sim::{ArchConfig, GpuConfig, LiveObserver, Stats};
 use gscalar_sweep::{
     run_sweep, JobCtx, JobError, JobOutput, JobSpec, Progress, ResultSet, SweepConfig,
 };
@@ -115,26 +115,29 @@ pub fn by_name(name: &str) -> Option<Experiment> {
     all().into_iter().find(|e| e.name == name)
 }
 
-/// Cumulative cycle-budget accounting for one job's simulations.
+/// The one way an experiment simulates: runs a job's simulations in
+/// the context its [`JobCtx`] gives them.
 ///
-/// A job often runs several simulations (architecture variants, config
-/// sweeps); the budget in [`JobCtx`] covers their *sum*. `JobSim`
-/// threads the remaining allowance into each budgeted run and converts
-/// a [`BudgetExceeded`] into the job-level [`JobError::Budget`] with
-/// cumulative cycle counts. When the allowance is already exhausted the
-/// next run gets a budget of 1 cycle, so it trips deterministically on
-/// its first sample boundary.
+/// Every run gets the job's sim-thread count as its
+/// `GpuConfig::exec_threads`, is announced on the job's live stream
+/// (if any) with its snapshots carried by `Instruments::live`, and
+/// runs under what is left of the job's cycle budget. A job often runs
+/// several simulations (architecture variants, config sweeps); the
+/// budget covers their *sum*. A [`BudgetExceeded`] becomes the
+/// job-level [`JobError::Budget`] with cumulative cycle counts. When
+/// the allowance is already exhausted the next run gets a budget of 1
+/// cycle, so it trips deterministically on its first sample boundary.
 pub struct JobSim {
-    budget: u64,
+    ctx: JobCtx,
     used: u64,
 }
 
 impl JobSim {
-    /// Starts accounting against the job's budget (0 = unlimited).
+    /// Starts a job's simulations in `ctx`.
     #[must_use]
     pub fn new(ctx: &JobCtx) -> Self {
         JobSim {
-            budget: ctx.cycle_budget,
+            ctx: ctx.clone(),
             used: 0,
         }
     }
@@ -147,21 +150,52 @@ impl JobSim {
 
     /// The budget to hand the next simulation (0 = unlimited).
     fn remaining(&self) -> u64 {
-        if self.budget == 0 {
-            0
-        } else {
-            self.budget.saturating_sub(self.used).max(1)
+        match self.ctx.cycle_budget {
+            0 => 0,
+            budget => budget.saturating_sub(self.used).max(1),
         }
     }
 
-    fn overrun(&self, in_run: u64) -> JobError {
-        JobError::Budget {
-            cycles: self.used + in_run,
-            budget: self.budget,
+    /// Simulates `workload` under `cfg` and `arch` with `ins` attached
+    /// (tracer, profiler, observers, sample cadence). `ins.budget` and
+    /// `ins.live` are the job's to set: they are overwritten.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`JobError::Budget`] when the cumulative budget trips.
+    pub fn run_with(
+        &mut self,
+        cfg: &GpuConfig,
+        arch: ArchConfig,
+        workload: &Workload,
+        ins: &mut Instruments<'_>,
+    ) -> Result<Stats, JobError> {
+        let cfg = GpuConfig {
+            exec_threads: self.ctx.sim_threads,
+            ..cfg.clone()
+        };
+        ins.budget = self.remaining();
+        ins.live = self
+            .ctx
+            .live
+            .clone()
+            .map(|h| LiveObserver::start(h, &workload.name, &arch.name, cfg.num_sms));
+        let result = Runner::new(cfg).run_with(workload, arch, ins);
+        ins.live = None;
+        match result {
+            Ok(s) => {
+                self.used += s.cycles;
+                Ok(s)
+            }
+            Err(BudgetExceeded { cycles, .. }) => Err(JobError::Budget {
+                cycles: self.used + cycles,
+                budget: self.ctx.cycle_budget,
+            }),
         }
     }
 
-    /// Runs `workload` on `arch` under the remaining budget.
+    /// Runs `workload` on `arch` under `runner`'s hardware config and
+    /// prices it with `runner`'s energy model.
     ///
     /// # Errors
     ///
@@ -172,12 +206,12 @@ impl JobSim {
         workload: &Workload,
         arch: Arch,
     ) -> Result<RunReport, JobError> {
-        let stats = self.simulate(runner, workload, arch.config())?;
+        let stats = self.run_stats(runner.config(), arch.config(), workload)?;
         Ok(runner.report(arch, stats))
     }
 
-    /// Runs `workload` under a custom [`GpuConfig`] and
-    /// [`gscalar_sim::ArchConfig`] with the remaining budget.
+    /// Runs `workload` under a custom [`GpuConfig`] and [`ArchConfig`]
+    /// with nothing attached.
     ///
     /// # Errors
     ///
@@ -185,48 +219,10 @@ impl JobSim {
     pub fn run_stats(
         &mut self,
         cfg: &GpuConfig,
-        arch_cfg: gscalar_sim::ArchConfig,
+        arch: ArchConfig,
         workload: &Workload,
-    ) -> Result<gscalar_sim::Stats, JobError> {
-        self.simulate(&Runner::new(cfg.clone()), workload, arch_cfg)
-    }
-
-    fn simulate(
-        &mut self,
-        runner: &Runner,
-        workload: &Workload,
-        arch_cfg: gscalar_sim::ArchConfig,
-    ) -> Result<gscalar_sim::Stats, JobError> {
-        let mut ins = Instruments {
-            budget: self.remaining(),
-            ..Instruments::default()
-        };
-        match runner.run_with(workload, arch_cfg, &mut ins) {
-            Ok(s) => {
-                self.used += s.cycles;
-                Ok(s)
-            }
-            Err(BudgetExceeded { cycles, .. }) => Err(self.overrun(cycles)),
-        }
-    }
-
-    /// Post-hoc accounting for runs without a budgeted entry point
-    /// (e.g. profiled runs): charge the cycles and fail if the
-    /// cumulative budget is now exceeded.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`JobError::Budget`] when the charge overruns the budget.
-    pub fn charge(&mut self, cycles: u64) -> Result<(), JobError> {
-        self.used += cycles;
-        if self.budget != 0 && self.used > self.budget {
-            Err(JobError::Budget {
-                cycles: self.used,
-                budget: self.budget,
-            })
-        } else {
-            Ok(())
-        }
+    ) -> Result<Stats, JobError> {
+        self.run_with(cfg, arch, workload, &mut Instruments::default())
     }
 }
 
@@ -373,10 +369,6 @@ impl CliOptions {
 pub fn main_single(name: &str) -> ExitCode {
     let exp = by_name(name).unwrap_or_else(|| panic!("experiment {name} not registered"));
     let opts = CliOptions::parse(std::env::args().skip(1));
-    // Experiments build their GpuConfigs internally; the process-wide
-    // default lets one flag reach all of them. Sound because the
-    // parallel engine is byte-identical to serial at any thread count.
-    gscalar_sim::config::set_default_exec_threads(opts.sim_threads);
     gscalar_hostprof::set_enabled(opts.hostprof);
     let live = match opts.open_live() {
         Ok(l) => l,
@@ -385,23 +377,6 @@ pub fn main_single(name: &str) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Some(h) = &live {
-        gscalar_live::install(h.clone());
-    }
-    let code = run_single(&exp, &opts, live.clone());
-    if let Some(h) = live {
-        gscalar_live::uninstall();
-        h.close();
-    }
-    code
-}
-
-/// The body of [`main_single`] between live-stream open and close.
-fn run_single(
-    exp: &Experiment,
-    opts: &CliOptions,
-    live: Option<gscalar_live::LiveHandle>,
-) -> ExitCode {
     let mut specs = (exp.grid)(opts.scale);
     if opts.budget > 0 {
         for s in &mut specs {
@@ -413,10 +388,14 @@ fn run_single(
         out_dir: None,
         max_retries: 0,
         progress: Progress::Quiet,
-        live,
+        live: live.clone(),
+        sim_threads: opts.sim_threads,
         ..SweepConfig::default()
     };
     let outcome = run_sweep(&specs, &cfg);
+    if let Some(h) = live {
+        h.close();
+    }
     if !outcome.all_completed() {
         for f in &outcome.failures {
             eprintln!(
@@ -426,23 +405,19 @@ fn run_single(
         }
         return ExitCode::FAILURE;
     }
-    let mut r = Report::from_options(exp.name, opts);
+    let mut r = Report::from_options(exp.name, &opts);
     (exp.render)(&mut r, &outcome.results, opts.scale);
     r.finish();
     ExitCode::SUCCESS
 }
 
 /// Digest of the modeled hardware configuration, as recorded in every
-/// manifest by `Report::config`: the default [`GpuConfig`] with
-/// `exec_threads` normalized to 1, since the parallel engine is
-/// byte-identical to serial and must not fragment the cache.
+/// manifest by `Report::config`: the default (serial) [`GpuConfig`].
+/// Sim threads reach runs through [`JobCtx::sim_threads`], never the
+/// preset, so they cannot fragment the cache.
 #[must_use]
 pub fn config_digest() -> String {
-    let cfg = GpuConfig {
-        exec_threads: 1,
-        ..GpuConfig::default()
-    };
-    gscalar_metrics::fnv1a_hex(&format!("{cfg:?}"))
+    gscalar_metrics::fnv1a_hex(&format!("{:?}", GpuConfig::default()))
 }
 
 /// Content-address for one simulation unit: everything that determines
@@ -495,6 +470,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gscalar_live::LiveHandle;
 
     #[test]
     fn registry_names_are_unique_and_resolvable() {
@@ -559,22 +535,64 @@ mod tests {
         assert_eq!(o.json_path("fig99"), Some(PathBuf::from("out/custom.json")));
     }
 
+    /// Runs the `unit` job of experiment `exp` at test scale in a
+    /// serial context with `budget` and `live`.
+    fn run_job(
+        exp: &str,
+        unit: &str,
+        budget: u64,
+        live: Option<LiveHandle>,
+    ) -> Result<JobOutput, JobError> {
+        let spec = (by_name(exp).expect("registered").grid)(Scale::Test)
+            .into_iter()
+            .find(|s| s.id.unit == unit)
+            .expect("unit in grid");
+        (spec.run)(&JobCtx {
+            cycle_budget: budget,
+            live,
+            sim_threads: 1,
+        })
+    }
+
     #[test]
-    fn jobsim_budget_trips_cumulatively() {
-        let ctx = JobCtx { cycle_budget: 100 };
-        let mut sim = JobSim::new(&ctx);
-        assert!(sim.charge(60).is_ok());
-        let err = sim.charge(60).unwrap_err();
-        assert!(matches!(
-            err,
-            JobError::Budget {
-                cycles: 120,
-                budget: 100
-            }
-        ));
-        // Unlimited budget never trips.
-        let mut free = JobSim::new(&JobCtx { cycle_budget: 0 });
-        assert!(free.charge(u64::MAX / 2).is_ok());
+    fn traced_and_profiled_runs_stream_through_the_job() {
+        // bottleneck: the traced baseline plus four what-if runs;
+        // fig01_divergence: one profiled run.
+        for (exp, runs) in [("bottleneck", 5), ("fig01_divergence", 1)] {
+            let live = LiveHandle::memory(gscalar_live::StreamConfig::default());
+            run_job(exp, "ST", 0, Some(live.clone())).expect("no budget");
+            live.close();
+            let lines = live.collected().expect("memory sink");
+            let count = |kind: &str| {
+                let tag = format!("\"type\":\"{kind}\"");
+                lines.iter().filter(|l| l.contains(&tag)).count()
+            };
+            assert_eq!(count("run_start"), runs, "{exp}: {lines:?}");
+            assert_eq!(count("run_end"), runs, "{exp}: {lines:?}");
+        }
+    }
+
+    #[test]
+    fn traced_and_profiled_runs_trip_the_budget_at_its_boundary() {
+        // A budget under 4096 cycles is also the run's sample interval,
+        // so a run longer than its allowance stops exactly there. ST's
+        // traced baseline (634 cycles) fits in 1000; its first what-if
+        // run trips with the job's cumulative count.
+        for (exp, unit, budget) in [
+            ("bottleneck", "BT", 3000),
+            ("bottleneck", "ST", 1000),
+            ("fig01_divergence", "MM", 2000),
+        ] {
+            let err = run_job(exp, unit, budget, None).expect_err("over budget");
+            assert_eq!(
+                err,
+                JobError::Budget {
+                    cycles: budget,
+                    budget
+                },
+                "{exp}/{unit}"
+            );
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@ use gscalar_power::{chip_power, EnergyModel, PowerReport, PowerTimeline, RfSchem
 use gscalar_profile::{KernelProfile, Profiler};
 use gscalar_sim::memory::GlobalMemory;
 use gscalar_sim::{
-    ArchConfig, BudgetExceeded, Gpu, GpuConfig, Instruments, LiveObserver, MetricsObserver, Stats,
+    ArchConfig, BudgetExceeded, Gpu, GpuConfig, Instruments, MetricsObserver, Stats,
 };
 
 use crate::arch::Arch;
@@ -164,10 +164,6 @@ impl Runner {
     /// and a copy of the workload's input memory, with `ins` attached
     /// (see [`Instruments`]). Price the result with [`Runner::report`].
     ///
-    /// When a live stream is installed (see [`gscalar_live::install`]),
-    /// the run is announced on it and `ins.live` carries its telemetry
-    /// for the run's duration; telemetry never changes the result.
-    ///
     /// # Errors
     ///
     /// Returns [`BudgetExceeded`] when the run crossed `ins.budget`.
@@ -177,13 +173,9 @@ impl Runner {
         arch: ArchConfig,
         ins: &mut Instruments<'_>,
     ) -> Result<Stats, BudgetExceeded> {
-        ins.live = gscalar_live::installed()
-            .map(|h| LiveObserver::start(h, &workload.name, &arch.name, self.cfg.num_sms));
         let mut gpu = Gpu::new(self.cfg.clone(), arch);
         let mut mem = workload.memory.clone();
-        let result = gpu.run_with(&workload.kernel, workload.launch, &mut mem, ins);
-        ins.live = None;
-        result
+        gpu.run_with(&workload.kernel, workload.launch, &mut mem, ins)
     }
 
     /// Prices `stats` of a run on `arch`: chip power under the

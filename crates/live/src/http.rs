@@ -1,16 +1,16 @@
 //! The HTTP layer both in-repo servers share: a threaded acceptor with
 //! a wakeable shutdown, the line feeds SSE responses follow, and the
-//! HTTP/1.1 request parser and response writer of `gscalar-serve`'s
-//! job API. The live SSE server ([`crate::server`]) runs on the same
-//! acceptor but keeps its own HTTP/1.0 request handling.
+//! bounded HTTP/1.1 request parser and response writer that answer
+//! every request of `gscalar-serve`'s job API and of the live SSE
+//! server ([`crate::server`]).
 //!
 //! Nothing on a request path sleeps. The listener blocks in `accept`
 //! and [`HttpServer::shutdown`] wakes it by connecting once; an SSE
 //! responder blocks on its [`Feed`]'s condition variable until a line
 //! arrives or the feed closes.
 //!
-//! Job-API connections are `Connection: close` — one request, one
-//! response — which keeps the protocol surface tiny and is plenty for a
+//! Connections are `Connection: close` — one request, one response —
+//! which keeps the protocol surface tiny and is plenty for a
 //! submit/stream/fetch client.
 
 use std::io::{BufRead, BufReader, Read, Write};

@@ -33,12 +33,13 @@
 //! thread count — the stream is a side channel, not a comparison
 //! artifact.
 //!
-//! ## Process-wide installation
+//! ## Attaching a stream to runs
 //!
-//! Binaries open one stream and [`install`] its handle; library layers
-//! (the core runner) consult [`installed`] and attach an observer when
-//! a stream is present, so the 18 experiment binaries need no
-//! per-call-site plumbing.
+//! A stream reaches a simulation through its job: the sweep engine
+//! hands `SweepConfig::live` to every job it runs, and the job starts a
+//! `LiveObserver` into the run's `Instruments::live`. Nothing is
+//! process-wide, so two sweeps in one process stream to their own
+//! handles.
 
 pub mod dashboard;
 pub mod http;
@@ -52,53 +53,6 @@ pub use progress::EtaTracker;
 pub use record::LiveRecord;
 pub use stream::{open_target, LineSink, LiveHandle, StreamConfig, DEFAULT_SNAPSHOT_INTERVAL};
 
-use std::sync::Mutex;
-
 /// Version stamped into every record's `"v"` field; bumped on
 /// incompatible schema changes.
 pub const LIVE_SCHEMA_VERSION: u64 = 1;
-
-static INSTALLED: Mutex<Option<LiveHandle>> = Mutex::new(None);
-
-/// Installs `handle` as the process-wide live stream consulted by
-/// [`installed`]. Returns the previously installed handle, if any.
-pub fn install(handle: LiveHandle) -> Option<LiveHandle> {
-    INSTALLED
-        .lock()
-        .expect("live registry poisoned")
-        .replace(handle)
-}
-
-/// The process-wide live stream, if one is installed.
-#[must_use]
-pub fn installed() -> Option<LiveHandle> {
-    INSTALLED.lock().expect("live registry poisoned").clone()
-}
-
-/// Removes and returns the process-wide live stream.
-pub fn uninstall() -> Option<LiveHandle> {
-    INSTALLED.lock().expect("live registry poisoned").take()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn install_registry_round_trips() {
-        // One test owns the global to avoid cross-test races.
-        assert!(installed().is_none());
-        let h = LiveHandle::memory(StreamConfig::default());
-        assert!(install(h.clone()).is_none());
-        let got = installed().expect("installed");
-        got.emit(&LiveRecord::SweepStart {
-            jobs: 1,
-            budget_cycles: 0,
-            t_s: 0.0,
-        });
-        assert!(uninstall().is_some());
-        assert!(installed().is_none());
-        h.close();
-        assert_eq!(h.collected().unwrap().len(), 2);
-    }
-}

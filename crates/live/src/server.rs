@@ -1,7 +1,8 @@
 //! A deliberately small HTTP/SSE server for live streams — the first
 //! slice of the sweep-as-a-service API.
 //!
-//! Endpoints (HTTP/1.0, one request per connection):
+//! Endpoints (one request per connection, parsed and answered by the
+//! job API's [`http`](crate::http) request layer):
 //!
 //! * `GET /runs` — JSON array of the runs seen so far (`run` id,
 //!   `workload`, record count, whether the run is still in flight).
@@ -21,14 +22,12 @@
 //! [`LiveHandle`]: crate::LiveHandle
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use gscalar_metrics::json::Json;
 
-use crate::http::{stream_sse, Feed, HttpServer};
+use crate::http::{respond, serve_request, stream_sse, Feed, HttpServer, Request};
 use crate::stream::LineSink;
 
 #[derive(Default)]
@@ -60,59 +59,51 @@ impl ServerShared {
         let (http, bound) = HttpServer::bind(
             addr,
             Arc::new(move |stream| {
-                // Connection handling is best-effort: a broken client
-                // must not take the server down.
-                let _ = srv.handle(stream);
+                serve_request(stream, |req, stream| {
+                    // Connection handling is best-effort: a broken
+                    // client must not take the server down.
+                    let _ = srv.handle(&req, stream);
+                });
             }),
         )?;
         Ok((shared, http, bound))
     }
 
-    fn handle(&self, stream: TcpStream) -> std::io::Result<()> {
-        stream.set_read_timeout(Some(Duration::from_millis(500)))?;
-        let mut reader = BufReader::new(stream.try_clone()?);
-        let mut request_line = String::new();
-        reader.read_line(&mut request_line)?;
-        let path = match request_line.split_whitespace().collect::<Vec<_>>()[..] {
-            ["GET", p, ..] => p.to_string(),
-            _ => {
-                return respond(stream, "400 Bad Request", "text/plain", "bad request\n");
-            }
-        };
-        // Drain the remaining request headers (best-effort).
-        loop {
-            let mut line = String::new();
-            match reader.read_line(&mut line) {
-                Ok(0) => break,
-                Ok(_) if line == "\r\n" || line == "\n" => break,
-                Ok(_) => {}
-                Err(_) => break,
-            }
+    fn handle(&self, req: &Request, mut stream: TcpStream) -> std::io::Result<()> {
+        if req.method != "GET" {
+            return respond(
+                &mut stream,
+                "400 Bad Request",
+                "text/plain",
+                "bad request\n",
+            );
         }
-        if path == "/runs" {
+        if req.path == "/runs" {
             let body = self.runs_json();
-            return respond(stream, "200 OK", "application/json", &body);
+            return respond(&mut stream, "200 OK", "application/json", &body);
         }
-        if let Some(rest) = path.strip_prefix("/runs/") {
-            if let Some(id) = rest.strip_suffix("/stream") {
-                let filter = match id {
-                    "all" => None,
-                    n => match n.parse::<u64>() {
-                        Ok(v) => Some(v),
-                        Err(_) => {
-                            return respond(
-                                stream,
-                                "404 Not Found",
-                                "text/plain",
-                                "unknown run id\n",
-                            );
-                        }
-                    },
-                };
-                return self.stream_sse(stream, filter);
-            }
+        if let Some(id) = req
+            .path
+            .strip_prefix("/runs/")
+            .and_then(|rest| rest.strip_suffix("/stream"))
+        {
+            let filter = match id {
+                "all" => None,
+                n => match n.parse::<u64>() {
+                    Ok(v) => Some(v),
+                    Err(_) => {
+                        return respond(
+                            &mut stream,
+                            "404 Not Found",
+                            "text/plain",
+                            "unknown run id\n",
+                        );
+                    }
+                },
+            };
+            return self.stream_sse(stream, filter);
         }
-        respond(stream, "404 Not Found", "text/plain", "not found\n")
+        respond(&mut stream, "404 Not Found", "text/plain", "not found\n")
     }
 
     fn runs_json(&self) -> String {
@@ -138,7 +129,7 @@ impl ServerShared {
         stream_sse(
             &self.feed,
             &mut stream,
-            "HTTP/1.0 200 OK\r\nContent-Type: text/event-stream\r\nCache-Control: no-cache\r\n\r\n",
+            "HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\nCache-Control: no-cache\r\nConnection: close\r\n\r\n",
             |line| match filter {
                 None => true,
                 Some(id) => Json::parse(line)
@@ -180,21 +171,6 @@ impl LineSink for ServerShared {
     fn end(&self) {
         self.feed.end();
     }
-}
-
-fn respond(
-    mut stream: TcpStream,
-    status: &str,
-    content_type: &str,
-    body: &str,
-) -> std::io::Result<()> {
-    let head = format!(
-        "HTTP/1.0 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
 }
 
 #[cfg(test)]

@@ -97,8 +97,8 @@ fn serves_run_list_and_sse_stream() {
     assert!(json.contains("\"records\":3"), "{body}");
 
     // Unknown paths 404.
-    assert!(get(addr, "/nope").starts_with("HTTP/1.0 404"));
-    assert!(get(addr, "/runs/xyz/stream").starts_with("HTTP/1.0 404"));
+    assert!(get(addr, "/nope").starts_with("HTTP/1.1 404"));
+    assert!(get(addr, "/runs/xyz/stream").starts_with("HTTP/1.1 404"));
 
     // Close the stream, then subscribe: full history replays and the
     // end event terminates the connection.
@@ -129,6 +129,30 @@ fn serves_run_list_and_sse_stream() {
         .filter(|l| l.starts_with("data: {") && l.contains("\"run\":1"))
         .count();
     assert_eq!(count, 3, "{sse_one}");
+}
+
+#[test]
+fn oversize_request_line_is_rejected_and_the_server_keeps_serving() {
+    let (handle, addr) =
+        LiveHandle::serve("127.0.0.1:0".parse().unwrap(), det_cfg()).expect("bind");
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    // The server stops reading at the 64 KiB head cap and answers, so
+    // the tail of this write or the read may see a reset: keep what
+    // arrived.
+    let _ = write!(conn, "GET /{} HTTP/1.1\r\n\r\n", "a".repeat(64 << 10));
+    let mut resp = String::new();
+    let _ = conn.read_to_string(&mut resp);
+    assert!(resp.starts_with("HTTP/1.1 400"), "{resp:.80}");
+    assert!(get(addr, "/runs").starts_with("HTTP/1.1 200"));
+    // Only GET is served.
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    write!(conn, "POST /runs HTTP/1.1\r\n\r\n").unwrap();
+    let mut resp = String::new();
+    conn.read_to_string(&mut resp).unwrap();
+    assert!(resp.starts_with("HTTP/1.1 400"), "{resp}");
+    handle.close();
 }
 
 #[test]

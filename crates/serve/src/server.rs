@@ -19,7 +19,8 @@
 //!   graceful drain both use — in-flight units finish and persist,
 //!   unstarted units are skipped for a later run;
 //! * a **live feed** ([`Feed`]) that buffers the sweep's NDJSON
-//!   lifecycle records for `GET /jobs/<id>/stream` subscribers
+//!   records — lifecycle events plus every simulation's `run_start`,
+//!   snapshots and `run_end` — for `GET /jobs/<id>/stream` subscribers
 //!   (full-history replay, then follow, then `event: end`).
 //!
 //! Every wait on a request path is woken by its event: the shared
@@ -452,6 +453,7 @@ fn run_grid(
         max_retries: shared.cfg.max_retries,
         progress: Progress::Quiet,
         live: Some(live.clone()),
+        sim_threads: 1,
         cache: Some(Arc::clone(&shared.cache) as Arc<dyn JobCache>),
         cancel: Some(cancel),
     };

@@ -1,33 +1,6 @@
 //! GPU and architecture configuration (the paper's Table 1).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use crate::scheduler::SchedPolicy;
-
-/// Process-wide default for [`GpuConfig::exec_threads`], consulted by
-/// [`GpuConfig::gtx480`] (and everything derived from it). See
-/// [`set_default_exec_threads`].
-static DEFAULT_EXEC_THREADS: AtomicUsize = AtomicUsize::new(1);
-
-/// Sets the process-wide default for [`GpuConfig::exec_threads`]
-/// picked up by configs constructed *afterwards*: 1 runs serial, 0
-/// resolves to the machine's available parallelism, `n` uses `n`
-/// worker threads.
-///
-/// Binaries apply their `--sim-threads` flag here once at startup, so
-/// experiment grids that build `GpuConfig::gtx480()` deep inside job
-/// closures inherit the knob without plumbing. The engines produce
-/// byte-identical results at any thread count, which is what keeps
-/// this global sound: it can change *speed*, never *output*.
-pub fn set_default_exec_threads(threads: usize) {
-    DEFAULT_EXEC_THREADS.store(threads, Ordering::Relaxed);
-}
-
-/// The current process-wide default for [`GpuConfig::exec_threads`].
-#[must_use]
-pub fn default_exec_threads() -> usize {
-    DEFAULT_EXEC_THREADS.load(Ordering::Relaxed)
-}
 
 /// Timing/resource configuration of the modeled GPU.
 ///
@@ -181,7 +154,7 @@ impl GpuConfig {
                 dram_service: 8,
                 l2_service: 2,
             },
-            exec_threads: default_exec_threads(),
+            exec_threads: 1,
             ideal: IdealConfig::default(),
         }
     }
@@ -386,9 +359,8 @@ mod tests {
 
     #[test]
     fn exec_threads_defaults_to_serial() {
-        // Other tests in this process may set the global default, so
-        // assert through the hook rather than assuming it is untouched.
-        assert_eq!(GpuConfig::gtx480().exec_threads, default_exec_threads());
+        assert_eq!(GpuConfig::gtx480().exec_threads, 1);
+        assert_eq!(GpuConfig::test_small().exec_threads, 1);
     }
 
     #[test]

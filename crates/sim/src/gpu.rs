@@ -113,8 +113,8 @@ pub struct Instruments<'a> {
     /// Observers of the run, called in order at every sample and once
     /// at the end (see [`RunObserver`]).
     pub observers: Vec<&'a mut dyn RunObserver>,
-    /// Live telemetry for the run (`gscalar_core::Runner` attaches it
-    /// from the installed stream). It observes ahead of `observers` and
+    /// Live telemetry for the run (a sweep job starts it from its
+    /// job's stream). It observes ahead of `observers` and
     /// downsamples internally, so it never changes the run's cadence:
     /// only a run with no cadence of its own (no `sample_interval`, no
     /// `budget`, no `observers`) samples at the stream's.

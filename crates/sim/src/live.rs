@@ -1,7 +1,8 @@
 //! Bridges the simulator's [`Stats`] into a live telemetry stream.
 //!
-//! A [`LiveObserver`] plugs into [`Gpu::run_with`](crate::Gpu::run_with) the
-//! same way [`MetricsObserver`](crate::MetricsObserver) does, but emits
+//! A [`LiveObserver`] rides a [`Gpu::run_with`](crate::Gpu::run_with) in
+//! [`Instruments::live`](crate::Instruments) and observes like
+//! [`MetricsObserver`](crate::MetricsObserver) does, but emits
 //! NDJSON [`LiveRecord`]s to a [`gscalar_live::LiveHandle`] *while the
 //! run executes*: one `run_start`, periodic `snapshot`s (cumulative
 //! IPC, per-SM IPC, stall mix, compression ratio, MSHR occupancy, pool
@@ -54,9 +55,8 @@ impl LiveObserver {
         }
     }
 
-    /// The observer's snapshot cadence in cycles — what callers should
-    /// pass as `sample_interval` when no finer cadence is already
-    /// required by another observer.
+    /// The observer's snapshot cadence in cycles: the run's sample
+    /// interval when nothing else sets one (see `Instruments::live`).
     #[must_use]
     pub fn sample_interval(&self) -> u64 {
         self.interval
@@ -167,16 +167,14 @@ mod tests {
         cfg.exec_threads = exec_threads;
         let mut gpu = Gpu::new(cfg, ArchConfig::baseline());
         let mut mem = GlobalMemory::new();
-        let mut obs = LiveObserver::start(handle.clone(), "busy", "base", 4);
-        let interval = obs.sample_interval();
+        // No cadence of its own: the run samples at the stream's.
         let stats = gpu
             .run_with(
                 &busy_kernel(),
                 LaunchConfig::linear(4, 64),
                 &mut mem,
                 &mut Instruments {
-                    observers: vec![&mut obs],
-                    sample_interval: interval,
+                    live: Some(LiveObserver::start(handle.clone(), "busy", "base", 4)),
                     ..Instruments::default()
                 },
             )
@@ -259,13 +257,12 @@ mod tests {
         });
         let mut gpu = Gpu::new(GpuConfig::test_small(), ArchConfig::baseline());
         let mut mem = GlobalMemory::new();
-        let mut obs = LiveObserver::start(handle.clone(), "busy", "base", 1);
         gpu.run_with(
             &busy_kernel(),
             LaunchConfig::linear(1, 32),
             &mut mem,
             &mut Instruments {
-                observers: vec![&mut obs],
+                live: Some(LiveObserver::start(handle.clone(), "busy", "base", 1)),
                 sample_interval: 2,
                 ..Instruments::default()
             },

@@ -19,14 +19,14 @@
 //!    killed sweep never leaves a truncated "completed" file); failed
 //!    jobs get a machine-readable [`FailureRecord`].
 //!
-//! All file writes and progress output happen on the calling thread;
-//! workers only simulate.
+//! Workers simulate and announce each job's end on the live stream;
+//! all file writes and progress output happen on the calling thread.
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::job::{
@@ -58,13 +58,21 @@ pub struct SweepConfig {
     pub max_retries: u32,
     /// Progress reporting.
     pub progress: Progress,
-    /// Live telemetry stream for sweep lifecycle events (`sweep_start`,
-    /// `job_start`/`job_retry`/`job_end` with a budget-weighted ETA,
-    /// `sweep_end`). `None` disables lifecycle emission. Note that
-    /// job start/retry events are emitted from worker threads, so
-    /// their order between concurrent jobs varies with thread count —
-    /// the stream is a side channel, never a comparison artifact.
+    /// Live telemetry stream (`None` = off). It carries the sweep's
+    /// lifecycle events (`sweep_start`, `job_start`/`job_retry`/
+    /// `job_end` with a budget-weighted ETA, `sweep_end`), and every
+    /// job hands it to its simulations through [`JobCtx::live`], so the
+    /// runs' `run_start`/`snapshot`/`run_end` records ride the same
+    /// stream. A worker announces its next job only after the previous
+    /// one's `job_end`, so at one thread the stream is in job order; at
+    /// more, records of concurrent jobs interleave in a
+    /// schedule-dependent order — the stream is a side channel, never
+    /// a comparison artifact.
     pub live: Option<LiveHandle>,
+    /// Executor threads inside each simulation (1 = serial, 0 = all
+    /// cores), handed to every job as [`JobCtx::sim_threads`]. A
+    /// wall-clock knob only: results are byte-identical at any value.
+    pub sim_threads: usize,
     /// Content-addressed result cache. Consulted during the resume
     /// scan for jobs with a [`JobSpec::cache_key`] that have no
     /// completed manifest on disk; hits are re-persisted to `out_dir`
@@ -86,6 +94,7 @@ impl fmt::Debug for SweepConfig {
             .field("max_retries", &self.max_retries)
             .field("progress", &self.progress)
             .field("live", &self.live.is_some())
+            .field("sim_threads", &self.sim_threads)
             .field("cache", &self.cache.is_some())
             .field("cancel", &self.cancel.is_some())
             .finish()
@@ -100,6 +109,7 @@ impl Default for SweepConfig {
             max_retries: 1,
             progress: Progress::Quiet,
             live: None,
+            sim_threads: 1,
             cache: None,
             cancel: None,
         }
@@ -197,22 +207,23 @@ pub fn write_atomic(path: &Path, text: &str) {
         .unwrap_or_else(|e| panic!("renaming {} -> {}: {e}", tmp.display(), path.display()));
 }
 
-/// Runs one job with panic containment and bounded retry, returning
-/// the attempt count alongside the outcome. Emits `job_start` (before
-/// the first attempt) and `job_retry` lifecycle events on `live`; this
-/// may run on a worker thread, which the non-blocking stream supports.
+/// Runs one job with panic containment and up to `cfg.max_retries`
+/// retries, returning the attempt count alongside the outcome. The
+/// job's [`JobCtx`] carries its budget plus `cfg`'s live stream and
+/// sim-thread count. Emits `job_start` (before the first attempt) and
+/// `job_retry` lifecycle events on `cfg.live`; this may run on a worker
+/// thread, which the non-blocking stream supports.
 ///
 /// This is the single-job execution primitive [`run_sweep`] is built
 /// on, exported so alternative drivers (e.g. a job server) share the
 /// exact isolation and retry semantics.
-pub fn execute_one(
-    spec: &JobSpec,
-    max_retries: u32,
-    live: Option<&LiveHandle>,
-) -> (u32, Result<JobOutput, JobError>) {
+pub fn execute_one(spec: &JobSpec, cfg: &SweepConfig) -> (u32, Result<JobOutput, JobError>) {
     let ctx = JobCtx {
         cycle_budget: spec.cycle_budget,
+        live: cfg.live.clone(),
+        sim_threads: cfg.sim_threads,
     };
+    let live = cfg.live.as_ref();
     if let Some(live) = live {
         live.emit(&LiveRecord::JobStart {
             job: spec.id.to_string(),
@@ -229,7 +240,7 @@ pub fn execute_one(
             Ok(Err(e)) => e,
             Err(payload) => JobError::Panic(panic_message(payload.as_ref())),
         };
-        if !err.retryable() || attempts > max_retries {
+        if !err.retryable() || attempts > cfg.max_retries {
             return (attempts, Err(err));
         }
         if let Some(live) = live {
@@ -309,7 +320,6 @@ pub fn run_sweep(specs: &[JobSpec], cfg: &SweepConfig) -> SweepOutcome {
     // Parallel execution; results land on this thread.
     let total = pending.len();
     let budgets: Vec<u64> = pending.iter().map(|&i| specs[i].cycle_budget).collect();
-    let mut eta = EtaTracker::new(&budgets);
     if let Some(live) = cfg.live.as_ref() {
         live.emit(&LiveRecord::SweepStart {
             jobs: total as u64,
@@ -317,7 +327,9 @@ pub fn run_sweep(specs: &[JobSpec], cfg: &SweepConfig) -> SweepOutcome {
             t_s: live.now_s(),
         });
     }
-    let mut done = 0usize;
+    // Jobs done so far and the ETA over them, advanced by the worker
+    // that finishes a job.
+    let finished = Mutex::new((0usize, EtaTracker::new(&budgets)));
     let mut failures_by_index: Vec<(usize, FailureRecord)> = Vec::new();
     run_indexed(
         cfg.threads,
@@ -329,14 +341,41 @@ pub fn run_sweep(specs: &[JobSpec], cfg: &SweepConfig) -> SweepOutcome {
                 // never aborted mid-simulation, so everything that
                 // starts also persists.
                 if cancel.load(Ordering::SeqCst) {
-                    return (0, Err(JobError::Cancelled), 0.0);
+                    return (0, Err(JobError::Cancelled), 0.0, 0, 0.0);
                 }
             }
             let t = Instant::now();
-            let (attempts, result) = execute_one(spec, cfg.max_retries, cfg.live.as_ref());
-            (attempts, result, t.elapsed().as_secs_f64())
+            let (attempts, result) = execute_one(spec, cfg);
+            let wall_s = t.elapsed().as_secs_f64();
+            let mut finished = finished.lock().expect("sweep progress poisoned");
+            finished.0 += 1;
+            finished.1.complete(k);
+            let (done, eta_s) = (finished.0, finished.1.eta_s(t0.elapsed().as_secs_f64()));
+            // Announced by the worker, under the lock, before it takes
+            // its next job: `job_end`s keep their `done` order and
+            // precede that worker's next `job_start`. Persistence stays
+            // on the calling thread, overlapping the next job.
+            if let Some(live) = cfg.live.as_ref() {
+                let (status, sim_cycles) = match &result {
+                    Ok(out) => ("ok", out.sim_cycles),
+                    Err(e) => (e.kind(), 0),
+                };
+                live.emit(&LiveRecord::JobEnd {
+                    job: spec.id.to_string(),
+                    status: status.to_string(),
+                    attempts: u64::from(attempts),
+                    sim_cycles,
+                    wall_s: live.redact(wall_s),
+                    done: done as u64,
+                    total: total as u64,
+                    progress: finished.1.fraction(),
+                    eta_s: live.redact(eta_s),
+                    t_s: live.now_s(),
+                });
+            }
+            (attempts, result, wall_s, done, eta_s)
         },
-        |k, (attempts, result, wall_s)| {
+        |k, (attempts, result, wall_s, done, eta_s)| {
             let spec = &specs[pending[k]];
             if matches!(result, Err(JobError::Cancelled)) {
                 // Skipped, not failed: no record, no result, no
@@ -345,26 +384,7 @@ pub fn run_sweep(specs: &[JobSpec], cfg: &SweepConfig) -> SweepOutcome {
                 outcome.cancelled += 1;
                 return;
             }
-            done += 1;
             outcome.executed += 1;
-            eta.complete(k);
-            let eta_s = eta.eta_s(t0.elapsed().as_secs_f64());
-            let job_end = |status: &str, sim_cycles: u64| {
-                if let Some(live) = cfg.live.as_ref() {
-                    live.emit(&LiveRecord::JobEnd {
-                        job: spec.id.to_string(),
-                        status: status.to_string(),
-                        attempts: u64::from(attempts),
-                        sim_cycles,
-                        wall_s: live.redact(wall_s),
-                        done: done as u64,
-                        total: total as u64,
-                        progress: eta.fraction(),
-                        eta_s: live.redact(eta_s),
-                        t_s: live.now_s(),
-                    });
-                }
-            };
             match result {
                 Ok(out) => {
                     let r = JobResult::from_output(spec.id.clone(), out, wall_s);
@@ -384,7 +404,6 @@ pub fn run_sweep(specs: &[JobSpec], cfg: &SweepConfig) -> SweepOutcome {
                     {
                         cache.store(key, &r);
                     }
-                    job_end("ok", r.sim_cycles);
                     progress_line(
                         cfg.progress,
                         done,
@@ -409,7 +428,6 @@ pub fn run_sweep(specs: &[JobSpec], cfg: &SweepConfig) -> SweepOutcome {
                         let (_, fail_path) = job_paths(dir, spec);
                         write_atomic(&fail_path, &record.to_json());
                     }
-                    job_end(e.kind(), 0);
                     progress_line(
                         cfg.progress,
                         done,

@@ -11,6 +11,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use gscalar_live::LiveHandle;
 use gscalar_metrics::json::Json;
 use gscalar_metrics::{HostProfile, Manifest};
 
@@ -55,7 +56,8 @@ impl fmt::Display for JobId {
     }
 }
 
-/// Read-only execution context handed to every job closure.
+/// Read-only execution context handed to every job closure: what the
+/// job's simulations learn from the sweep that runs it.
 #[derive(Debug, Clone)]
 pub struct JobCtx {
     /// Simulated-cycle budget for the whole job (0 = unlimited). Jobs
@@ -63,6 +65,14 @@ pub struct JobCtx {
     /// the `Instruments` they run with (a deterministic mid-flight
     /// abort) and map the overrun to [`JobError::Budget`].
     pub cycle_budget: u64,
+    /// The sweep's live stream, if any: each simulation of the job
+    /// announces itself on it and streams its snapshots through the
+    /// `live` field of the `Instruments` it runs with.
+    pub live: Option<LiveHandle>,
+    /// Executor threads inside each simulation of the job (the
+    /// simulator's `GpuConfig::exec_threads`: 1 = serial, 0 = all
+    /// cores). Results are byte-identical at any value.
+    pub sim_threads: usize,
 }
 
 /// What a successful job returns: raw metric cells plus the simulated

@@ -162,3 +162,21 @@ fn one_lifecycle_event_per_job_serial() {
 fn one_lifecycle_event_per_job_parallel() {
     check_stream(&collect(4));
 }
+
+#[test]
+fn one_thread_ends_each_job_before_starting_the_next() {
+    let mut open: Option<String> = None;
+    for r in collect(1) {
+        match r {
+            LiveRecord::JobStart { job, .. } => {
+                assert!(open.is_none(), "{job} started while {open:?} was open");
+                open = Some(job);
+            }
+            LiveRecord::JobEnd { job, .. } => {
+                assert_eq!(open.take(), Some(job), "job_end of a job not open");
+            }
+            _ => {}
+        }
+    }
+    assert!(open.is_none(), "{open:?} never ended");
+}
