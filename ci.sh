@@ -21,11 +21,20 @@ cargo build --release --workspace --offline
 echo "== cargo test"
 cargo test -q --workspace --offline
 
-echo "== benchmark smoke (test-scale goldens, run_reference)"
+echo "== benchmark package (frozen lock file, smoke run, traced smoke run)"
+# The benchmark is its own cargo package with its own Cargo.lock: a
+# workspace edit that would rewrite that lock file fails here.
+cargo metadata --locked --offline --format-version 1 \
+    --manifest-path benchmark/Cargo.toml > /dev/null
 # run.sh exits 0 even when an output check fails: the verdict is the
 # JSON object on its last stdout line. (Captured first: grep -q closing
 # a pipe early would SIGPIPE run.sh under pipefail.)
 bench=$(bash benchmark/run.sh --smoke)
+verdict=$(tail -n 1 <<< "$bench")
+grep -q '"correct":true' <<< "$verdict"
+grep -Eq '"failed":0[,}]' <<< "$verdict"
+# The traced run takes the benchmark's per-layer probes too.
+bench=$(bash benchmark/run.sh --smoke --trace 1)
 verdict=$(tail -n 1 <<< "$bench")
 grep -q '"correct":true' <<< "$verdict"
 grep -Eq '"failed":0[,}]' <<< "$verdict"
@@ -37,18 +46,13 @@ trap 'rm -rf "$tmp"' EXIT
 # schedule-independent, so the baseline compare is unaffected.
 ./target/release/probe --scale test --threads 2 --json "$tmp/probe.json" > /dev/null
 
-echo "== bottleneck smoke (CPI reconciliation, golden manifest, parallel bytes)"
+echo "== bottleneck smoke (CPI reconciliation, golden manifest)"
 # The binary exits non-zero when any CPI stack fails exact
 # reconciliation; its deterministic manifest is pinned byte-for-byte
-# against the committed golden and must be byte-identical under the
-# parallel execution engine.
+# against the committed golden.
 ./target/release/bottleneck --scale test --deterministic \
     --json "$tmp/bottleneck.json" > /dev/null
 cmp ci/baseline/bottleneck.json "$tmp/bottleneck.json"
-./target/release/bottleneck --scale test --deterministic --sim-threads 4 \
-    --json "$tmp/bottleneck-par.json" > /dev/null
-cmp "$tmp/bottleneck.json" "$tmp/bottleneck-par.json"
-rm "$tmp/bottleneck-par.json" "$tmp/bottleneck-par.host.json"
 # Full scale too: MV's long memory stalls only show there. The golden
 # lives outside ci/baseline/, which `report compare` below globs.
 ./target/release/bottleneck --scale full --deterministic --threads 2 \
@@ -58,16 +62,6 @@ rm "$tmp/bottleneck-full.json" "$tmp/bottleneck-full.host.json"
 
 # Metric-level gate over both smoke manifests (probe + bottleneck).
 ./target/release/report compare ci/baseline "$tmp"
-
-echo "== parallel execution engine (byte-identical manifests)"
-# The in-process parallel engine must produce byte-identical reports at
-# any --sim-threads setting (same stats, same digests, same manifest).
-./target/release/probe --scale test --deterministic \
-    --json "$tmp/engine-serial.json" > /dev/null
-./target/release/probe --scale test --deterministic --sim-threads 4 \
-    --json "$tmp/engine-par.json" > /dev/null
-cmp "$tmp/engine-serial.json" "$tmp/engine-par.json"
-rm "$tmp/engine-serial.json" "$tmp/engine-par.json"
 
 echo "== sweep smoke (parallel run, resume, deterministic manifests)"
 ./target/release/sweep probe --scale test --threads 2 --out "$tmp/sweep" 2> /dev/null
@@ -82,33 +76,20 @@ cmp "$tmp/sweep/probe.json" "$tmp/serial-probe.json"
 rerun=$(./target/release/sweep probe --scale test --threads 2 --out "$tmp/sweep" 2>&1)
 grep -q "0 executed" <<< "$rerun"
 
-echo "== hostprof off-path (deterministic manifests unchanged at 1/2/4 threads)"
+echo "== hostprof off-path (deterministic manifests unchanged)"
 # Host-side profiling must never perturb simulated results: with
 # --hostprof, deterministic manifests stay byte-identical to the plain
-# serial run at every thread count. Real timings land in the
-# *.host.json side channel instead, which is never part of the gate.
+# run. Real timings land in the *.host.json side channel instead,
+# which is never part of the gate.
 ./target/release/probe --scale test --deterministic --hostprof \
-    --json "$tmp/hp-t1.json" > /dev/null
-./target/release/probe --scale test --deterministic --hostprof --sim-threads 2 \
-    --json "$tmp/hp-t2.json" > /dev/null
-./target/release/probe --scale test --deterministic --hostprof --sim-threads 4 \
-    --json "$tmp/hp-t4.json" > /dev/null
-cmp "$tmp/serial-probe.json" "$tmp/hp-t1.json"
-cmp "$tmp/serial-probe.json" "$tmp/hp-t2.json"
-cmp "$tmp/serial-probe.json" "$tmp/hp-t4.json"
-test -s "$tmp/hp-t1.host.json"
-# Results are byte-identical at every --sim-threads setting, so only
-# the parallel engine's epoch count shows that the flag reached it.
-epochs() { grep -o '"host/pool/epochs":[0-9]*' "$1" | cut -d: -f2; }
-test "$(epochs "$tmp/hp-t1.host.json")" -eq 0
-test "$(epochs "$tmp/hp-t2.host.json")" -gt 0
-test "$(epochs "$tmp/hp-t4.host.json")" -gt 0
-rm "$tmp"/hp-t[124].json "$tmp"/hp-t[124].host.json
+    --json "$tmp/hp.json" > /dev/null
+cmp "$tmp/serial-probe.json" "$tmp/hp.json"
+test -s "$tmp/hp.host.json"
+rm "$tmp/hp.json" "$tmp/hp.host.json"
 
 echo "== live telemetry (stream advisory, manifests byte-identical)"
 # --live must never change simulated results: deterministic manifests
-# stay byte-identical to the plain serial run, serially and under the
-# parallel execution engine. The stream itself must parse strictly
+# stay byte-identical to the plain run. The stream itself must parse strictly
 # line-by-line with at least one snapshot and a terminal record
 # (`watch check`), and the dashboard must render from the file.
 # Subdirectory: compare globs over $tmp/*.json must never see these.
@@ -117,12 +98,7 @@ mkdir -p "$tmp/live"
     --live "$tmp/live/probe.ndjson" --live-interval 256 \
     --json "$tmp/live/live-on.json" > /dev/null
 cmp "$tmp/serial-probe.json" "$tmp/live/live-on.json"
-./target/release/probe --scale test --deterministic --sim-threads 4 \
-    --live "$tmp/live/probe-par.ndjson" --live-interval 256 \
-    --json "$tmp/live/live-par.json" > /dev/null
-cmp "$tmp/serial-probe.json" "$tmp/live/live-par.json"
 ./target/release/watch check "$tmp/live/probe.ndjson" > /dev/null
-./target/release/watch check "$tmp/live/probe-par.ndjson" > /dev/null
 # Live also rides traced, observed runs: bottleneck's baseline carries
 # the event tracer and a per-SM observer.
 ./target/release/bottleneck --scale test --deterministic \
@@ -196,11 +172,11 @@ test "$drain_ms" -lt 10000
 
 echo "== throughput smoke + regression floor (gated)"
 # Wall-clock throughput is machine-dependent, so every host/* metric is
-# informational except one same-run ratio: the serial engine's speed
-# relative to the reference interpreter, timed kernel by kernel in the
-# same process. A drop of more than 10% against the committed trend
-# file fails CI, while improvements (and absolute, per-app or
-# parallel-engine numbers) only print. Regenerate the floor after an
+# informational except one same-run ratio: the engine's speed relative
+# to the reference interpreter, timed kernel by kernel in the same
+# process. A drop of more than 10% against the committed trend file
+# fails CI, while improvements (and absolute or per-app numbers) only
+# print. Regenerate the floor after an
 # intentional change with:
 #   cargo run --release -p gscalar-bench --bin throughput -- \
 #       --scale test --json BENCH_throughput.json

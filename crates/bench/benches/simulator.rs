@@ -45,25 +45,6 @@ fn bench_stalled(c: &mut Criterion) {
     g.finish();
 }
 
-/// Serial engine vs the epoch-barrier parallel engine on the full
-/// 15-SM configuration (1 SM, as in `test_small`, would collapse the
-/// parallel path back to serial). Same workload, byte-identical
-/// results — the interesting number is the wall-clock ratio.
-fn bench_parallel_engine(c: &mut Criterion) {
-    let mut g = c.benchmark_group("parallel_engine");
-    g.sample_size(10);
-    let w = by_abbr("MM", Scale::Test).expect("known benchmark");
-    for threads in [1usize, 2, 4] {
-        let mut cfg = GpuConfig::gtx480();
-        cfg.exec_threads = threads;
-        let runner = Runner::new(cfg);
-        g.bench_function(format!("MM/threads={threads}"), |b| {
-            b.iter(|| black_box(runner.run(&w, Arch::GScalar).stats.cycles))
-        });
-    }
-    g.finish();
-}
-
 fn bench_simt_stack(c: &mut Criterion) {
     use gscalar_sim::simt::SimtStack;
     c.bench_function("simt_stack/diverge_reconverge", |b| {
@@ -80,11 +61,5 @@ fn bench_simt_stack(c: &mut Criterion) {
     });
 }
 
-criterion_group!(
-    benches,
-    bench_kernels,
-    bench_stalled,
-    bench_parallel_engine,
-    bench_simt_stack
-);
+criterion_group!(benches, bench_kernels, bench_stalled, bench_simt_stack);
 criterion_main!(benches);

@@ -36,7 +36,6 @@ struct Options {
     names: Vec<String>,
     scale: Scale,
     threads: usize,
-    sim_threads: usize,
     budget: u64,
     retries: u32,
     out: Option<PathBuf>,
@@ -54,7 +53,6 @@ fn parse_args() -> Result<Options, String> {
         names: Vec::new(),
         scale: Scale::Full,
         threads: 1,
-        sim_threads: 1,
         budget: 0,
         retries: 1,
         out: None,
@@ -80,11 +78,6 @@ fn parse_args() -> Result<Options, String> {
                 o.threads = value("--threads")?
                     .parse()
                     .map_err(|e| format!("--threads: {e}"))?;
-            }
-            "--sim-threads" => {
-                o.sim_threads = value("--sim-threads")?
-                    .parse()
-                    .map_err(|e| format!("--sim-threads: {e}"))?;
             }
             "--budget" => {
                 o.budget = value("--budget")?
@@ -213,10 +206,6 @@ fn run_selected(o: &Options, live: Option<gscalar_live::LiveHandle>) -> Result<E
         max_retries: o.retries,
         progress: Progress::PerJob,
         live,
-        // Simulator-level parallelism (within one job) on top of
-        // job-level parallelism; byte-identical results make the
-        // combination safe.
-        sim_threads: o.sim_threads,
         cache: cache
             .clone()
             .map(|c| c as std::sync::Arc<dyn gscalar_sweep::JobCache>),

@@ -2,17 +2,12 @@
 //! second does the simulator sustain, and where does the host time go?
 //!
 //! Runs a pinned workload mix — the 17 Table 2 kernels, each weighted
-//! by its own simulated cycle count — twice: once on the serial engine
-//! and once on the parallel epoch engine (minimum 2 executor threads,
-//! so barrier-wait and work-stealing telemetry engage). Host-side
-//! profiling ([`gscalar_hostprof`]) is always on here; the report is
-//! the per-phase exclusive wall-time breakdown plus per-phase
-//! `cycles_per_host_s`, attributed per pass: the serial pass under
-//! `host/phase/*` and `host/pool/*`, the parallel pass under
-//! `host/parallel/phase/*` and `host/parallel/pool/*`. Profiling is
-//! reset between the passes, so each set covers its own pass only.
+//! by its own simulated cycle count — once through the engine, with
+//! host-side profiling ([`gscalar_hostprof`]) on. The report is the
+//! per-phase exclusive wall-time breakdown under `host/phase/*` and
+//! `host/pool/*`, plus per-phase `cycles_per_host_s`.
 //!
-//! Before both passes, with profiling off, the serial engine races the
+//! Before that pass, with profiling off, the engine races the
 //! per-thread reference interpreter ([`run_reference`]) kernel by
 //! kernel: `host/serial/speed_vs_reference` is reference wall time over
 //! engine wall time. Both sides run in the same process within moments
@@ -32,7 +27,7 @@
 //! one-sided `--gate-min` floor.
 //!
 //! With `--json <path>`, a Chrome trace-event host timeline of the
-//! serial pass is also written next to the manifest as
+//! pass is also written next to the manifest as
 //! `<stem>.timeline.json` (open in `chrome://tracing` or Perfetto).
 
 use std::process::ExitCode;
@@ -75,16 +70,8 @@ fn speed_vs_reference(workloads: &[Workload], base: &GpuConfig) -> (f64, f64) {
 /// One engine pass over the whole mix: runs every workload, records
 /// per-workload and aggregate throughput under `host/<tag>/...`, and
 /// returns `(total_cycles, wall_seconds)`.
-fn run_mix(
-    r: &mut Report,
-    workloads: &[Workload],
-    base: &GpuConfig,
-    threads: usize,
-    tag: &str,
-) -> (u64, f64) {
-    let mut cfg = base.clone();
-    cfg.exec_threads = threads;
-    let runner = Runner::new(cfg);
+fn run_mix(r: &mut Report, workloads: &[Workload], cfg: &GpuConfig, tag: &str) -> (u64, f64) {
+    let runner = Runner::new(cfg.clone());
     let mut total_cycles = 0u64;
     let t0 = Instant::now();
     for w in workloads {
@@ -123,25 +110,18 @@ fn run_mix(
     (total_cycles, wall)
 }
 
-/// Records one pass's hostprof totals with `host/` rewritten to
-/// `prefix` (`host/phase/*`, `host/pool/*`), plus per-phase
-/// `cycles_per_host_s` over the pass's own cycles. Returns the share
-/// of the pass's wall time the phases cover.
-fn export_pass(
-    r: &mut Report,
-    snap: &hostprof::Snapshot,
-    prefix: &str,
-    cycles: u64,
-    wall: f64,
-) -> f64 {
+/// Records the pass's hostprof totals (`host/phase/*`, `host/pool/*`),
+/// plus per-phase `cycles_per_host_s` over the pass's cycles. Returns
+/// the share of the pass's wall time the phases cover.
+fn export_pass(r: &mut Report, snap: &hostprof::Snapshot, cycles: u64, wall: f64) -> f64 {
     for (path, v) in snap.flatten() {
-        r.metric(&path.replacen("host/", prefix, 1), v);
+        r.metric(&path, v);
     }
     for (i, p) in hostprof::Phase::ALL.iter().enumerate() {
         let ns = snap.phases[i].ns;
         if ns > 0 {
             r.metric(
-                &format!("{prefix}phase/{}/cycles_per_host_s", p.name()),
+                &format!("host/phase/{}/cycles_per_host_s", p.name()),
                 cycles as f64 / (ns as f64 / 1e9),
             );
         }
@@ -187,29 +167,16 @@ fn main() -> ExitCode {
     hostprof::reset();
     hostprof::set_enabled(true);
 
-    // Pass 1: serial engine. Every phase runs on this one thread, so
-    // the exclusive phase totals must sum (within slop) to the pass's
-    // wall time.
-    let (serial_cycles, serial_wall) = run_mix(&mut r, &workloads, &cfg, 1, "serial");
+    // Every phase runs on this one thread, so the exclusive phase
+    // totals must sum (within slop) to the pass's wall time.
+    let (serial_cycles, serial_wall) = run_mix(&mut r, &workloads, &cfg, "serial");
     let serial_snap = hostprof::snapshot();
-    let coverage = export_pass(&mut r, &serial_snap, "host/", serial_cycles, serial_wall);
+    let coverage = export_pass(&mut r, &serial_snap, serial_cycles, serial_wall);
     r.metric("host/serial/instrumented_fraction", coverage);
-    // The timeline file shows the serial pass, like `host/phase/*`.
     let serial_timeline = hostprof::chrome_timeline_json();
-
-    // Pass 2: parallel epoch engine — exercises barrier-wait and
-    // work-stealing telemetry. A reset in between keeps its phases
-    // apart from pass 1's.
-    hostprof::reset();
-    let threads = opts.sim_threads.max(2);
-    let (par_cycles, par_wall) = run_mix(&mut r, &workloads, &cfg, threads, "parallel");
-    let par_snap = hostprof::snapshot();
-    let par_coverage = export_pass(&mut r, &par_snap, "host/parallel/", par_cycles, par_wall);
-    r.metric("host/parallel/instrumented_fraction", par_coverage);
 
     r.blank();
     r.note(&format!("serial pass\n{}", serial_snap.render(serial_wall)));
-    r.note(&format!("parallel pass\n{}", par_snap.render(par_wall)));
     r.note(&format!(
         "serial pass: {serial_cycles} cycles in {serial_wall:.3}s \
          ({:.0} cycles/host-s), instrumented coverage {:.1}%",
@@ -219,9 +186,6 @@ fn main() -> ExitCode {
             0.0
         },
         100.0 * coverage
-    ));
-    r.note(&format!(
-        "parallel pass ({threads} sim threads): {par_wall:.3}s wall"
     ));
     if !(0.5..=1.5).contains(&coverage) {
         r.note(&format!(
@@ -247,8 +211,8 @@ fn main() -> ExitCode {
         }
     }
 
-    // Off before finish(), which would otherwise re-export the live
-    // (parallel-pass) totals over the serial pass's `host/phase/*`.
+    // Off before finish(), which would otherwise export the live
+    // totals a second time: the manifest keeps the pass's, above.
     hostprof::set_enabled(false);
     r.finish();
     ExitCode::SUCCESS

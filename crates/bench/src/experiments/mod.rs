@@ -118,10 +118,9 @@ pub fn by_name(name: &str) -> Option<Experiment> {
 /// The one way an experiment simulates: runs a job's simulations in
 /// the context its [`JobCtx`] gives them.
 ///
-/// Every run gets the job's sim-thread count as its
-/// `GpuConfig::exec_threads`, is announced on the job's live stream
-/// (if any) with its snapshots carried by `Instruments::live`, and
-/// runs under what is left of the job's cycle budget. A job often runs
+/// Every run is announced on the job's live stream (if any) with its
+/// snapshots carried by `Instruments::live`, and runs under what is
+/// left of the job's cycle budget. A job often runs
 /// several simulations (architecture variants, config sweeps); the
 /// budget covers their *sum*. A [`BudgetExceeded`] becomes the
 /// job-level [`JobError::Budget`] with cumulative cycle counts. When
@@ -170,17 +169,13 @@ impl JobSim {
         workload: &Workload,
         ins: &mut Instruments<'_>,
     ) -> Result<Stats, JobError> {
-        let cfg = GpuConfig {
-            exec_threads: self.ctx.sim_threads,
-            ..cfg.clone()
-        };
         ins.budget = self.remaining();
         ins.live = self
             .ctx
             .live
             .clone()
             .map(|h| LiveObserver::start(h, &workload.name, &arch.name, cfg.num_sms));
-        let result = Runner::new(cfg).run_with(workload, arch, ins);
+        let result = Runner::new(cfg.clone()).run_with(workload, arch, ins);
         ins.live = None;
         match result {
             Ok(s) => {
@@ -229,8 +224,8 @@ impl JobSim {
 /// Command-line options shared by every experiment binary.
 ///
 /// This is the *single* parser for the flag set the binaries share —
-/// `--scale`, `--threads`, `--budget`, `--sim-threads`, `--hostprof`,
-/// `--json`, `--deterministic`, `--live`, `--live-interval` — so no
+/// `--scale`, `--threads`, `--budget`, `--hostprof`, `--json`,
+/// `--deterministic`, `--live`, `--live-interval` — so no
 /// binary re-implements flag handling. [`Report::from_args`] delegates
 /// here too.
 #[derive(Debug, Clone)]
@@ -241,10 +236,6 @@ pub struct CliOptions {
     pub threads: usize,
     /// Per-job simulated-cycle budget (`--budget N`, default unlimited).
     pub budget: u64,
-    /// Simulator executor threads per simulation (`--sim-threads N`,
-    /// default 1 = serial; 0 = all cores). Results are byte-identical
-    /// at any setting; see `gscalar_sim::parallel`.
-    pub sim_threads: usize,
     /// Host-side self-profiling (`--hostprof`, default off). Purely
     /// observational: simulated results are byte-identical either way.
     pub hostprof: bool,
@@ -275,7 +266,6 @@ impl CliOptions {
             scale: Scale::Full,
             threads: 1,
             budget: 0,
-            sim_threads: 1,
             hostprof: false,
             json: None,
             deterministic: false,
@@ -298,11 +288,6 @@ impl CliOptions {
                 "--budget" => {
                     if let Some(n) = it.next().and_then(|v| v.parse().ok()) {
                         o.budget = n;
-                    }
-                }
-                "--sim-threads" => {
-                    if let Some(n) = it.next().and_then(|v| v.parse().ok()) {
-                        o.sim_threads = n;
                     }
                 }
                 "--hostprof" => o.hostprof = true,
@@ -389,7 +374,6 @@ pub fn main_single(name: &str) -> ExitCode {
         max_retries: 0,
         progress: Progress::Quiet,
         live: live.clone(),
-        sim_threads: opts.sim_threads,
         ..SweepConfig::default()
     };
     let outcome = run_sweep(&specs, &cfg);
@@ -412,9 +396,7 @@ pub fn main_single(name: &str) -> ExitCode {
 }
 
 /// Digest of the modeled hardware configuration, as recorded in every
-/// manifest by `Report::config`: the default (serial) [`GpuConfig`].
-/// Sim threads reach runs through [`JobCtx::sim_threads`], never the
-/// preset, so they cannot fragment the cache.
+/// manifest by `Report::config`: the default [`GpuConfig`].
 #[must_use]
 pub fn config_digest() -> String {
     gscalar_metrics::fnv1a_hex(&format!("{:?}", GpuConfig::default()))
@@ -494,8 +476,6 @@ mod tests {
             "4",
             "--budget",
             "5000",
-            "--sim-threads",
-            "2",
             "--hostprof",
             "--deterministic",
             "--live",
@@ -506,7 +486,6 @@ mod tests {
         assert!(matches!(o.scale, Scale::Test));
         assert_eq!(o.threads, 4);
         assert_eq!(o.budget, 5000);
-        assert_eq!(o.sim_threads, 2);
         assert!(o.hostprof);
         assert!(o.deterministic);
         assert_eq!(o.live.as_deref(), Some("/tmp/x.ndjson"));
@@ -515,7 +494,6 @@ mod tests {
         assert!(matches!(d.scale, Scale::Full));
         assert_eq!(d.threads, 1);
         assert_eq!(d.budget, 0);
-        assert_eq!(d.sim_threads, 1);
         assert!(!d.hostprof);
         assert!(!d.deterministic);
         assert!(d.live.is_none());
@@ -550,7 +528,6 @@ mod tests {
         (spec.run)(&JobCtx {
             cycle_budget: budget,
             live,
-            sim_threads: 1,
         })
     }
 
@@ -593,6 +570,34 @@ mod tests {
                 "{exp}/{unit}"
             );
         }
+    }
+
+    #[test]
+    fn a_budget_abort_ends_the_runs_live_stream() {
+        let live = LiveHandle::memory(gscalar_live::StreamConfig::default());
+        let mut sim = JobSim::new(&JobCtx {
+            cycle_budget: 1000,
+            live: Some(live.clone()),
+        });
+        let w = gscalar_workloads::by_abbr("MM", Scale::Test).expect("known benchmark");
+        let err = sim
+            .run(&Runner::new(GpuConfig::gtx480()), &w, Arch::Baseline)
+            .expect_err("MM runs past 1000 cycles");
+        let JobError::Budget { cycles, .. } = err else {
+            panic!("not a budget abort: {err:?}");
+        };
+        live.close();
+        let lines = live.collected().expect("memory sink");
+        let ends: Vec<u64> = lines
+            .iter()
+            .filter_map(
+                |l| match gscalar_live::LiveRecord::parse(l).expect("parses") {
+                    gscalar_live::LiveRecord::RunEnd { cycle, .. } => Some(cycle),
+                    _ => None,
+                },
+            )
+            .collect();
+        assert_eq!(ends, [cycles], "{lines:?}");
     }
 
     #[test]

@@ -190,14 +190,7 @@ impl Report {
     }
 
     /// Records the hardware configuration digest in the manifest.
-    ///
-    /// `exec_threads` is an execution-engine knob, not modeled
-    /// hardware, and the parallel engine is byte-identical to serial —
-    /// so it is normalized out before hashing and manifests stay
-    /// comparable across `--sim-threads` settings.
     pub fn config(&mut self, cfg: &GpuConfig) {
-        let mut cfg = cfg.clone();
-        cfg.exec_threads = 1;
         self.manifest.config_digest = fnv1a_hex(&format!("{cfg:?}"));
     }
 

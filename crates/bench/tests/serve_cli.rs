@@ -4,7 +4,7 @@
 //! * **Cache** — resubmitting an identical grid with `--fresh` executes
 //!   zero simulations and serves byte-identical manifests; the job
 //!   manifests the server persists are byte-identical to what a
-//!   standalone `sweep` writes at any `--sim-threads`.
+//!   standalone `sweep` writes.
 //! * **Corruption** — a mangled cache entry is discarded and exactly
 //!   that one job re-simulates; output bytes are unchanged.
 //! * **Concurrency** — N parallel submitters get manifests
@@ -193,16 +193,13 @@ fn resubmission_is_served_from_cache_and_matches_standalone_sweep() {
     );
 
     // The job manifests the server persisted are byte-identical to a
-    // standalone sweep of the same grid — even at a different
-    // --sim-threads, which must never leak into simulated results.
+    // standalone sweep of the same grid.
     let std_out = root.join("standalone");
     let o = Command::new(env!("CARGO_BIN_EXE_sweep"))
         .args([
             "probe",
             "--scale",
             "test",
-            "--sim-threads",
-            "2",
             "--out",
             std_out.to_str().unwrap(),
         ])

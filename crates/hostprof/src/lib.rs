@@ -10,9 +10,8 @@
 //!   phase pauses its parent, so the per-phase totals sum to the
 //!   instrumented wall time instead of double-counting.
 //! * [`counter_add`] / [`hist_record`] — pool telemetry (steals,
-//!   failed steals, epochs) and log₂ histograms (per-epoch barrier
-//!   wait, work-stealing queue depth) reusing
-//!   [`gscalar_metrics::Histogram`].
+//!   failed steals) and a log₂ histogram of the work-stealing queue
+//!   depth, reusing [`gscalar_metrics::Histogram`].
 //! * [`timeline_scope`] — coarse named wall-time spans exported as
 //!   Chrome trace-event JSON ([`chrome_timeline_json`]) so a host-time
 //!   timeline loads in `chrome://tracing` next to the simulated-cycle
@@ -95,10 +94,10 @@ pub enum Phase {
     IdleScan,
     /// Interval snapshot and observer-sample emission.
     Snapshot,
-    /// The parallel engine's serial barrier section (trace replay,
-    /// pending-memory resolution, epoch advance).
+    /// Unused: nothing records it since the simulator has one engine.
+    /// Kept because the `benchmark/` package reads it.
     Barrier,
-    /// Pool threads waiting at the epoch barrier.
+    /// Unused, like [`Phase::Barrier`], and kept for the same reason.
     PoolIdle,
     /// Harness overhead: everything inside an instrumented region not
     /// claimed by a more specific phase.
@@ -156,7 +155,8 @@ pub enum Counter {
     PoolSteals,
     /// Steal probes that found an empty victim queue.
     PoolFailedSteals,
-    /// Barrier-synchronized epochs completed by the gang executor.
+    /// Unused (always 0), like [`Phase::Barrier`], and kept for the
+    /// same reason.
     PoolEpochs,
 }
 
@@ -185,24 +185,21 @@ impl Counter {
 /// A process-wide log₂ histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Hist {
-    /// Nanoseconds the epoch coordinator waits at each barrier.
-    BarrierWaitNs,
     /// Own-queue depth observed at each work-stealing pop.
     QueueDepth,
 }
 
 /// Number of [`Hist`] variants.
-pub const HIST_COUNT: usize = 2;
+pub const HIST_COUNT: usize = 1;
 
 impl Hist {
     /// Every histogram, in display order.
-    pub const ALL: [Hist; HIST_COUNT] = [Hist::BarrierWaitNs, Hist::QueueDepth];
+    pub const ALL: [Hist; HIST_COUNT] = [Hist::QueueDepth];
 
     /// Stable snake_case name (used in metric paths).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            Hist::BarrierWaitNs => "barrier_wait_ns",
             Hist::QueueDepth => "queue_depth",
         }
     }
@@ -348,8 +345,8 @@ pub fn counter_add(c: Counter, n: u64) {
 }
 
 /// Records `v` into histogram `h`. No-op when disabled. Takes a
-/// process-wide lock, so call at coarse boundaries (per epoch, per
-/// task) — not per instruction.
+/// process-wide lock, so call at coarse boundaries (per task) — not per
+/// instruction.
 pub fn hist_record(h: Hist, v: u64) {
     if !enabled() {
         return;
@@ -737,9 +734,9 @@ mod tests {
         set_enabled(true);
         counter_add(Counter::PoolSteals, 2);
         counter_add(Counter::PoolSteals, 3);
-        counter_add(Counter::PoolEpochs, 1);
-        hist_record(Hist::BarrierWaitNs, 1024);
-        hist_record(Hist::BarrierWaitNs, 7);
+        counter_add(Counter::PoolFailedSteals, 1);
+        hist_record(Hist::QueueDepth, 1024);
+        hist_record(Hist::QueueDepth, 7);
         {
             let _t = timeline_scope("workload BP");
             spin(50);
@@ -747,9 +744,9 @@ mod tests {
         set_enabled(false);
         let s = snapshot();
         assert_eq!(s.counter(Counter::PoolSteals), 5);
-        assert_eq!(s.counter(Counter::PoolEpochs), 1);
-        assert_eq!(s.hist(Hist::BarrierWaitNs).count(), 2);
-        assert_eq!(s.hist(Hist::BarrierWaitNs).max(), Some(1024));
+        assert_eq!(s.counter(Counter::PoolFailedSteals), 1);
+        assert_eq!(s.hist(Hist::QueueDepth).count(), 2);
+        assert_eq!(s.hist(Hist::QueueDepth).max(), Some(1024));
         let json = chrome_timeline_json();
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.ends_with("]}"));
@@ -769,7 +766,7 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(|| {
                 {
-                    let _g = phase(Phase::PoolIdle);
+                    let _g = phase(Phase::Execute);
                     spin(100);
                 }
                 flush();
@@ -777,8 +774,8 @@ mod tests {
         });
         set_enabled(false);
         let s = snapshot();
-        assert_eq!(s.phase(Phase::PoolIdle).calls, 1);
-        assert!(s.phase(Phase::PoolIdle).ns > 0);
+        assert_eq!(s.phase(Phase::Execute).calls, 1);
+        assert!(s.phase(Phase::Execute).ns > 0);
     }
 
     #[test]

@@ -58,15 +58,18 @@ pub enum LiveRecord {
         /// Scheduler-idle cycles by stall reason label.
         stalls: BTreeMap<String, u64>,
         /// Work-stealing pool counters: (steals, failed steals, epochs).
+        /// Epochs always read 0: the schema keeps the field, which
+        /// nothing records any more.
         pool: (u64, u64, u64),
         /// Seconds since the stream opened (0 when deterministic).
         t_s: f64,
     },
-    /// A simulation run finished normally.
+    /// A simulation run ended: it finished, or it stopped at a budget
+    /// boundary (the job's `job_end` then says `budget`).
     RunEnd {
         /// Run id.
         run: u64,
-        /// Final cycle count.
+        /// Final cycle count (the boundary cycle of a budget stop).
         cycle: u64,
         /// Final thread-level IPC.
         ipc: f64,

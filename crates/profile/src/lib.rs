@@ -172,17 +172,6 @@ pub struct BranchStats {
     pub exited_paths: u64,
 }
 
-impl BranchStats {
-    fn merge(&mut self, other: &BranchStats) {
-        self.execs += other.execs;
-        self.diverged += other.diverged;
-        self.taken_lanes += other.taken_lanes;
-        self.not_taken_lanes += other.not_taken_lanes;
-        self.rejoined_paths += other.rejoined_paths;
-        self.exited_paths += other.exited_paths;
-    }
-}
-
 /// Everything attributed to one static instruction.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PcRecord {
@@ -274,27 +263,6 @@ impl PcRecord {
             }
         }
         best.map(|(_, c)| c)
-    }
-
-    /// Accumulates `other` into `self`.
-    pub fn merge(&mut self, other: &PcRecord) {
-        self.issues += other.issues;
-        self.active_lanes += other.active_lanes;
-        self.divergent_issues += other.divergent_issues;
-        self.predicated_off += other.predicated_off;
-        self.stalls.merge(&other.stalls);
-        self.latency.merge(&other.latency);
-        self.lanes.merge(&other.lanes);
-        for (a, b) in self.class_counts.iter_mut().zip(other.class_counts.iter()) {
-            *a += b;
-        }
-        for (a, b) in self.enc_counts.iter_mut().zip(other.enc_counts.iter()) {
-            *a += b;
-        }
-        self.enc_divergent += other.enc_divergent;
-        self.raw_bytes += other.raw_bytes;
-        self.compressed_bytes += other.compressed_bytes;
-        self.branch.merge(&other.branch);
     }
 }
 
@@ -399,20 +367,6 @@ impl KernelProfile {
         pcs.sort_by_key(|&pc| (std::cmp::Reverse(self.records[pc].cost()), pc));
         pcs.truncate(n);
         pcs
-    }
-
-    /// Accumulates another profile of the *same kernel* into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the kernel ids or lengths differ.
-    pub fn merge(&mut self, other: &KernelProfile) {
-        assert_eq!(self.kernel_id, other.kernel_id, "kernel id mismatch");
-        assert_eq!(self.records.len(), other.records.len(), "length mismatch");
-        for (a, b) in self.records.iter_mut().zip(other.records.iter()) {
-            a.merge(b);
-        }
-        self.unattributed.merge(&other.unattributed);
     }
 
     /// Exports the profile under `scope` as
@@ -548,34 +502,6 @@ impl Profiler {
     #[must_use]
     pub fn into_profile(self) -> Option<KernelProfile> {
         self.data.map(|b| *b)
-    }
-
-    /// An empty profiler of the same shape (same kernel, zeroed
-    /// counters) — or an off profiler if this one is off. Used by the
-    /// parallel engine to give each SM a private profiler whose counts
-    /// [`Profiler::absorb`] folds back in; every per-PC record is a
-    /// commutative counter or histogram, so the fold is
-    /// order-independent.
-    #[must_use]
-    pub fn fork(&self) -> Profiler {
-        match self.data.as_deref() {
-            Some(p) => Profiler::for_kernel(p.kernel_id(), p.kernel(), p.len()),
-            None => Profiler::off(),
-        }
-    }
-
-    /// Merges a forked profiler's counts back in.
-    ///
-    /// # Panics
-    ///
-    /// Panics if exactly one side is off, or if both are on but for
-    /// different kernels (a fork of this profiler never is).
-    pub fn absorb(&mut self, other: Profiler) {
-        match (self.data.as_deref_mut(), other.data) {
-            (None, None) => {}
-            (Some(p), Some(o)) => p.merge(&o),
-            _ => panic!("absorbing a profiler with a different on/off state"),
-        }
     }
 
     /// Charges one issue slot to `pc` with `lanes` active lanes;
@@ -788,18 +714,6 @@ mod tests {
         // Costs: pc0 = 10, pc1 = 4 + 2 = 6, pc2 = 1, pc3 = 1.
         assert_eq!(prof.hotspots(10), vec![0, 1, 2, 3]);
         assert_eq!(prof.hotspots(2), vec![0, 1]);
-    }
-
-    #[test]
-    fn merge_accumulates_everything() {
-        let a = sample_profile();
-        let mut m = sample_profile();
-        m.merge(&a);
-        assert_eq!(m.total_issues(), 2 * a.total_issues());
-        assert_eq!(m.total_stall_cycles(), 2 * a.total_stall_cycles());
-        assert_eq!(m.record(0).latency.count(), 2);
-        assert_eq!(m.record(2).branch.execs, 2);
-        assert_eq!(m.record(0).raw_bytes, 512);
     }
 
     #[test]

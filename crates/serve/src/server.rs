@@ -453,7 +453,6 @@ fn run_grid(
         max_retries: shared.cfg.max_retries,
         progress: Progress::Quiet,
         live: Some(live.clone()),
-        sim_threads: 1,
         cache: Some(Arc::clone(&shared.cache) as Arc<dyn JobCache>),
         cancel: Some(cancel),
     };

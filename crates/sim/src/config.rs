@@ -53,11 +53,11 @@ pub struct GpuConfig {
     pub sched: SchedPolicy,
     /// Timing latencies.
     pub lat: Latencies,
-    /// Worker threads for the in-process parallel execution engine
-    /// (see `crate::parallel`): 1 ticks SMs serially, 0 resolves to
-    /// the machine's available parallelism, `n` > 1 shards the per-
-    /// cycle SM loop over `n` threads. Results are byte-identical at
-    /// any value; only wall-clock time changes.
+    /// Unused: nothing reads it, and every value runs the same engine.
+    /// It stays because the `benchmark/` package still writes it, and
+    /// because this struct's `Debug` text is the manifest
+    /// `config_digest` and the result-cache key (DESIGN.md "Cache-key
+    /// derivation"): dropping the field would change every digest.
     pub exec_threads: usize,
     /// What-if idealization knobs (all off for real hardware models).
     pub ideal: IdealConfig,
@@ -355,12 +355,6 @@ mod tests {
         assert_eq!(c.vector_regs_per_bank(), 64);
         assert_eq!(c.warps_per_sm(), 48);
         assert_eq!(c.arrays_per_bank(), 8);
-    }
-
-    #[test]
-    fn exec_threads_defaults_to_serial() {
-        assert_eq!(GpuConfig::gtx480().exec_threads, 1);
-        assert_eq!(GpuConfig::test_small().exec_threads, 1);
     }
 
     #[test]

@@ -1,14 +1,11 @@
-//! The full GPU: SMs, the CTA scheduler, and the one run driver both
-//! execution engines share.
+//! The full GPU: SMs, the CTA scheduler, and the run driver.
 //!
-//! A run is a loop of simulated cycles. The engines differ only in how
-//! one cycle of every SM runs: the serial engine steps each SM in id
-//! order against the shared memory in place, the parallel engine (see
-//! [`crate::parallel`]) steps them concurrently against buffered ports
-//! and replays their effects at a barrier. Everything else — CTA fill
-//! and refill, activity detection, the idle skip, trace snapshots,
-//! observer samples, the budget, the watchdog and the final merge —
-//! is the run driver's, written once.
+//! A run is a loop of simulated cycles: each cycle steps every SM in id
+//! order straight against the shared global memory and memory system,
+//! then the driver ends the cycle. Everything around the SM steps — CTA
+//! fill and refill, activity detection, the idle skip, trace snapshots,
+//! observer samples, the budget, the watchdog and the final merge — is
+//! the driver's.
 
 use std::ops::ControlFlow;
 
@@ -21,7 +18,7 @@ use crate::config::{ArchConfig, GpuConfig};
 use crate::live::LiveObserver;
 use crate::memory::GlobalMemory;
 use crate::memsys::MemSystem;
-use crate::sm::{MemPort, Sm};
+use crate::sm::Sm;
 use crate::stats::Stats;
 
 /// Safety valve: a run exceeding this many cycles panics instead of
@@ -126,7 +123,8 @@ pub struct Instruments<'a> {
     /// Simulated-cycle budget (0 = none): the run returns
     /// [`BudgetExceeded`] at the first sample boundary at or past it,
     /// after the observers have seen that sample and without calling
-    /// [`RunObserver::finish`].
+    /// [`RunObserver::finish`] (the `live` stream still ends the run with
+    /// its `run_end` at that boundary).
     pub budget: u64,
 }
 
@@ -225,9 +223,7 @@ impl Gpu {
     }
 
     /// [`Gpu::run`] with `ins` attached: tracing, profiling, observers
-    /// and a cycle budget (see [`Instruments`]). Runs on the parallel
-    /// engine when the resolved [`GpuConfig::exec_threads`] exceeds 1,
-    /// with byte-identical results.
+    /// and a cycle budget (see [`Instruments`]).
     ///
     /// # Errors
     ///
@@ -248,30 +244,12 @@ impl Gpu {
             .collect();
         let mut memsys = MemSystem::new(&self.cfg);
         let mut driver = Driver::start(&self.cfg, kernel, launch, ins, &mut sms);
-        let threads = gscalar_pool::resolve_threads(self.cfg.exec_threads).min(self.cfg.num_sms);
-        if threads > 1 {
-            return crate::parallel::run(&mut driver, threads, sms, &mut memsys, gmem, ins);
-        }
-        // The serial engine: every SM in id order, straight against the
-        // shared memory state.
         let mut now = 0;
         loop {
             for sm in &mut sms {
-                let mut port = MemPort::Direct {
-                    gmem,
-                    memsys: &mut memsys,
-                };
-                let outcome = step(
-                    sm,
-                    now,
-                    kernel,
-                    &mut port,
-                    &mut ins.tracer,
-                    &mut ins.profiler,
-                );
-                driver.settle(sm, outcome);
+                driver.step(sm, now, gmem, &mut memsys, ins);
             }
-            match driver.end_cycle(now, &mut sms[..], ins) {
+            match driver.end_cycle(now, &mut sms, ins) {
                 ControlFlow::Continue(next) => now = next,
                 ControlFlow::Break(result) => return result,
             }
@@ -279,58 +257,16 @@ impl Gpu {
     }
 }
 
-/// What one SM's cycle reports to [`Driver::settle`].
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Outcome {
-    /// CTAs that completed this cycle (the driver refills the SM).
-    completed: u64,
-    /// Whether the SM completed a CTA, issued, allocated an operand
-    /// collector or holds a pending one: any of these rules out the
-    /// idle skip.
-    active: bool,
-}
-
-/// Runs cycle `now` of `sm` against `port` and reports its [`Outcome`].
-pub(crate) fn step(
-    sm: &mut Sm,
-    now: u64,
-    kernel: &Kernel,
-    port: &mut MemPort<'_>,
-    tracer: &mut Tracer<'_>,
-    profiler: &mut Profiler,
-) -> Outcome {
-    let before = sm.stats.pipe.issued + sm.stats.pipe.oc_allocs;
-    let completed = sm.cycle_port(now, kernel, port, tracer, profiler) as u64;
-    let active = completed > 0
-        || sm.stats.pipe.issued + sm.stats.pipe.oc_allocs != before
-        || sm.collectors_pending();
-    Outcome { completed, active }
-}
-
-/// The SMs as the [`Driver`] reaches them between two cycles. The
-/// serial engine owns them outright; the parallel engine locks one slot
-/// at a time.
-pub(crate) trait Shards {
-    /// Calls `f` on every SM in id order.
-    fn each(&mut self, f: impl FnMut(&mut Sm));
-}
-
-impl Shards for [Sm] {
-    fn each(&mut self, f: impl FnMut(&mut Sm)) {
-        self.iter_mut().for_each(f);
-    }
-}
-
-/// The steps of a run both engines share: everything between one cycle
-/// of every SM and the next.
-pub(crate) struct Driver<'k> {
+/// The steps of a run around the SMs' own cycles: the CTA fill, each
+/// SM's cycle and refill, and everything between one cycle and the next.
+struct Driver<'k> {
     kernel: &'k Kernel,
     launch: LaunchConfig,
     warps_per_cta: usize,
     total_ctas: u64,
     next_cta: u64,
     ctas_done: u64,
-    /// Whether any SM settled so far this cycle was active.
+    /// Whether any SM stepped so far this cycle was active.
     any_activity: bool,
     /// The cadence of observer samples and budget checks.
     sample_interval: u64,
@@ -387,11 +323,6 @@ impl<'k> Driver<'k> {
         driver
     }
 
-    /// The kernel being run.
-    pub(crate) fn kernel(&self) -> &'k Kernel {
-        self.kernel
-    }
-
     /// Launches the next CTA on `sm` if one remains and fits.
     fn launch_next(&mut self, sm: &mut Sm) -> bool {
         let fits = self.next_cta < self.total_ctas
@@ -409,28 +340,47 @@ impl<'k> Driver<'k> {
         fits
     }
 
-    /// Takes `sm`'s [`Outcome`] of the cycle and refills the CTAs it
-    /// completed. The engines settle every SM once per cycle, in id
-    /// order, before [`Driver::end_cycle`]; a launch touches only its
-    /// own SM and the CTA counter, so no SM's cycle can see another's.
-    pub(crate) fn settle(&mut self, sm: &mut Sm, outcome: Outcome) {
-        if outcome.completed > 0 {
-            self.ctas_done += outcome.completed;
+    /// Runs cycle `now` of `sm` and refills the CTAs it completed. Every
+    /// SM steps once per cycle, in id order, before
+    /// [`Driver::end_cycle`].
+    fn step(
+        &mut self,
+        sm: &mut Sm,
+        now: u64,
+        gmem: &mut GlobalMemory,
+        memsys: &mut MemSystem,
+        ins: &mut Instruments<'_>,
+    ) {
+        let before = sm.stats.pipe.issued + sm.stats.pipe.oc_allocs;
+        let completed = sm.cycle(
+            now,
+            self.kernel,
+            gmem,
+            memsys,
+            &mut ins.tracer,
+            &mut ins.profiler,
+        ) as u64;
+        // Completing a CTA, issuing, allocating an operand collector or
+        // holding a pending one rules out the idle skip.
+        self.any_activity |= completed > 0
+            || sm.stats.pipe.issued + sm.stats.pipe.oc_allocs != before
+            || sm.collectors_pending();
+        if completed > 0 {
+            self.ctas_done += completed;
             let _fill_phase = hostprof::phase(hostprof::Phase::CtaLaunch);
             while self.launch_next(sm) {}
         }
-        self.any_activity |= outcome.active;
     }
 
-    /// Ends cycle `now` once every SM has run and settled it: either
+    /// Ends cycle `now` once every SM has stepped it: either
     /// finishes the run or advances the clock — one cycle, or past an
     /// idle stretch — emitting the snapshots and samples whose
     /// boundaries it crossed. Continues with the next cycle to run, or
     /// breaks with the run's result.
-    pub(crate) fn end_cycle(
+    fn end_cycle(
         &mut self,
         now: u64,
-        sms: &mut (impl Shards + ?Sized),
+        sms: &mut [Sm],
         ins: &mut Instruments<'_>,
     ) -> ControlFlow<Result<Stats, BudgetExceeded>, u64> {
         if self.ctas_done >= self.total_ctas {
@@ -451,7 +401,7 @@ impl<'k> Driver<'k> {
 
     /// Emits one [`TraceEvent::Snapshot`] per SM when `now` crossed a
     /// snapshot boundary.
-    fn snapshot(&mut self, now: u64, sms: &mut (impl Shards + ?Sized), ins: &mut Instruments<'_>) {
+    fn snapshot(&mut self, now: u64, sms: &[Sm], ins: &mut Instruments<'_>) {
         if !ins.tracer.is_on() {
             return;
         }
@@ -464,8 +414,7 @@ impl<'k> Driver<'k> {
         }
         let _snap_phase = hostprof::phase(hostprof::Phase::Snapshot);
         self.last_snapshot = boundary;
-        let mut id = 0;
-        sms.each(|sm| {
+        for (id, sm) in (0..).zip(sms) {
             let s = &sm.stats;
             ins.tracer.emit_with(boundary, || TraceEvent::Snapshot {
                 sm: id,
@@ -475,16 +424,17 @@ impl<'k> Driver<'k> {
                 rf_bytes_uncompressed: s.rf.raw_bytes,
                 rf_activations: s.rf.ours_arrays,
             });
-            id += 1;
-        });
+        }
     }
 
     /// Samples the observers when `now` crossed a sample boundary, and
-    /// reports a budget that boundary reached.
+    /// reports a budget that boundary reached. A budget abort ends the
+    /// live stream's run at the boundary; the other observers get no
+    /// [`RunObserver::finish`].
     fn sample(
         &mut self,
         now: u64,
-        sms: &mut (impl Shards + ?Sized),
+        sms: &[Sm],
         ins: &mut Instruments<'_>,
     ) -> Option<BudgetExceeded> {
         let boundary = now.checked_div(self.sample_interval)? * self.sample_interval;
@@ -492,22 +442,24 @@ impl<'k> Driver<'k> {
             return None;
         }
         self.last_sample = boundary;
+        let exceeded = (ins.budget > 0 && boundary >= ins.budget).then_some(BudgetExceeded {
+            cycles: boundary,
+            budget: ins.budget,
+        });
         if ins.observed() {
             let _snap_phase = hostprof::phase(hostprof::Phase::Snapshot);
             let mut cum = Stats::default();
-            let mut id = 0;
-            sms.each(|sm| {
+            for (id, sm) in sms.iter().enumerate() {
                 ins.watch(|o| o.sample_sm(boundary, id, &sm.stats));
                 cum.merge(&sm.stats);
-                id += 1;
-            });
+            }
             cum.cycles = boundary;
             ins.watch(|o| o.sample(boundary, &cum));
+            if let (Some(live), Some(_)) = (&mut ins.live, exceeded) {
+                live.end(boundary, &cum);
+            }
         }
-        (ins.budget > 0 && boundary >= ins.budget).then_some(BudgetExceeded {
-            cycles: boundary,
-            budget: ins.budget,
-        })
+        exceeded
     }
 }
 
@@ -515,10 +467,10 @@ impl<'k> Driver<'k> {
 /// completion or scoreboard release, and charges the jumped-over cycles
 /// in bulk so the per-scheduler CPI ledger still sums exactly to
 /// elapsed cycles.
-fn skip_idle(now: u64, sms: &mut (impl Shards + ?Sized)) -> u64 {
+fn skip_idle(now: u64, sms: &mut [Sm]) -> u64 {
     let _idle_phase = hostprof::phase(hostprof::Phase::IdleScan);
     let mut next: Option<u64> = None;
-    sms.each(|sm| {
+    for sm in sms.iter() {
         let release = sm.last_release();
         for t in sm
             .next_event()
@@ -527,34 +479,36 @@ fn skip_idle(now: u64, sms: &mut (impl Shards + ?Sized)) -> u64 {
         {
             next = Some(next.map_or(t, |n| n.min(t)));
         }
-    });
+    }
     let target = next.map_or(now + 1, |t| t.max(now + 1));
     let skipped = target - (now + 1);
     if skipped > 0 {
-        sms.each(|sm| sm.charge_idle_skip(skipped));
+        for sm in sms {
+            sm.charge_idle_skip(skipped);
+        }
     }
     target
 }
 
 /// Merges every SM's statistics into the run's result at cycle `end`
 /// and tells the observers the run is complete.
-fn finish(end: u64, sms: &mut (impl Shards + ?Sized), ins: &mut Instruments<'_>) -> Stats {
+fn finish(end: u64, sms: &[Sm], ins: &mut Instruments<'_>) -> Stats {
     let observed = ins.observed();
     let mut stats = Stats::default();
     let mut per_sm = Vec::new();
-    sms.each(|sm| {
+    for sm in sms {
         stats.merge(&sm.stats);
         if observed {
             per_sm.push(sm.stats.clone());
         }
-    });
+    }
     stats.cycles = end;
     ins.watch(|o| o.finish(end, &stats, &per_sm));
     stats
 }
 
 /// Converts a linear CTA index to grid coordinates.
-pub(crate) fn cta_coord(linear: u64, grid: Dim3) -> Dim3 {
+fn cta_coord(linear: u64, grid: Dim3) -> Dim3 {
     let x = (linear % u64::from(grid.x)) as u32;
     let rest = linear / u64::from(grid.x);
     let y = (rest % u64::from(grid.y)) as u32;

@@ -54,7 +54,6 @@ pub mod live;
 pub mod memory;
 pub mod memsys;
 pub mod metrics;
-pub mod parallel;
 pub mod pipeline;
 pub mod reference;
 pub mod regfile;

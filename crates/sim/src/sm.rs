@@ -82,138 +82,6 @@ fn drain_path_events(profiler: &mut Profiler, simt: &crate::simt::SimtStack) {
     }
 }
 
-/// Where an SM's global-memory traffic goes during a cycle.
-///
-/// The serial engine hands the SM direct mutable access to the shared
-/// state. The parallel engine (see [`crate::parallel`]) instead hands
-/// each SM a read-only snapshot of global memory plus a private
-/// [`EpochBuffer`]; the coordinator applies the buffered effects at the
-/// epoch barrier in (cycle, sm-id, issue-order) order, which reproduces
-/// the serial engine's memory-system access sequence exactly.
-#[derive(Debug)]
-pub enum MemPort<'a> {
-    /// Operate on the shared global memory and memory system in place.
-    Direct {
-        /// Global memory, read and written at issue time.
-        gmem: &'a mut GlobalMemory,
-        /// The shared timing hierarchy, accessed at dispatch time.
-        memsys: &'a mut MemSystem,
-    },
-    /// Read the epoch-start snapshot (overlaid with this SM's own
-    /// buffered stores) and defer stores and timing accesses.
-    Buffered {
-        /// Epoch-start snapshot of global memory.
-        gmem: &'a GlobalMemory,
-        /// This SM's deferred stores and memory-system requests.
-        buf: &'a mut EpochBuffer,
-    },
-}
-
-impl MemPort<'_> {
-    /// Reads a `u32`, seeing this SM's own earlier stores (byte-granular
-    /// overlay in buffered mode, so overlapping unaligned accesses
-    /// behave exactly as under the serial engine; byte addresses wrap
-    /// modulo 2^64 as in [`GlobalMemory`]).
-    fn read_u32(&self, addr: u64) -> u32 {
-        match self {
-            MemPort::Direct { gmem, .. } => gmem.read_u32(addr),
-            MemPort::Buffered { gmem, buf } => {
-                let mut bytes = [0u8; 4];
-                for (i, b) in (0u64..).zip(&mut bytes) {
-                    let a = addr.wrapping_add(i);
-                    *b = buf
-                        .writes
-                        .get(&a)
-                        .copied()
-                        .unwrap_or_else(|| gmem.read_u8(a));
-                }
-                u32::from_le_bytes(bytes)
-            }
-        }
-    }
-
-    /// Reads each active lane's word in lane order ([`GlobalMemory::read_lanes`];
-    /// buffered mode goes lane by lane through the overlay).
-    fn read_lanes(&self, addrs: &[u64], mask: u64, out: &mut [u32]) {
-        match self {
-            MemPort::Direct { gmem, .. } => gmem.read_lanes(addrs, mask, out),
-            MemPort::Buffered { .. } => {
-                for lane in bits(mask) {
-                    out[lane] = self.read_u32(addrs[lane]);
-                }
-            }
-        }
-    }
-
-    /// Writes each active lane's word in lane order
-    /// ([`GlobalMemory::write_lanes`]; buffered mode goes lane by lane
-    /// into the overlay).
-    fn write_lanes(&mut self, addrs: &[u64], mask: u64, values: &[u32]) {
-        match self {
-            MemPort::Direct { gmem, .. } => gmem.write_lanes(addrs, mask, values),
-            MemPort::Buffered { .. } => {
-                for lane in bits(mask) {
-                    self.write_u32(addrs[lane], values[lane]);
-                }
-            }
-        }
-    }
-
-    /// Writes a `u32` (buffered mode: into the overlay, applied to the
-    /// real global memory at the epoch barrier).
-    fn write_u32(&mut self, addr: u64, v: u32) {
-        match self {
-            MemPort::Direct { gmem, .. } => gmem.write_u32(addr, v),
-            MemPort::Buffered { buf, .. } => {
-                for (i, b) in (0u64..).zip(v.to_le_bytes()) {
-                    buf.writes.insert(addr.wrapping_add(i), b);
-                }
-            }
-        }
-    }
-}
-
-/// Per-SM buffer of one epoch's deferred global-memory effects
-/// (parallel engine only).
-#[derive(Debug, Default)]
-pub struct EpochBuffer {
-    /// Byte-granular store overlay: this SM's stores this epoch.
-    writes: std::collections::HashMap<u64, u8>,
-    /// Deferred memory-system requests, in issue order.
-    pending: Vec<PendingMem>,
-}
-
-impl EpochBuffer {
-    /// Takes the deferred memory-system requests (issue order).
-    pub(crate) fn take_pending(&mut self) -> Vec<PendingMem> {
-        std::mem::take(&mut self.pending)
-    }
-
-    /// Applies and clears the buffered stores. Distinct byte addresses
-    /// commute and duplicates collapse to their final value, so the
-    /// map's iteration order cannot be observed in the result.
-    pub(crate) fn apply_writes(&mut self, gmem: &mut GlobalMemory) {
-        for (a, b) in self.writes.drain() {
-            gmem.write_u8(a, b);
-        }
-    }
-}
-
-/// A memory instruction whose [`MemSystem`] access was deferred by a
-/// buffered [`MemPort`]; resolved by [`Sm::resolve_pending`] at the
-/// epoch barrier.
-#[derive(Debug)]
-pub(crate) struct PendingMem {
-    inst: Inflight,
-    now: u64,
-    /// Completion floor before memory-system timing (dispatch occupancy
-    /// plus the L1 hit latency), exactly as the serial path computes it.
-    base_finish: u64,
-    /// Trace-sink position at dispatch time, used to splice the
-    /// deferred `Mem`/`ExecSpan` events back into serial order.
-    pub(crate) trace_pos: u64,
-}
-
 /// An instruction in flight between issue and writeback.
 #[derive(Debug, Clone)]
 struct Inflight {
@@ -570,19 +438,19 @@ impl Sm {
         phys % self.cfg.rf_banks
     }
 
-    /// Runs one SM cycle against an arbitrary [`MemPort`]. With a
-    /// buffered port the cycle touches no shared state: stores land in
-    /// the buffer's overlay and memory-system requests are deferred for
-    /// `Sm::resolve_pending` at the epoch barrier.
+    /// Runs one SM cycle against the shared global memory (read and
+    /// written at issue) and memory system (accessed at dispatch).
+    /// Returns the CTAs completed.
     ///
     /// A steadily stalled SM sleeps: until the next event that can
     /// change it, a poll charges exactly what a full cycle would, in
     /// O(1).
-    pub fn cycle_port(
+    pub fn cycle(
         &mut self,
         now: u64,
         kernel: &Kernel,
-        port: &mut MemPort<'_>,
+        gmem: &mut GlobalMemory,
+        memsys: &mut MemSystem,
         tracer: &mut Tracer<'_>,
         profiler: &mut Profiler,
     ) -> usize {
@@ -661,7 +529,7 @@ impl Sm {
             }
         });
         for inst in ready.drain(..) {
-            self.dispatch(inst, now, port, tracer, profiler);
+            self.dispatch(inst, now, memsys, tracer, profiler);
         }
         self.dispatching = ready;
         drop(dispatch_phase);
@@ -669,7 +537,7 @@ impl Sm {
         // 4. Issue from each scheduler.
         let mut completed_ctas = 0;
         for s in 0..self.schedulers.len() {
-            completed_ctas += self.issue_one(s, now, kernel, port, rf_conflict, tracer, profiler);
+            completed_ctas += self.issue_one(s, now, kernel, gmem, rf_conflict, tracer, profiler);
         }
         completed_ctas
     }
@@ -728,52 +596,6 @@ impl Sm {
         }
     }
 
-    /// Resolves one deferred memory request at the epoch barrier,
-    /// replaying exactly what the serial dispatch path would have done
-    /// at the same point in the memory-system access order: the timed
-    /// (and traced) per-line accesses, the latency attribution, the
-    /// `ExecSpan` event, and the LSU completion.
-    pub(crate) fn resolve_pending(
-        &mut self,
-        p: PendingMem,
-        memsys: &mut MemSystem,
-        tracer: &mut Tracer<'_>,
-        profiler: &mut Profiler,
-    ) {
-        let PendingMem {
-            inst,
-            now,
-            base_finish,
-            trace_pos: _,
-        } = p;
-        let mut finish = base_finish;
-        {
-            let _mem_phase = hostprof::phase(hostprof::Phase::Memsys);
-            for &line in &inst.mem_lines {
-                let t = memsys.access_traced(
-                    self.id,
-                    line,
-                    inst.store,
-                    now,
-                    &mut self.stats.mem,
-                    tracer,
-                );
-                finish = finish.max(t);
-            }
-        }
-        profiler.record_latency(inst.pc, finish.saturating_sub(now));
-        let sm_id = self.id as u32;
-        tracer.emit_with(now, || TraceEvent::ExecSpan {
-            sm: sm_id,
-            warp: inst.warp as u32,
-            pc: inst.pc as u32,
-            unit: unit_kind(inst.unit),
-            mode: inst.mode.trace_kind(),
-            end: finish,
-        });
-        self.lsu_pipe.complete_at(finish, inst);
-    }
-
     /// Earliest pending pipe completion on this SM, for idle-cycle
     /// skipping and for how long the SM may sleep.
     #[must_use]
@@ -808,7 +630,7 @@ impl Sm {
         self.oc.any_pending()
     }
 
-    /// Charges `skipped` cycles jumped over by the engines' idle-skip
+    /// Charges `skipped` cycles jumped over by the run driver's idle-skip
     /// fast path to each scheduler's most recent stall reason, keeping
     /// the per-scheduler ledger exact:
     /// `issued + stalls.total() + skipped.total() == cycles`.
@@ -841,7 +663,7 @@ impl Sm {
         s: usize,
         now: u64,
         kernel: &Kernel,
-        port: &mut MemPort<'_>,
+        gmem: &mut GlobalMemory,
         rf_conflict: bool,
         tracer: &mut Tracer<'_>,
         profiler: &mut Profiler,
@@ -877,7 +699,7 @@ impl Sm {
                     self.stats.pipe.issued += 1;
                     self.stats.sched[s].issued += 1;
                     let _exec_phase = hostprof::phase(hostprof::Phase::Execute);
-                    return self.execute_instruction(w, s, now, kernel, port, tracer, profiler);
+                    return self.execute_instruction(w, s, now, kernel, gmem, tracer, profiler);
                 }
                 let v = self.scan_stall(s, now, kernel, oc_free);
                 self.verdicts[s] = Some(v);
@@ -1041,7 +863,7 @@ impl Sm {
         s: usize,
         now: u64,
         kernel: &Kernel,
-        port: &mut MemPort<'_>,
+        gmem: &mut GlobalMemory,
         tracer: &mut Tracer<'_>,
         profiler: &mut Profiler,
     ) -> usize {
@@ -1394,12 +1216,12 @@ impl Sm {
                 match space {
                     Space::Global if uniform => {
                         let a = lane_addr(warp, addr, offset, first);
-                        broadcast(&mut vals, mask, port.read_u32(a));
+                        broadcast(&mut vals, mask, gmem.read_u32(a));
                         push_line(&mut mem_lines, a, line_bytes);
                     }
                     Space::Global => {
                         let addrs = lane_addrs(warp, addr, offset, mask);
-                        port.read_lanes(&addrs, mask, &mut vals);
+                        gmem.read_lanes(&addrs, mask, &mut vals);
                         for lane in bits(mask) {
                             push_line(&mut mem_lines, addrs[lane], line_bytes);
                         }
@@ -1426,7 +1248,7 @@ impl Sm {
                 match space {
                     Space::Global => {
                         let addrs = lane_addrs(warp, addr, offset, mask);
-                        port.write_lanes(&addrs, mask, warp.reg(src.index()));
+                        gmem.write_lanes(&addrs, mask, warp.reg(src.index()));
                         for lane in bits(mask) {
                             push_line(&mut mem_lines, addrs[lane], line_bytes);
                         }
@@ -1694,7 +1516,7 @@ impl Sm {
         &mut self,
         inst: Inflight,
         now: u64,
-        port: &mut MemPort<'_>,
+        memsys: &mut MemSystem,
         tracer: &mut Tracer<'_>,
         profiler: &mut Profiler,
     ) {
@@ -1764,35 +1586,17 @@ impl Sm {
                     if inst.mem_lines.len() == 1 {
                         self.stats.mem.fully_coalesced += 1;
                     }
-                    match port {
-                        MemPort::Direct { memsys, .. } => {
-                            let _mem_phase = hostprof::phase(hostprof::Phase::Memsys);
-                            for &line in &inst.mem_lines {
-                                let t = memsys.access_traced(
-                                    self.id,
-                                    line,
-                                    inst.store,
-                                    now,
-                                    &mut self.stats.mem,
-                                    tracer,
-                                );
-                                finish = finish.max(t);
-                            }
-                        }
-                        MemPort::Buffered { buf, .. } => {
-                            // Defer the shared-hierarchy access: the
-                            // coordinator resolves it at the barrier at
-                            // this exact point in the access order (and
-                            // splices the deferred trace events back in
-                            // at `trace_pos`).
-                            buf.pending.push(PendingMem {
-                                inst,
-                                now,
-                                base_finish: finish,
-                                trace_pos: tracer.position(),
-                            });
-                            return;
-                        }
+                    let _mem_phase = hostprof::phase(hostprof::Phase::Memsys);
+                    for &line in &inst.mem_lines {
+                        let t = memsys.access_traced(
+                            self.id,
+                            line,
+                            inst.store,
+                            now,
+                            &mut self.stats.mem,
+                            tracer,
+                        );
+                        finish = finish.max(t);
                     }
                 }
                 profiler.record_latency(inst.pc, finish.saturating_sub(now));

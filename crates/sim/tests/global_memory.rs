@@ -1,8 +1,8 @@
 //! `GlobalMemory` against a byte-map model: random interleavings of
 //! byte, word, float, slice and per-lane accesses at aligned, unaligned,
 //! page-straddling and top-of-address-space addresses, plus a kernel
-//! whose store wraps past `u64::MAX` in the serial engine, the parallel
-//! engine and the reference interpreter alike.
+//! whose store wraps past `u64::MAX` in the engine and the reference
+//! interpreter alike.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -253,18 +253,9 @@ fn kernel_word_at_top_of_address_space_wraps() {
     assert_eq!(reference.read_u32(0), 0xA1B2);
     assert_eq!(reference.read_u32(0x100), 0xA1B2_C3D4);
 
-    // 4 SMs, so two exec threads take the parallel engine's buffered
-    // store overlay.
-    for threads in [1, 2] {
-        let mut cfg = GpuConfig::test_small();
-        cfg.num_sms = 4;
-        cfg.exec_threads = threads;
-        let mut mem = GlobalMemory::new();
-        Gpu::new(cfg, ArchConfig::baseline()).run(&kernel, launch, &mut mem);
-        assert_eq!(
-            mem.first_difference(&reference),
-            None,
-            "{threads} exec thread(s)"
-        );
-    }
+    let mut cfg = GpuConfig::test_small();
+    cfg.num_sms = 4;
+    let mut mem = GlobalMemory::new();
+    Gpu::new(cfg, ArchConfig::baseline()).run(&kernel, launch, &mut mem);
+    assert_eq!(mem.first_difference(&reference), None);
 }

@@ -69,10 +69,6 @@ pub struct SweepConfig {
     /// schedule-dependent order — the stream is a side channel, never
     /// a comparison artifact.
     pub live: Option<LiveHandle>,
-    /// Executor threads inside each simulation (1 = serial, 0 = all
-    /// cores), handed to every job as [`JobCtx::sim_threads`]. A
-    /// wall-clock knob only: results are byte-identical at any value.
-    pub sim_threads: usize,
     /// Content-addressed result cache. Consulted during the resume
     /// scan for jobs with a [`JobSpec::cache_key`] that have no
     /// completed manifest on disk; hits are re-persisted to `out_dir`
@@ -94,7 +90,6 @@ impl fmt::Debug for SweepConfig {
             .field("max_retries", &self.max_retries)
             .field("progress", &self.progress)
             .field("live", &self.live.is_some())
-            .field("sim_threads", &self.sim_threads)
             .field("cache", &self.cache.is_some())
             .field("cancel", &self.cancel.is_some())
             .finish()
@@ -109,7 +104,6 @@ impl Default for SweepConfig {
             max_retries: 1,
             progress: Progress::Quiet,
             live: None,
-            sim_threads: 1,
             cache: None,
             cancel: None,
         }
@@ -209,10 +203,10 @@ pub fn write_atomic(path: &Path, text: &str) {
 
 /// Runs one job with panic containment and up to `cfg.max_retries`
 /// retries, returning the attempt count alongside the outcome. The
-/// job's [`JobCtx`] carries its budget plus `cfg`'s live stream and
-/// sim-thread count. Emits `job_start` (before the first attempt) and
-/// `job_retry` lifecycle events on `cfg.live`; this may run on a worker
-/// thread, which the non-blocking stream supports.
+/// job's [`JobCtx`] carries its budget plus `cfg`'s live stream. Emits
+/// `job_start` (before the first attempt) and `job_retry` lifecycle
+/// events on `cfg.live`; this may run on a worker thread, which the
+/// non-blocking stream supports.
 ///
 /// This is the single-job execution primitive [`run_sweep`] is built
 /// on, exported so alternative drivers (e.g. a job server) share the
@@ -221,7 +215,6 @@ pub fn execute_one(spec: &JobSpec, cfg: &SweepConfig) -> (u32, Result<JobOutput,
     let ctx = JobCtx {
         cycle_budget: spec.cycle_budget,
         live: cfg.live.clone(),
-        sim_threads: cfg.sim_threads,
     };
     let live = cfg.live.as_ref();
     if let Some(live) = live {

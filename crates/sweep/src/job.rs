@@ -69,10 +69,6 @@ pub struct JobCtx {
     /// announces itself on it and streams its snapshots through the
     /// `live` field of the `Instruments` it runs with.
     pub live: Option<LiveHandle>,
-    /// Executor threads inside each simulation of the job (the
-    /// simulator's `GpuConfig::exec_threads`: 1 = serial, 0 = all
-    /// cores). Results are byte-identical at any value.
-    pub sim_threads: usize,
 }
 
 /// What a successful job returns: raw metric cells plus the simulated

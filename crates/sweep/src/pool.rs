@@ -1,7 +1,6 @@
 //! Re-export of the shared work-stealing pool.
 //!
-//! The pool started here and moved to `gscalar-pool` when the
-//! simulator's parallel engine needed the same primitives; this module
+//! The pool started here and moved to `gscalar-pool`; this module
 //! keeps the `gscalar_sweep::pool` paths working.
 
 pub use gscalar_pool::{resolve_threads, run_indexed};

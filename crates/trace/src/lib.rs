@@ -396,15 +396,6 @@ pub struct Record {
 pub trait TraceSink {
     /// Records one event at cycle `now`.
     fn record(&mut self, now: u64, ev: TraceEvent);
-
-    /// Number of records accepted so far. Sinks that want deferred
-    /// events spliced back into recording order (the parallel engine's
-    /// epoch sinks) override this; for sinks that never splice the
-    /// default of 0 is fine, as positions are only compared among
-    /// events recorded into the same sink.
-    fn position(&self) -> u64 {
-        0
-    }
 }
 
 /// A bounded in-memory ring of trace records.
@@ -490,10 +481,6 @@ impl TraceSink for EventBuf {
         }
         self.buf.push_back(Record { now, ev });
     }
-
-    fn position(&self) -> u64 {
-        self.buf.len() as u64 + self.dropped
-    }
 }
 
 /// The handle instrumentation sites emit through.
@@ -530,12 +517,6 @@ impl<'a> Tracer<'a> {
         if let Some(sink) = self.sink.as_mut() {
             sink.record(now, f());
         }
-    }
-
-    /// The sink's [`TraceSink::position`], or 0 when tracing is off.
-    #[must_use]
-    pub fn position(&self) -> u64 {
-        self.sink.as_ref().map_or(0, |s| s.position())
     }
 }
 

@@ -2,7 +2,7 @@
 //! suite and randomized divergent/looping kernels alike — each
 //! (SM, scheduler) ledger charges exactly one slot per cycle, so the
 //! analyzer's stacks reconcile to `cycles × ledgers` at kernel, per-SM
-//! and per-scheduler granularity, serial and parallel byte-identically.
+//! and per-scheduler granularity.
 
 mod common;
 
@@ -15,12 +15,11 @@ use gscalar::sim::{Gpu, GpuConfig, Instruments, RunObserver, Stats};
 use gscalar::workloads::{suite, Scale};
 use proptest::prelude::*;
 
-/// A multi-SM configuration so idle-skip bulk charging, per-SM merge
-/// and the parallel engine all participate.
-fn multi_sm_config(threads: usize) -> GpuConfig {
+/// A multi-SM configuration so idle-skip bulk charging and the per-SM
+/// merge both participate.
+fn multi_sm_config() -> GpuConfig {
     let mut cfg = GpuConfig::test_small();
     cfg.num_sms = 4;
-    cfg.exec_threads = threads;
     cfg
 }
 
@@ -41,9 +40,8 @@ fn run_with_per_sm(
     kernel: &Kernel,
     launch: LaunchConfig,
     init: &GlobalMemory,
-    threads: usize,
 ) -> (Stats, Vec<Stats>) {
-    let mut gpu = Gpu::new(multi_sm_config(threads), Arch::Baseline.config());
+    let mut gpu = Gpu::new(multi_sm_config(), Arch::Baseline.config());
     let mut mem = init.clone();
     let mut capture = PerSmCapture { per_sm: Vec::new() };
     let stats = gpu
@@ -90,7 +88,7 @@ fn assert_reconciles(merged: &Stats, per_sm: &[Stats], num_sms: usize, what: &st
 #[test]
 fn suite_stacks_reconcile_at_test_scale() {
     for w in suite(Scale::Test) {
-        let (merged, per_sm) = run_with_per_sm(&w.kernel, w.launch, &w.memory, 1);
+        let (merged, per_sm) = run_with_per_sm(&w.kernel, w.launch, &w.memory);
         assert_reconciles(&merged, &per_sm, 4, &w.abbr);
     }
 }
@@ -123,7 +121,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn random_kernels_reconcile_serial_and_parallel(
+    fn random_kernels_reconcile(
         steps in proptest::collection::vec(step_strategy(), 1..10),
         ctas in 1u32..7,
         warps in 1u32..3,
@@ -131,14 +129,7 @@ proptest! {
         let kernel = build_kernel(&steps);
         let launch = LaunchConfig::linear(ctas, warps * 32);
         let init = initial_memory(ctas * warps * 32);
-        let (serial, serial_per_sm) = run_with_per_sm(&kernel, launch, &init, 1);
-        assert_reconciles(&serial, &serial_per_sm, 4, "serial");
-        // The new ledgers obey the determinism contract too: a 4-thread
-        // run carries byte-identical stats (sched ledgers, MSHR
-        // occupancy histogram and all) at every granularity.
-        let (parallel, parallel_per_sm) = run_with_per_sm(&kernel, launch, &init, 4);
-        prop_assert_eq!(&serial, &parallel);
-        prop_assert_eq!(&serial_per_sm, &parallel_per_sm);
-        assert_reconciles(&parallel, &parallel_per_sm, 4, "parallel");
+        let (merged, per_sm) = run_with_per_sm(&kernel, launch, &init);
+        assert_reconciles(&merged, &per_sm, 4, "random kernel");
     }
 }

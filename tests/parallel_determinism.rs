@@ -1,8 +1,10 @@
-//! The parallel execution engine's determinism contract: at any thread
-//! count, `Gpu::run` (and `Gpu::run_with` under any `Instruments`) must
-//! produce results **byte-identical** to the serial engine — same
+//! The engine's determinism contract: instruments only read a run.
+//! `Gpu::run_with` with host profiling or live telemetry attached must
+//! produce results **byte-identical** to a run without them — same
 //! `Stats`, same final memory image, same trace event sequence, same
-//! per-PC profile, same budget abort.
+//! per-PC profile — and a budget must trip at exactly the sample
+//! boundary it reaches. Generated kernels must also leave the memory
+//! the reference interpreter does, on every architecture.
 //!
 //! Exercised two ways: over the full benchmark suite at test scale, and
 //! over randomized kernels (ALU mixes, loads/stores, divergence,
@@ -14,6 +16,7 @@ use common::{build_kernel, initial_memory, step_strategy};
 use gscalar::core::Arch;
 use gscalar::isa::{Kernel, LaunchConfig};
 use gscalar::sim::memory::GlobalMemory;
+use gscalar::sim::reference::run_reference;
 use gscalar::sim::{
     ArchConfig, BudgetExceeded, Gpu, GpuConfig, Instruments, LiveObserver, Profiler, RunObserver,
     Stats,
@@ -26,12 +29,11 @@ fn gscalar_arch() -> ArchConfig {
     Arch::GScalar.config()
 }
 
-/// A small multi-SM configuration: the 1-SM `test_small` would cap the
-/// engine back to serial, so widen it to 4 SMs.
-fn multi_sm_config(threads: usize) -> GpuConfig {
+/// A small multi-SM configuration: the 1-SM `test_small` widened to 4
+/// SMs, so the idle skip and the per-SM merge both participate.
+fn multi_sm_config() -> GpuConfig {
     let mut cfg = GpuConfig::test_small();
     cfg.num_sms = 4;
-    cfg.exec_threads = threads;
     cfg
 }
 
@@ -42,15 +44,9 @@ struct RunOutput {
     profile: Option<gscalar::sim::KernelProfile>,
 }
 
-/// Runs `kernel` fully instrumented (tracing with snapshots and
-/// profiling at once) on `threads` executor threads.
-fn run_instrumented(
-    kernel: &Kernel,
-    launch: LaunchConfig,
-    init: &GlobalMemory,
-    threads: usize,
-) -> RunOutput {
-    let mut gpu = Gpu::new(multi_sm_config(threads), gscalar_arch());
+/// Runs `kernel` fully instrumented (tracing and profiling at once).
+fn run_instrumented(kernel: &Kernel, launch: LaunchConfig, init: &GlobalMemory) -> RunOutput {
+    let mut gpu = Gpu::new(multi_sm_config(), gscalar_arch());
     let mut mem = init.clone();
     let mut buf = EventBuf::new(1 << 20);
     let (stats, profiler) = {
@@ -70,78 +66,22 @@ fn run_instrumented(
     }
 }
 
-fn assert_identical(serial: &RunOutput, parallel: &RunOutput, what: &str) {
-    assert_eq!(serial.stats, parallel.stats, "{what}: stats diverge");
+fn assert_identical(expected: &RunOutput, got: &RunOutput, what: &str) {
+    assert_eq!(expected.stats, got.stats, "{what}: stats diverge");
     assert!(
-        parallel.mem.content_eq(&serial.mem),
+        got.mem.content_eq(&expected.mem),
         "{what}: memory diverges at {:?}",
-        parallel.mem.first_difference(&serial.mem)
+        got.mem.first_difference(&expected.mem)
     );
     assert_eq!(
-        serial.trace.len(),
-        parallel.trace.len(),
+        expected.trace.len(),
+        got.trace.len(),
         "{what}: trace length diverges"
     );
-    for (i, (s, p)) in serial.trace.iter().zip(&parallel.trace).enumerate() {
-        assert_eq!(s, p, "{what}: trace record {i} diverges");
+    for (i, (e, g)) in expected.trace.iter().zip(&got.trace).enumerate() {
+        assert_eq!(e, g, "{what}: trace record {i} diverges");
     }
-    assert_eq!(serial.profile, parallel.profile, "{what}: profile diverges");
-}
-
-#[test]
-fn suite_stats_and_memory_are_identical_across_thread_counts() {
-    for w in suite(Scale::Test) {
-        let mut serial_mem = w.memory.clone();
-        let serial =
-            Gpu::new(multi_sm_config(1), gscalar_arch()).run(&w.kernel, w.launch, &mut serial_mem);
-        for threads in [2, 4] {
-            let mut mem = w.memory.clone();
-            let stats = Gpu::new(multi_sm_config(threads), gscalar_arch())
-                .run(&w.kernel, w.launch, &mut mem);
-            assert_eq!(serial, stats, "{} at {threads} threads: stats", w.abbr);
-            assert!(
-                mem.content_eq(&serial_mem),
-                "{} at {threads} threads: memory diverges at {:?}",
-                w.abbr,
-                mem.first_difference(&serial_mem)
-            );
-        }
-    }
-}
-
-#[test]
-fn suite_traces_with_snapshots_are_identical() {
-    // Traced runs (with periodic snapshots) on a slice of the suite.
-    for w in suite(Scale::Test).into_iter().take(4) {
-        let run = |threads: usize| -> (Stats, Vec<Record>) {
-            let mut gpu = Gpu::new(multi_sm_config(threads), gscalar_arch());
-            let mut mem = w.memory.clone();
-            let mut buf = EventBuf::new(1 << 20);
-            let mut ins = Instruments {
-                tracer: Tracer::new(&mut buf),
-                snapshot_interval: 64,
-                ..Instruments::default()
-            };
-            let stats = gpu
-                .run_with(&w.kernel, w.launch, &mut mem, &mut ins)
-                .unwrap();
-            (stats, buf.records().into_iter().cloned().collect())
-        };
-        let (serial_stats, serial_trace) = run(1);
-        for threads in [2, 4] {
-            let (stats, trace) = run(threads);
-            assert_eq!(serial_stats, stats, "{} at {threads} threads", w.abbr);
-            assert_eq!(
-                serial_trace.len(),
-                trace.len(),
-                "{} at {threads} threads: trace length",
-                w.abbr
-            );
-            for (i, (s, p)) in serial_trace.iter().zip(&trace).enumerate() {
-                assert_eq!(s, p, "{} at {threads} threads: record {i}", w.abbr);
-            }
-        }
-    }
+    assert_eq!(expected.profile, got.profile, "{what}: profile diverges");
 }
 
 /// Serializes tests that touch process-wide state: host profiling,
@@ -153,25 +93,15 @@ static GLOBAL_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 fn suite_outputs_are_identical_with_hostprof_enabled() {
     // Host-side profiling only reads clocks and writes its own
     // accumulators; enabling it must leave every simulated artifact
-    // byte-identical, serial and parallel alike.
+    // byte-identical.
     let _guard = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for w in suite(Scale::Test).into_iter().take(4) {
         gscalar::hostprof::set_enabled(false);
-        let baseline = run_instrumented(&w.kernel, w.launch, &w.memory, 1);
+        let baseline = run_instrumented(&w.kernel, w.launch, &w.memory);
         gscalar::hostprof::set_enabled(true);
-        let on_serial = run_instrumented(&w.kernel, w.launch, &w.memory, 1);
-        let on_parallel = run_instrumented(&w.kernel, w.launch, &w.memory, 4);
+        let on = run_instrumented(&w.kernel, w.launch, &w.memory);
         gscalar::hostprof::set_enabled(false);
-        assert_identical(
-            &baseline,
-            &on_serial,
-            &format!("{}: hostprof on, serial", w.abbr),
-        );
-        assert_identical(
-            &baseline,
-            &on_parallel,
-            &format!("{}: hostprof on, 4 threads", w.abbr),
-        );
+        assert_identical(&baseline, &on, &format!("{}: hostprof on", w.abbr));
     }
 }
 
@@ -186,14 +116,13 @@ impl RunObserver for SampleCycles {
 }
 
 #[test]
-fn budgets_trip_identically_across_thread_counts() {
+fn budgets_trip_at_their_sample_boundary() {
     for w in suite(Scale::Test).into_iter().take(4) {
-        let run = |threads: usize, ins: &mut Instruments<'_>| {
+        let run = |ins: &mut Instruments<'_>| {
             let mut mem = w.memory.clone();
-            Gpu::new(multi_sm_config(threads), gscalar_arch())
-                .run_with(&w.kernel, w.launch, &mut mem, ins)
+            Gpu::new(multi_sm_config(), gscalar_arch()).run_with(&w.kernel, w.launch, &mut mem, ins)
         };
-        let full = run(1, &mut Instruments::default()).unwrap();
+        let full = run(&mut Instruments::default()).unwrap();
         let budget = full.cycles / 2;
         // A budgeted run checks at every sample boundary, sampling every
         // min(budget, 4096) cycles: it must trip at the first boundary
@@ -204,37 +133,35 @@ fn budgets_trip_identically_across_thread_counts() {
             sample_interval: budget.min(4096),
             ..Instruments::default()
         };
-        run(1, &mut ins).unwrap();
+        run(&mut ins).unwrap();
         let expected = samples
             .0
             .iter()
             .copied()
             .find(|&c| c >= budget)
             .expect("a mid-run budget is crossed");
-        for threads in [1, 4] {
-            let mut ins = Instruments {
-                budget,
-                ..Instruments::default()
-            };
-            let err = run(threads, &mut ins).expect_err("a mid-run budget trips");
-            assert_eq!(
-                err,
-                BudgetExceeded {
-                    cycles: expected,
-                    budget
-                },
-                "{} at {threads} threads",
-                w.abbr
-            );
-            // No sample boundary reaches the final cycle, so a budget
-            // of the run's own length never trips.
-            let mut ins = Instruments {
-                budget: full.cycles,
-                ..Instruments::default()
-            };
-            let within = run(threads, &mut ins).expect("the budget holds");
-            assert_eq!(within, full, "{} at {threads} threads", w.abbr);
-        }
+        let mut ins = Instruments {
+            budget,
+            ..Instruments::default()
+        };
+        let err = run(&mut ins).expect_err("a mid-run budget trips");
+        assert_eq!(
+            err,
+            BudgetExceeded {
+                cycles: expected,
+                budget
+            },
+            "{}",
+            w.abbr
+        );
+        // No sample boundary reaches the final cycle, so a budget of
+        // the run's own length never trips.
+        let mut ins = Instruments {
+            budget: full.cycles,
+            ..Instruments::default()
+        };
+        let within = run(&mut ins).expect("the budget holds");
+        assert_eq!(within, full, "{}", w.abbr);
     }
 }
 
@@ -243,10 +170,9 @@ fn budgets_trip_identically_across_thread_counts() {
 /// `Instruments::live`. Returns the stream's lines when live was on.
 fn run_via_runner(
     w: &gscalar::core::Workload,
-    threads: usize,
     live: bool,
 ) -> (Stats, Vec<Record>, Option<Vec<String>>) {
-    let cfg = multi_sm_config(threads);
+    let cfg = multi_sm_config();
     let arch = Arch::GScalar.config();
     let handle = live.then(|| {
         gscalar::live::LiveHandle::memory(gscalar::live::StreamConfig {
@@ -279,48 +205,32 @@ fn run_via_runner(
 fn suite_outputs_are_identical_with_live_telemetry() {
     // Live telemetry observes cumulative stats at sample boundaries and
     // streams them out of band; attaching it must leave stats and trace
-    // byte-identical, serial and parallel alike — and the deterministic
-    // stream itself must not depend on the thread count.
+    // byte-identical.
     let _guard = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for w in suite(Scale::Test).into_iter().take(4) {
-        let (base_stats, base_trace, _) = run_via_runner(&w, 1, false);
-        let mut serial_lines = None;
-        for threads in [1, 4] {
-            let (stats, trace, lines) = run_via_runner(&w, threads, true);
-            assert_eq!(
-                base_stats, stats,
-                "{}: live on, {threads} threads: stats",
-                w.abbr
-            );
-            assert_eq!(
-                base_trace.len(),
-                trace.len(),
-                "{}: live on, {threads} threads: trace length",
-                w.abbr
-            );
-            for (i, (s, p)) in base_trace.iter().zip(&trace).enumerate() {
-                assert_eq!(s, p, "{}: live on, {threads} threads: record {i}", w.abbr);
-            }
-            let lines = lines.unwrap();
-            assert!(
-                lines.iter().any(|l| l.contains("\"type\":\"snapshot\"")),
-                "{}: no snapshot in stream",
-                w.abbr
-            );
-            assert!(
-                lines.iter().any(|l| l.contains("\"type\":\"run_end\"")),
-                "{}: no run_end in stream",
-                w.abbr
-            );
-            match &serial_lines {
-                None => serial_lines = Some(lines),
-                Some(serial) => assert_eq!(
-                    serial, &lines,
-                    "{}: deterministic stream differs at {threads} threads",
-                    w.abbr
-                ),
-            }
+        let (base_stats, base_trace, _) = run_via_runner(&w, false);
+        let (stats, trace, lines) = run_via_runner(&w, true);
+        assert_eq!(base_stats, stats, "{}: live on: stats", w.abbr);
+        assert_eq!(
+            base_trace.len(),
+            trace.len(),
+            "{}: live on: trace length",
+            w.abbr
+        );
+        for (i, (b, t)) in base_trace.iter().zip(&trace).enumerate() {
+            assert_eq!(b, t, "{}: live on: record {i}", w.abbr);
         }
+        let lines = lines.unwrap();
+        assert!(
+            lines.iter().any(|l| l.contains("\"type\":\"snapshot\"")),
+            "{}: no snapshot in stream",
+            w.abbr
+        );
+        assert!(
+            lines.iter().any(|l| l.contains("\"type\":\"run_end\"")),
+            "{}: no run_end in stream",
+            w.abbr
+        );
     }
 }
 
@@ -328,7 +238,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn random_kernels_are_byte_identical_across_thread_counts(
+    fn random_kernels_match_the_reference_on_every_arch(
         steps in proptest::collection::vec(step_strategy(), 1..10),
         ctas in 1u32..7,
         warps in 1u32..3,
@@ -336,10 +246,17 @@ proptest! {
         let kernel = build_kernel(&steps);
         let launch = LaunchConfig::linear(ctas, warps * 32);
         let init = initial_memory(ctas * warps * 32);
-        let serial = run_instrumented(&kernel, launch, &init, 1);
-        for threads in [2, 4] {
-            let parallel = run_instrumented(&kernel, launch, &init, threads);
-            assert_identical(&serial, &parallel, &format!("{threads} threads"));
+        let mut expected = init.clone();
+        run_reference(&kernel, launch, &mut expected);
+        for arch in Arch::ALL {
+            let mut mem = init.clone();
+            Gpu::new(multi_sm_config(), arch.config()).run(&kernel, launch, &mut mem);
+            prop_assert!(
+                mem.content_eq(&expected),
+                "{}: memory diverges from the reference at {:?}",
+                arch,
+                mem.first_difference(&expected)
+            );
         }
     }
 
@@ -353,13 +270,11 @@ proptest! {
         let init = initial_memory(ctas * 32);
         let _guard = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         gscalar::hostprof::set_enabled(false);
-        let baseline = run_instrumented(&kernel, launch, &init, 1);
+        let baseline = run_instrumented(&kernel, launch, &init);
         gscalar::hostprof::set_enabled(true);
-        let on_serial = run_instrumented(&kernel, launch, &init, 1);
-        let on_parallel = run_instrumented(&kernel, launch, &init, 4);
+        let on = run_instrumented(&kernel, launch, &init);
         gscalar::hostprof::set_enabled(false);
-        assert_identical(&baseline, &on_serial, "hostprof on, serial");
-        assert_identical(&baseline, &on_parallel, "hostprof on, 4 threads");
+        assert_identical(&baseline, &on, "hostprof on");
     }
 
     #[test]
@@ -372,24 +287,17 @@ proptest! {
         let init = initial_memory(ctas * 32);
         let w = gscalar::core::Workload::new("rand", "RAND", kernel, launch, init);
         let _guard = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let (base_stats, base_trace, _) = run_via_runner(&w, 1, false);
-        for threads in [1, 4] {
-            let (stats, trace, lines) = run_via_runner(&w, threads, true);
-            prop_assert_eq!(&base_stats, &stats, "live on, {} threads: stats", threads);
-            prop_assert_eq!(
-                base_trace.len(),
-                trace.len(),
-                "live on, {} threads: trace length",
-                threads
-            );
-            for (i, (s, p)) in base_trace.iter().zip(&trace).enumerate() {
-                prop_assert_eq!(s, p, "live on, {} threads: record {}", threads, i);
-            }
-            // Tiny kernels may finish before the first snapshot
-            // boundary, but the run lifecycle always streams.
-            let lines = lines.unwrap();
-            prop_assert!(lines.iter().any(|l| l.contains("\"type\":\"run_start\"")));
-            prop_assert!(lines.iter().any(|l| l.contains("\"type\":\"run_end\"")));
+        let (base_stats, base_trace, _) = run_via_runner(&w, false);
+        let (stats, trace, lines) = run_via_runner(&w, true);
+        prop_assert_eq!(&base_stats, &stats, "live on: stats");
+        prop_assert_eq!(base_trace.len(), trace.len(), "live on: trace length");
+        for (i, (b, t)) in base_trace.iter().zip(&trace).enumerate() {
+            prop_assert_eq!(b, t, "live on: record {}", i);
         }
+        // Tiny kernels may finish before the first snapshot boundary,
+        // but the run lifecycle always streams.
+        let lines = lines.unwrap();
+        prop_assert!(lines.iter().any(|l| l.contains("\"type\":\"run_start\"")));
+        prop_assert!(lines.iter().any(|l| l.contains("\"type\":\"run_end\"")));
     }
 }
