@@ -2,9 +2,9 @@
 //!
 //! A *slot* is one scheduler-cycle: each simulated cycle, each
 //! scheduler of each SM either issues an instruction or is charged
-//! exactly one classified stall (cycle-by-cycle in
-//! [`SchedStats::stalls`], or in bulk for idle-skip jumps in
-//! [`SchedStats::skipped`]). The stack therefore *reconciles*: its
+//! exactly one classified stall in [`SchedStats::stalls`] (the run
+//! driver charges the cycles it jumps over while every SM sleeps in
+//! bulk, to the same ledger). The stack therefore *reconciles*: its
 //! seven components sum to `cycles × ledgers`, where a ledger is one
 //! (SM, scheduler) pair. Any difference is an accounting bug in the
 //! simulator, which [`CpiStack::reconcile`] turns into a hard error.
@@ -45,9 +45,6 @@ impl std::fmt::Display for ReconcileError {
 }
 
 /// An exact decomposition of issue slots into where they went.
-///
-/// Stall components aggregate both the cycle-by-cycle charges and the
-/// idle-skip bulk charges for their reason.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CpiStack {
     /// Elapsed cycles this stack spans.
@@ -87,7 +84,7 @@ impl CpiStack {
         };
         for sc in scheds {
             st.base_issue += sc.issued;
-            for (reason, n) in sc.stalls.iter().chain(sc.skipped.iter()) {
+            for (reason, n) in sc.stalls.iter() {
                 match reason {
                     StallReason::Scoreboard => st.scoreboard += n,
                     StallReason::MemPending => st.mem_pending += n,
@@ -226,37 +223,23 @@ mod tests {
     use super::*;
     use gscalar_trace::StallBreakdown;
 
-    fn ledger(
-        issued: u64,
-        stall: &[(StallReason, u64)],
-        skip: &[(StallReason, u64)],
-    ) -> SchedStats {
+    fn ledger(issued: u64, stall: &[(StallReason, u64)]) -> SchedStats {
         let mut stalls = StallBreakdown::default();
         for &(r, n) in stall {
             stalls.add_n(r, n);
         }
-        let mut skipped = StallBreakdown::default();
-        for &(r, n) in skip {
-            skipped.add_n(r, n);
-        }
-        SchedStats {
-            issued,
-            stalls,
-            skipped,
-        }
+        SchedStats { issued, stalls }
     }
 
     #[test]
-    fn components_aggregate_stalls_and_skips() {
+    fn components_aggregate_stalls() {
         let a = ledger(
             10,
-            &[(StallReason::MemPending, 5), (StallReason::Scoreboard, 3)],
-            &[(StallReason::MemPending, 2)],
+            &[(StallReason::MemPending, 7), (StallReason::Scoreboard, 3)],
         );
         let b = ledger(
             15,
             &[(StallReason::Drained, 4), (StallReason::RfBankConflict, 1)],
-            &[],
         );
         let st = CpiStack::from_ledgers([&a, &b], 20, 2);
         assert_eq!(st.base_issue, 25);
@@ -271,7 +254,7 @@ mod tests {
 
     #[test]
     fn reconcile_reports_exact_slot_counts() {
-        let a = ledger(10, &[(StallReason::Barrier, 5)], &[]);
+        let a = ledger(10, &[(StallReason::Barrier, 5)]);
         let st = CpiStack::from_ledgers([&a], 20, 1);
         let err = st.reconcile().unwrap_err();
         assert_eq!(
@@ -288,8 +271,11 @@ mod tests {
     fn shares_and_cpi_sum_consistently() {
         let a = ledger(
             8,
-            &[(StallReason::MemPending, 6), (StallReason::Barrier, 2)],
-            &[(StallReason::Drained, 4)],
+            &[
+                (StallReason::MemPending, 6),
+                (StallReason::Barrier, 2),
+                (StallReason::Drained, 4),
+            ],
         );
         let st = CpiStack::from_ledgers([&a], 20, 1);
         assert!(st.reconcile().is_ok());
@@ -309,13 +295,11 @@ mod tests {
             sched: vec![
                 ledger(
                     20,
-                    &[(StallReason::MemPending, 30)],
-                    &[(StallReason::Drained, 10)],
+                    &[(StallReason::MemPending, 30), (StallReason::Drained, 10)],
                 ),
                 ledger(
                     25,
-                    &[(StallReason::Scoreboard, 20)],
-                    &[(StallReason::Drained, 15)],
+                    &[(StallReason::Scoreboard, 20), (StallReason::Drained, 15)],
                 ),
             ],
             ..Default::default()

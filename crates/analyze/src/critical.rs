@@ -4,10 +4,10 @@
 //! The input is the recorded event stream ([`Record`]s). Stall events
 //! carry `(sm, sched, culprit warp, reason)`; a *chain* is a maximal
 //! span of cycles during which one scheduler kept stalling with the
-//! same culprit and reason. Idle-skip jumps leave gaps in `now`, but a
-//! gap between two identical stalls means nothing happened in between,
-//! so the chain keeps spanning it — chain lengths are real cycles, not
-//! event counts.
+//! same culprit and reason. A traced run polls every cycle, so each
+//! stalled scheduler-cycle leaves one event: a gap between two stalls
+//! of a scheduler is cycles it issued in, and ends the chain. A chain's
+//! length is therefore both its cycles and its events.
 //!
 //! The trace sink is a bounded ring, so a long run may have dropped its
 //! oldest events; the analysis then covers the retained window (the
@@ -36,7 +36,7 @@ pub struct StallChain {
 }
 
 impl StallChain {
-    /// Chain length in cycles (spanning idle-skip gaps).
+    /// Chain length in cycles.
     #[must_use]
     pub fn len(&self) -> u64 {
         self.end - self.start + 1
@@ -92,8 +92,8 @@ pub struct CriticalPath {
     pub chains: Vec<StallChain>,
     /// Stall events seen in the retained trace window.
     pub stall_events: u64,
-    /// Stall-event counts per reason (event counts, not cycles: bulk
-    /// idle-skip charges emit no events).
+    /// Stall-event counts per reason: over a trace that dropped nothing,
+    /// the run's stall cycles per reason.
     pub by_reason: StallBreakdown,
     /// Warps ranked by total attributed stall cycles, descending (ties
     /// by `(sm, warp)`).
@@ -125,7 +125,7 @@ pub fn analyze_trace(records: &[Record], top: usize) -> CriticalPath {
         by_reason.add(reason);
         let key = (sm, sched);
         match open.get_mut(&key) {
-            Some(c) if c.warp == warp && c.reason == reason && r.now > c.end => {
+            Some(c) if c.warp == warp && c.reason == reason && r.now == c.end + 1 => {
                 c.end = r.now;
             }
             Some(c) => {
@@ -209,16 +209,18 @@ mod tests {
     }
 
     #[test]
-    fn chains_span_idle_skip_gaps() {
-        // Cycles 5..=6 recorded, then a skip to 20: one chain of 16.
+    fn a_cycle_without_a_stall_ends_the_chain() {
+        // Cycles 5..=6 stalled, the scheduler issued in 7..=19, then
+        // stalled again at 20: two chains, 3 stalled cycles.
         let recs = vec![
             stall(5, 0, 0, Some(2), StallReason::MemPending),
             stall(6, 0, 0, Some(2), StallReason::MemPending),
             stall(20, 0, 0, Some(2), StallReason::MemPending),
         ];
         let cp = analyze_trace(&recs, 8);
-        assert_eq!(cp.chains.len(), 1);
-        assert_eq!(cp.chains[0].len(), 16);
+        assert_eq!(cp.chains.len(), 2);
+        assert_eq!(cp.chains[0].len(), 2);
+        assert_eq!(cp.chains[1].len(), 1);
         assert_eq!(cp.stall_events, 3);
         assert_eq!(cp.by_reason.get(StallReason::MemPending), 3);
         assert_eq!(
@@ -226,7 +228,7 @@ mod tests {
             vec![WarpStalls {
                 sm: 0,
                 warp: 2,
-                cycles: 16
+                cycles: 3
             }]
         );
     }

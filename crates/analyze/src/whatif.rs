@@ -187,7 +187,6 @@ mod tests {
         stats.sched = vec![SchedStats {
             issued: 300,
             stalls,
-            skipped: StallBreakdown::default(),
         }];
         stats.mem.l1_hits = 100;
         stats.mem.l1_misses = 400;

@@ -35,6 +35,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use gscalar_bench::experiments::scale_arg;
 use gscalar_bench::Report;
 use gscalar_core::{Arch, Runner};
 use gscalar_profile::{annotate, branch_markdown, hotspot_markdown};
@@ -47,6 +48,7 @@ const TOP_N: usize = 10;
 fn main() -> ExitCode {
     let mut abbr: Option<String> = None;
     let mut out_dir = PathBuf::from(".");
+    let mut json = None;
     let mut args = env::args().skip(1).peekable();
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -58,15 +60,18 @@ fn main() -> ExitCode {
                 out_dir = PathBuf::from(dir);
             }
             "--json" => {
-                // Handled by Report::new; skip its optional path value.
-                if args.peek().is_some_and(|v| !v.starts_with("--")) {
-                    args.next();
-                }
+                json = Some(match args.next_if(|v| !v.starts_with("--")) {
+                    Some(path) => PathBuf::from(path),
+                    None => PathBuf::from("results/profile.json"),
+                });
             }
             "--scale" => {
-                // Accepted for CLI uniformity; suite workloads always
+                // Checked for CLI uniformity; suite workloads always
                 // profile at test scale.
-                args.next();
+                if let Err(e) = scale_arg(&args.next().unwrap_or_default()) {
+                    eprintln!("profile: {e}");
+                    return ExitCode::FAILURE;
+                }
             }
             other if !other.starts_with("--") => abbr = Some(other.to_string()),
             other => {
@@ -144,7 +149,7 @@ fn main() -> ExitCode {
     );
     println!("wrote {}, {}", txt_path.display(), md_path.display());
 
-    let mut r = Report::new("profile");
+    let mut r = Report::to_writer("profile", json, Box::new(std::io::stdout()));
     r.config(&cfg);
     r.record_run(&workload.abbr, &run.report);
     for (path, v) in run.registry.flatten() {

@@ -44,6 +44,23 @@ fn aggregate_cmd(args: &[String]) -> ExitCode {
     let Some(path) = args.first() else {
         return usage();
     };
+    let mut merge = None;
+    let mut it = args[1..].iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--merge" => match it.next() {
+                Some(out) => merge = Some(out),
+                None => {
+                    eprintln!("report: --merge expects a value");
+                    return usage();
+                }
+            },
+            other => {
+                eprintln!("report: unknown argument {other}");
+                return usage();
+            }
+        }
+    }
     let manifests = match load_manifests(Path::new(path)) {
         Ok(m) => m,
         Err(e) => {
@@ -55,19 +72,13 @@ fn aggregate_cmd(args: &[String]) -> ExitCode {
     for w in dropped_event_warnings(&manifests) {
         eprintln!("report: {w}");
     }
-    let mut it = args[1..].iter();
-    while let Some(a) = it.next() {
-        if a == "--merge" {
-            let Some(out) = it.next() else {
-                return usage();
-            };
-            let merged = gscalar_metrics::compare::merge_manifests(&manifests, "BENCH_baseline");
-            if let Err(e) = std::fs::write(out, merged.to_json()) {
-                eprintln!("error writing {out}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("merged {} manifests into {out}", manifests.len());
+    if let Some(out) = merge {
+        let merged = gscalar_metrics::compare::merge_manifests(&manifests, "BENCH_baseline");
+        if let Err(e) = std::fs::write(out, merged.to_json()) {
+            eprintln!("error writing {out}: {e}");
+            return ExitCode::FAILURE;
         }
+        eprintln!("merged {} manifests into {out}", manifests.len());
     }
     ExitCode::SUCCESS
 }
@@ -101,7 +112,10 @@ fn compare_cmd(args: &[String]) -> ExitCode {
                 Some((path, pct)) => cfg.min_gates.push((path, pct)),
                 None => return usage(),
             },
-            _ => return usage(),
+            other => {
+                eprintln!("report: unknown argument {other}");
+                return usage();
+            }
         }
     }
     let load = |p: &str| match load_manifests(Path::new(p)) {

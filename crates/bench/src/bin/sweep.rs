@@ -68,12 +68,7 @@ fn parse_args() -> Result<Options, String> {
             "--all" => o.all = true,
             "--list" => o.list = true,
             "--fresh" => o.fresh = true,
-            "--scale" => {
-                o.scale = match value("--scale")?.as_str() {
-                    "test" => Scale::Test,
-                    _ => Scale::Full,
-                }
-            }
+            "--scale" => o.scale = experiments::scale_arg(&value("--scale")?)?,
             "--threads" => {
                 o.threads = value("--threads")?
                     .parse()

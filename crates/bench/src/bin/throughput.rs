@@ -133,26 +133,15 @@ fn export_pass(r: &mut Report, snap: &hostprof::Snapshot, cycles: u64, wall: f64
     }
 }
 
-/// Resolves the `--json [path]` argument the way [`Report::from_args`]
-/// does, so the timeline file can land next to the manifest.
-fn json_path_from_args(args: &[String]) -> Option<std::path::PathBuf> {
-    let mut it = args.iter().peekable();
-    let mut path = None;
-    while let Some(a) = it.next() {
-        if a == "--json" {
-            path = Some(match it.peek() {
-                Some(p) if !p.starts_with("--") => std::path::PathBuf::from(it.next().unwrap()),
-                _ => std::path::PathBuf::from("results/throughput.json"),
-            });
-        }
-    }
-    path
-}
-
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = CliOptions::parse(args.iter().cloned());
-    let mut r = Report::new("throughput");
+    let opts = match CliOptions::parse(std::env::args().skip(1)) {
+        Ok(o) => o,
+        Err(e) => {
+            eprintln!("throughput: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    let mut r = Report::from_options("throughput", &opts);
     let cfg = GpuConfig::gtx480();
     let workloads = suite(opts.scale);
     r.title("host throughput: 17-kernel mix, cycle-weighted");
@@ -195,7 +184,7 @@ fn main() -> ExitCode {
         ));
     }
 
-    if let Some(json) = json_path_from_args(&args) {
+    if let Some(json) = opts.json_path("throughput") {
         let tl_path = json.with_extension("timeline.json");
         if let Some(dir) = tl_path.parent() {
             if !dir.as_os_str().is_empty() {

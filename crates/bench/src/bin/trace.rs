@@ -51,9 +51,16 @@ const CAPACITY: usize = 1 << 20;
 const SNAPSHOT_INTERVAL: u64 = 64;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = env::args().skip(1).collect();
-    let opts = CliOptions::parse(args.iter().cloned());
-    let abbr = args.iter().find(|a| !a.starts_with("--")).cloned();
+    // An abbreviation, if any, comes first; the shared flags follow.
+    let mut args = env::args().skip(1).peekable();
+    let abbr = args.next_if(|a| !a.starts_with("--"));
+    let opts = match CliOptions::parse(args) {
+        Ok(o) => o,
+        Err(e) => {
+            eprintln!("trace: {e}");
+            return ExitCode::from(2);
+        }
+    };
     let workload = match abbr.as_deref() {
         None | Some("DIV") => divergent_example(),
         // Tracing always uses test scale: the ring holds a bounded

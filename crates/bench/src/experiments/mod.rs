@@ -256,8 +256,13 @@ pub struct CliOptions {
 }
 
 impl CliOptions {
-    /// Parses the options from `args`, ignoring anything unknown.
-    pub fn parse<I, S>(args: I) -> Self
+    /// Parses the options from `args`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the flag for an unknown flag or a
+    /// stray argument, a flag missing its value, and a malformed value.
+    pub fn parse<I, S>(args: I) -> Result<Self, String>
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
@@ -274,22 +279,11 @@ impl CliOptions {
         };
         let mut it = args.into_iter().map(Into::into).peekable();
         while let Some(a) = it.next() {
+            let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} expects a value"));
             match a.as_str() {
-                "--scale" => {
-                    if let Some("test") = it.next().as_deref() {
-                        o.scale = Scale::Test;
-                    }
-                }
-                "--threads" => {
-                    if let Some(n) = it.next().and_then(|v| v.parse().ok()) {
-                        o.threads = n;
-                    }
-                }
-                "--budget" => {
-                    if let Some(n) = it.next().and_then(|v| v.parse().ok()) {
-                        o.budget = n;
-                    }
-                }
+                "--scale" => o.scale = scale_arg(&value("--scale")?)?,
+                "--threads" => o.threads = parse_number("--threads", &value("--threads")?)?,
+                "--budget" => o.budget = parse_number("--budget", &value("--budget")?)?,
                 "--hostprof" => o.hostprof = true,
                 "--json" => {
                     // The path operand is optional: `--json --scale ...`
@@ -300,16 +294,15 @@ impl CliOptions {
                     });
                 }
                 "--deterministic" => o.deterministic = true,
-                "--live" => o.live = it.next(),
+                "--live" => o.live = Some(value("--live")?),
                 "--live-interval" => {
-                    if let Some(n) = it.next().and_then(|v| v.parse().ok()) {
-                        o.live_interval = n;
-                    }
+                    o.live_interval = parse_number("--live-interval", &value("--live-interval")?)?;
                 }
-                _ => {}
+                other if other.starts_with("--") => return Err(format!("unknown flag {other}")),
+                other => return Err(format!("unexpected argument {other}")),
             }
         }
-        o
+        Ok(o)
     }
 
     /// Resolves the manifest path for `bench` (`None` when `--json` was
@@ -346,6 +339,27 @@ impl CliOptions {
     }
 }
 
+/// Parses a `--scale` value: `test` or `full`.
+///
+/// # Errors
+///
+/// Returns a message naming the flag for any other value.
+pub fn scale_arg(v: &str) -> Result<Scale, String> {
+    match v {
+        "test" => Ok(Scale::Test),
+        "full" => Ok(Scale::Full),
+        other => Err(format!("--scale expects test or full, got {other}")),
+    }
+}
+
+/// Parses the numeric value of `flag`.
+fn parse_number<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    v.parse().map_err(|e| format!("{flag}: {e} ({v:?})"))
+}
+
 /// The whole main of a standalone experiment binary: parse options,
 /// run the grid through the sweep engine (in-memory, no results dir),
 /// and render. Failures print one line per job to stderr and exit
@@ -353,7 +367,13 @@ impl CliOptions {
 #[must_use]
 pub fn main_single(name: &str) -> ExitCode {
     let exp = by_name(name).unwrap_or_else(|| panic!("experiment {name} not registered"));
-    let opts = CliOptions::parse(std::env::args().skip(1));
+    let opts = match CliOptions::parse(std::env::args().skip(1)) {
+        Ok(o) => o,
+        Err(e) => {
+            eprintln!("{name}: {e}");
+            return ExitCode::from(2);
+        }
+    };
     gscalar_hostprof::set_enabled(opts.hostprof);
     let live = match opts.open_live() {
         Ok(l) => l,
@@ -409,11 +429,13 @@ pub fn config_digest() -> String {
 /// hostprof) are deliberately excluded: they never change simulated
 /// results. The readable `experiment-unit-` prefix makes cache
 /// directories greppable; the digest suffix carries the config/scale/
-/// budget discrimination.
+/// budget discrimination. The leading version tag is bumped by every
+/// change to the model's code that changes simulated results, which
+/// the config digest cannot see.
 #[must_use]
 pub fn cache_key(experiment: &str, unit: &str, scale: Scale, cycle_budget: u64) -> String {
     let digest = gscalar_metrics::fnv1a_hex(&format!(
-        "gscalar-cache-v1|{}|{experiment}|{unit}|{scale:?}|{cycle_budget}",
+        "gscalar-cache-v2|{}|{experiment}|{unit}|{scale:?}|{cycle_budget}",
         config_digest()
     ));
     format!("{experiment}-{unit}-{digest}")
@@ -482,7 +504,8 @@ mod tests {
             "/tmp/x.ndjson",
             "--live-interval",
             "256",
-        ]);
+        ])
+        .unwrap();
         assert!(matches!(o.scale, Scale::Test));
         assert_eq!(o.threads, 4);
         assert_eq!(o.budget, 5000);
@@ -490,7 +513,7 @@ mod tests {
         assert!(o.deterministic);
         assert_eq!(o.live.as_deref(), Some("/tmp/x.ndjson"));
         assert_eq!(o.live_interval, 256);
-        let d = CliOptions::parse(Vec::<String>::new());
+        let d = CliOptions::parse(Vec::<String>::new()).unwrap();
         assert!(matches!(d.scale, Scale::Full));
         assert_eq!(d.threads, 1);
         assert_eq!(d.budget, 0);
@@ -504,13 +527,33 @@ mod tests {
     #[test]
     fn cli_options_json_path_resolution() {
         // `--json` followed by another flag means "default path".
-        let o = CliOptions::parse(["--json", "--scale", "test"]);
+        let o = CliOptions::parse(["--json", "--scale", "test"]).unwrap();
         assert_eq!(
             o.json_path("fig99"),
             Some(PathBuf::from("results/fig99.json"))
         );
-        let o = CliOptions::parse(["--json", "out/custom.json"]);
+        let o = CliOptions::parse(["--json", "out/custom.json"]).unwrap();
         assert_eq!(o.json_path("fig99"), Some(PathBuf::from("out/custom.json")));
+    }
+
+    #[test]
+    fn cli_options_reject_bad_flags_by_name() {
+        let err = |args: &[&str]| CliOptions::parse(args.iter().copied()).unwrap_err();
+        assert_eq!(err(&["--bugdet", "500"]), "unknown flag --bugdet");
+        assert_eq!(err(&["--sim-threads", "4"]), "unknown flag --sim-threads");
+        assert_eq!(
+            err(&["--scale", "test", "stray"]),
+            "unexpected argument stray"
+        );
+        assert_eq!(err(&["--scale"]), "--scale expects a value");
+        assert_eq!(err(&["--budget"]), "--budget expects a value");
+        assert_eq!(err(&["--live"]), "--live expects a value");
+        assert!(err(&["--scale", "tset"]).starts_with("--scale expects test or full"));
+        assert!(err(&["--threads", "two"]).starts_with("--threads: "));
+        assert!(err(&["--budget", "-1"]).starts_with("--budget: "));
+        assert!(err(&["--live-interval", "1.5"]).starts_with("--live-interval: "));
+        let full = CliOptions::parse(["--scale", "full"]).unwrap();
+        assert!(matches!(full.scale, Scale::Full));
     }
 
     /// Runs the `unit` job of experiment `exp` at test scale in a

@@ -11,10 +11,9 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use gscalar_core::{Arch, RunReport, Runner, Workload};
+use gscalar_core::RunReport;
 use gscalar_metrics::{fnv1a_hex, Manifest};
 use gscalar_sim::GpuConfig;
-use gscalar_workloads::{suite, Scale};
 
 pub mod experiments;
 
@@ -39,38 +38,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Runs the full suite on one architecture, returning per-benchmark
-/// reports in Table 2 order.
-#[must_use]
-pub fn run_suite(arch: Arch, cfg: &GpuConfig) -> Vec<(String, RunReport)> {
-    let runner = Runner::new(cfg.clone());
-    suite(Scale::Full)
-        .iter()
-        .map(|w| (w.abbr.clone(), runner.run(w, arch)))
-        .collect()
-}
-
-/// Runs one workload on every Figure 11 architecture.
-#[must_use]
-pub fn run_workload_all_archs(w: &Workload, cfg: &GpuConfig) -> Vec<RunReport> {
-    Runner::new(cfg.clone()).run_all(w)
-}
-
-/// Parses an optional `--scale test|full` argument (default full).
-#[must_use]
-pub fn parse_scale() -> Scale {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--scale" {
-            return match args.next().as_deref() {
-                Some("test") => Scale::Test,
-                _ => Scale::Full,
-            };
-        }
-    }
-    Scale::Full
-}
-
 /// The shared result emitter of every bench binary: prints the familiar
 /// text tables and accumulates a [`Manifest`] of every numeric cell,
 /// written as JSON at [`Report::finish`] when the binary was invoked
@@ -81,7 +48,7 @@ pub fn parse_scale() -> Scale {
 /// ```
 /// use gscalar_bench::Report;
 ///
-/// let mut r = Report::from_args("demo", ["--json", "/tmp/demo-doc.json"]);
+/// let mut r = Report::from_args("demo", ["--json", "/tmp/demo-doc.json"]).unwrap();
 /// r.title("Demo table");
 /// r.table(&["colA", "colB"]);
 /// r.row("BP", &[1.25, 3.0], |x| format!("{x:.2}"));
@@ -113,23 +80,22 @@ impl std::fmt::Debug for Report {
 }
 
 impl Report {
-    /// Creates a report for `bench`, reading `--json [path]` and
-    /// `--deterministic` from the process arguments.
-    #[must_use]
-    pub fn new(bench: &str) -> Self {
-        Self::from_args(bench, std::env::args().skip(1))
-    }
-
-    /// [`Report::new`] with explicit arguments (for tests). Delegates
-    /// flag parsing to [`experiments::CliOptions`], the single parser
-    /// for the shared flag set.
-    #[must_use]
-    pub fn from_args<I, S>(bench: &str, args: I) -> Self
+    /// Creates a report for `bench` from command-line arguments.
+    /// Delegates flag parsing to [`experiments::CliOptions`], the single
+    /// parser for the shared flag set.
+    ///
+    /// # Errors
+    ///
+    /// Returns the parser's message for a flag it rejects.
+    pub fn from_args<I, S>(bench: &str, args: I) -> Result<Self, String>
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
-        Self::from_options(bench, &experiments::CliOptions::parse(args))
+        Ok(Self::from_options(
+            bench,
+            &experiments::CliOptions::parse(args)?,
+        ))
     }
 
     /// Creates a report for `bench` from already-parsed options
@@ -454,10 +420,11 @@ pub fn load_manifests(path: &Path) -> Result<Vec<Manifest>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gscalar_core::{Arch, Runner, Workload};
 
     #[test]
     fn report_without_json_flag_writes_nothing() {
-        let r = Report::from_args("x", Vec::<String>::new());
+        let r = Report::from_args("x", Vec::<String>::new()).unwrap();
         assert!(r.json_path.is_none());
         let m = r.finish().unwrap();
         assert_eq!(m.bench, "x");
@@ -465,7 +432,7 @@ mod tests {
 
     #[test]
     fn report_json_default_path_is_results_dir() {
-        let r = Report::from_args("fig99", ["--json"]);
+        let r = Report::from_args("fig99", ["--json"]).unwrap();
         assert_eq!(
             r.json_path.as_deref(),
             Some(Path::new("results/fig99.json"))
@@ -474,7 +441,7 @@ mod tests {
 
     #[test]
     fn row_records_label_column_metrics() {
-        let mut r = Report::from_args("t", Vec::<String>::new());
+        let mut r = Report::from_args("t", Vec::<String>::new()).unwrap();
         r.table(&["a%", "b%"]);
         r.row("BP", &[1.0, 2.0], |x| format!("{x:.1}"));
         r.row("AVG", &[1.5, 2.5], |x| format!("{x:.1}"));
@@ -487,7 +454,8 @@ mod tests {
     fn manifest_round_trips_through_disk() {
         let dir = std::env::temp_dir().join("gscalar-bench-test");
         let path = dir.join("roundtrip.json");
-        let mut r = Report::from_args("rt", ["--json".to_string(), path.display().to_string()]);
+        let mut r =
+            Report::from_args("rt", ["--json".to_string(), path.display().to_string()]).unwrap();
         r.metric("k", 4.25);
         r.config(&GpuConfig::test_small());
         r.add_cycles(123);
@@ -503,7 +471,7 @@ mod tests {
 
     #[test]
     fn deterministic_finish_zeroes_host_wall_time() {
-        let mut r = Report::from_args("d", ["--deterministic"]);
+        let mut r = Report::from_args("d", ["--deterministic"]).unwrap();
         r.add_cycles(500);
         let m = r.finish().unwrap();
         assert_eq!(m.host.wall_time_s, 0.0);
@@ -523,7 +491,8 @@ mod tests {
                 path.display().to_string(),
                 "--deterministic".to_string(),
             ],
-        );
+        )
+        .unwrap();
         r.metric("k", 1.0);
         r.add_cycles(777);
         let m = r.finish().unwrap();
@@ -551,7 +520,8 @@ mod tests {
                 "--json".to_string(),
                 dir.join("ok.json").display().to_string(),
             ],
-        );
+        )
+        .unwrap();
         good.metric("k", 1.0);
         good.finish();
         std::fs::write(dir.join("bad1.json"), "{\"schema\":").unwrap();
@@ -577,7 +547,7 @@ mod tests {
             gscalar_sim::memory::GlobalMemory::new(),
         );
         let report = Runner::new(GpuConfig::test_small()).run(&w, Arch::GScalar);
-        let mut r = Report::from_args("t", Vec::<String>::new());
+        let mut r = Report::from_args("t", Vec::<String>::new()).unwrap();
         r.record_run("K", &report);
         let m = r.finish().unwrap();
         assert_eq!(m.get("K/cycles"), Some(report.stats.cycles as f64));

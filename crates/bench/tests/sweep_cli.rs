@@ -10,6 +10,8 @@
 //! * **Fault isolation** — a panicking job is contained, recorded as a
 //!   machine-readable failure, and replaced by a success on rerun
 //!   (library-level, with an injected faulty grid).
+//! * **Flag checking** — an unknown flag, a missing value or a malformed
+//!   one stops a binary with the flag's name before it runs anything.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -92,6 +94,61 @@ fn sweep_manifests_are_thread_count_invariant_and_match_serial() {
         read(&one.join("fig11_power_efficiency.json")),
         "standalone --deterministic output differs from sweep output"
     );
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn bad_flags_fail_by_name_before_anything_runs() {
+    let root = fresh_dir("gscalar-sweep-cli-flags");
+    let merged = root.join("x.json");
+    let runs: [(&str, Vec<&str>, &str); 6] = [
+        (
+            env!("CARGO_BIN_EXE_probe"),
+            vec!["--scale", "test", "--bugdet", "500"],
+            "--bugdet",
+        ),
+        (
+            env!("CARGO_BIN_EXE_probe"),
+            vec!["--scale", "test", "--threads", "two"],
+            "--threads",
+        ),
+        (
+            env!("CARGO_BIN_EXE_probe"),
+            vec!["--scale", "tset"],
+            "--scale",
+        ),
+        (
+            env!("CARGO_BIN_EXE_probe"),
+            vec!["--scale", "test", "--budget"],
+            "--budget",
+        ),
+        (
+            env!("CARGO_BIN_EXE_sweep"),
+            vec!["probe", "--scale", "tset"],
+            "--scale",
+        ),
+        (
+            env!("CARGO_BIN_EXE_report"),
+            vec![
+                "aggregate",
+                root.to_str().unwrap(),
+                "--merg",
+                merged.to_str().unwrap(),
+            ],
+            "--merg",
+        ),
+    ];
+    for (bin, args, flag) in runs {
+        let o = Command::new(bin).args(&args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&o.stderr);
+        assert!(!o.status.success(), "{args:?} exited 0");
+        assert!(
+            stderr.contains(flag),
+            "{args:?}: stderr does not name {flag}: {stderr}"
+        );
+        assert!(o.stdout.is_empty(), "{args:?} ran anyway");
+    }
+    assert!(!merged.exists(), "a rejected aggregate wrote its merge");
     std::fs::remove_dir_all(&root).ok();
 }
 

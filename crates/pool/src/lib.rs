@@ -29,7 +29,7 @@ use gscalar_hostprof as hostprof;
 ///
 /// `threads == 0` resolves to the machine's available parallelism. A
 /// single thread still goes through the pool, so the scheduling code
-/// path is identical for serial and parallel runs.
+/// path is the same at every thread count.
 pub fn run_indexed<R, W, D>(threads: usize, count: usize, work: W, mut on_done: D)
 where
     R: Send,

@@ -3,9 +3,9 @@
 //! A run is a loop of simulated cycles: each cycle steps every SM in id
 //! order straight against the shared global memory and memory system,
 //! then the driver ends the cycle. Everything around the SM steps — CTA
-//! fill and refill, activity detection, the idle skip, trace snapshots,
-//! observer samples, the budget, the watchdog and the final merge — is
-//! the driver's.
+//! fill and refill, the jump over cycles every SM sleeps through, trace
+//! snapshots, observer samples, the budget, the watchdog and the final
+//! merge — is the driver's.
 
 use std::ops::ControlFlow;
 
@@ -35,11 +35,10 @@ const BUDGET_CHECK_INTERVAL: u64 = 4096;
 /// Implementations feed metrics registries and power timelines without
 /// the run loop knowing about either. The driver calls
 /// [`sample`](RunObserver::sample) with *cumulative* merged-across-SMs
-/// statistics each time the clock crosses a multiple of
-/// [`Instruments::sample_interval`] (idle-skip jumps may cross several
-/// boundaries; one sample at the latest boundary is delivered, since
-/// the counters are cumulative), and [`finish`](RunObserver::finish)
-/// exactly once at the end of a run that completes.
+/// statistics at every multiple of [`Instruments::sample_interval`]
+/// (the clock never jumps past one), and
+/// [`finish`](RunObserver::finish) exactly once at the end of a run
+/// that completes.
 pub trait RunObserver {
     /// One interval sample: `stats` is the cumulative merged state of
     /// every SM with `stats.cycles` set to the boundary cycle.
@@ -95,14 +94,17 @@ impl std::fmt::Display for BudgetExceeded {
 /// [`Instruments::default`] records nothing and sets no budget.
 ///
 /// Instruments only read the simulation: no field changes what the
-/// engine computes, only what it reports.
+/// engine computes, only what it reports. With the tracer and the
+/// profiler off, the driver jumps over the cycles every SM sleeps
+/// through and charges them in bulk; with either on, it polls every
+/// cycle, so each stalled scheduler-cycle leaves its trace event and
+/// profile charge. Both ways produce the same [`Stats`].
 pub struct Instruments<'a> {
     /// Cycle-level event sink ([`Tracer::off`] records nothing).
     pub tracer: Tracer<'a>,
     /// While tracing, a [`TraceEvent::Snapshot`] with cumulative per-SM
-    /// counters is emitted each time the clock crosses a multiple of
-    /// this many cycles (0 = none; an idle skip crossing several
-    /// multiples emits one snapshot, at the latest).
+    /// counters is emitted at every multiple of this many cycles (0 =
+    /// none).
     pub snapshot_interval: u64,
     /// Per-static-instruction profiler ([`Profiler::off`] records
     /// nothing); read it back with [`Profiler::into_profile`].
@@ -116,9 +118,9 @@ pub struct Instruments<'a> {
     /// only a run with no cadence of its own (no `sample_interval`, no
     /// `budget`, no `observers`) samples at the stream's.
     pub live: Option<LiveObserver>,
-    /// Observers are sampled, and the budget checked, each time the
-    /// clock crosses a multiple of this many cycles (0 = never; a
-    /// budgeted run then checks every `min(budget, 4096)` cycles).
+    /// Observers are sampled, and the budget checked, at every multiple
+    /// of this many cycles (0 = never; a budgeted run then checks every
+    /// `min(budget, 4096)` cycles).
     pub sample_interval: u64,
     /// Simulated-cycle budget (0 = none): the run returns
     /// [`BudgetExceeded`] at the first sample boundary at or past it,
@@ -266,12 +268,8 @@ struct Driver<'k> {
     total_ctas: u64,
     next_cta: u64,
     ctas_done: u64,
-    /// Whether any SM stepped so far this cycle was active.
-    any_activity: bool,
     /// The cadence of observer samples and budget checks.
     sample_interval: u64,
-    last_snapshot: u64,
-    last_sample: u64,
 }
 
 impl<'k> Driver<'k> {
@@ -303,10 +301,7 @@ impl<'k> Driver<'k> {
             total_ctas: launch.grid.count(),
             next_cta: 0,
             ctas_done: 0,
-            any_activity: false,
             sample_interval,
-            last_snapshot: 0,
-            last_sample: 0,
         };
         let _fill_phase = hostprof::phase(hostprof::Phase::CtaLaunch);
         let mut progress = true;
@@ -351,7 +346,6 @@ impl<'k> Driver<'k> {
         memsys: &mut MemSystem,
         ins: &mut Instruments<'_>,
     ) {
-        let before = sm.stats.pipe.issued + sm.stats.pipe.oc_allocs;
         let completed = sm.cycle(
             now,
             self.kernel,
@@ -360,11 +354,6 @@ impl<'k> Driver<'k> {
             &mut ins.tracer,
             &mut ins.profiler,
         ) as u64;
-        // Completing a CTA, issuing, allocating an operand collector or
-        // holding a pending one rules out the idle skip.
-        self.any_activity |= completed > 0
-            || sm.stats.pipe.issued + sm.stats.pipe.oc_allocs != before
-            || sm.collectors_pending();
         if completed > 0 {
             self.ctas_done += completed;
             let _fill_phase = hostprof::phase(hostprof::Phase::CtaLaunch);
@@ -372,13 +361,12 @@ impl<'k> Driver<'k> {
         }
     }
 
-    /// Ends cycle `now` once every SM has stepped it: either
-    /// finishes the run or advances the clock — one cycle, or past an
-    /// idle stretch — emitting the snapshots and samples whose
-    /// boundaries it crossed. Continues with the next cycle to run, or
-    /// breaks with the run's result.
+    /// Ends cycle `now` once every SM has stepped it: either finishes
+    /// the run or advances the clock to [`Driver::next_cycle`], emitting
+    /// the snapshot and sample due there. Continues with the next cycle
+    /// to run, or breaks with the run's result.
     fn end_cycle(
-        &mut self,
+        &self,
         now: u64,
         sms: &mut [Sm],
         ins: &mut Instruments<'_>,
@@ -386,11 +374,7 @@ impl<'k> Driver<'k> {
         if self.ctas_done >= self.total_ctas {
             return ControlFlow::Break(Ok(finish(now + 1, sms, ins)));
         }
-        let now = if std::mem::take(&mut self.any_activity) {
-            now + 1
-        } else {
-            skip_idle(now, sms)
-        };
+        let now = self.next_cycle(now, sms, ins);
         self.snapshot(now, sms, ins);
         if let Some(exceeded) = self.sample(now, sms, ins) {
             return ControlFlow::Break(Err(exceeded));
@@ -399,24 +383,48 @@ impl<'k> Driver<'k> {
         ControlFlow::Continue(now)
     }
 
-    /// Emits one [`TraceEvent::Snapshot`] per SM when `now` crossed a
-    /// snapshot boundary.
-    fn snapshot(&mut self, now: u64, sms: &[Sm], ins: &mut Instruments<'_>) {
-        if !ins.tracer.is_on() {
-            return;
+    /// The cycle to run after `now`. That is `now + 1`, unless the
+    /// tracer and the profiler are off and every SM sleeps through it:
+    /// then the clock jumps to the earliest wake-up, capped at the next
+    /// sample boundary, and each SM is charged the sleeping polls in
+    /// between in bulk ([`Sm::sleep_through`]). The jump equals polling
+    /// those cycles: a traced or profiled poll would only add its
+    /// stall events and profile charges.
+    fn next_cycle(&self, now: u64, sms: &mut [Sm], ins: &Instruments<'_>) -> u64 {
+        let next = now + 1;
+        if ins.tracer.is_on() || ins.profiler.is_on() {
+            return next;
         }
-        let Some(intervals) = now.checked_div(ins.snapshot_interval) else {
-            return;
-        };
-        let boundary = intervals * ins.snapshot_interval;
-        if boundary <= self.last_snapshot {
+        let _idle_phase = hostprof::phase(hostprof::Phase::IdleScan);
+        let mut wake = WATCHDOG_CYCLES;
+        if self.sample_interval > 0 {
+            wake = wake.min(next.div_ceil(self.sample_interval) * self.sample_interval);
+        }
+        for sm in sms.iter() {
+            wake = wake.min(sm.sleep_until());
+            if wake <= next {
+                return next;
+            }
+        }
+        for sm in sms {
+            sm.sleep_through(next, wake - next, self.kernel);
+        }
+        wake
+    }
+
+    /// Emits one [`TraceEvent::Snapshot`] per SM when `now` is a
+    /// snapshot boundary.
+    fn snapshot(&self, now: u64, sms: &[Sm], ins: &mut Instruments<'_>) {
+        if !ins.tracer.is_on()
+            || ins.snapshot_interval == 0
+            || !now.is_multiple_of(ins.snapshot_interval)
+        {
             return;
         }
         let _snap_phase = hostprof::phase(hostprof::Phase::Snapshot);
-        self.last_snapshot = boundary;
         for (id, sm) in (0..).zip(sms) {
             let s = &sm.stats;
-            ins.tracer.emit_with(boundary, || TraceEvent::Snapshot {
+            ins.tracer.emit_with(now, || TraceEvent::Snapshot {
                 sm: id,
                 issued: s.pipe.issued,
                 scalar: s.instr.executed_scalar,
@@ -427,67 +435,33 @@ impl<'k> Driver<'k> {
         }
     }
 
-    /// Samples the observers when `now` crossed a sample boundary, and
-    /// reports a budget that boundary reached. A budget abort ends the
-    /// live stream's run at the boundary; the other observers get no
+    /// Samples the observers when `now` is a sample boundary, and
+    /// reports a budget it reached. A budget abort ends the live
+    /// stream's run at the boundary; the other observers get no
     /// [`RunObserver::finish`].
-    fn sample(
-        &mut self,
-        now: u64,
-        sms: &[Sm],
-        ins: &mut Instruments<'_>,
-    ) -> Option<BudgetExceeded> {
-        let boundary = now.checked_div(self.sample_interval)? * self.sample_interval;
-        if boundary <= self.last_sample {
+    fn sample(&self, now: u64, sms: &[Sm], ins: &mut Instruments<'_>) -> Option<BudgetExceeded> {
+        if self.sample_interval == 0 || !now.is_multiple_of(self.sample_interval) {
             return None;
         }
-        self.last_sample = boundary;
-        let exceeded = (ins.budget > 0 && boundary >= ins.budget).then_some(BudgetExceeded {
-            cycles: boundary,
+        let exceeded = (ins.budget > 0 && now >= ins.budget).then_some(BudgetExceeded {
+            cycles: now,
             budget: ins.budget,
         });
         if ins.observed() {
             let _snap_phase = hostprof::phase(hostprof::Phase::Snapshot);
             let mut cum = Stats::default();
             for (id, sm) in sms.iter().enumerate() {
-                ins.watch(|o| o.sample_sm(boundary, id, &sm.stats));
+                ins.watch(|o| o.sample_sm(now, id, &sm.stats));
                 cum.merge(&sm.stats);
             }
-            cum.cycles = boundary;
-            ins.watch(|o| o.sample(boundary, &cum));
+            cum.cycles = now;
+            ins.watch(|o| o.sample(now, &cum));
             if let (Some(live), Some(_)) = (&mut ins.live, exceeded) {
-                live.end(boundary, &cum);
+                live.end(now, &cum);
             }
         }
         exceeded
     }
-}
-
-/// No SM showed activity: jumps the clock to the next pipeline
-/// completion or scoreboard release, and charges the jumped-over cycles
-/// in bulk so the per-scheduler CPI ledger still sums exactly to
-/// elapsed cycles.
-fn skip_idle(now: u64, sms: &mut [Sm]) -> u64 {
-    let _idle_phase = hostprof::phase(hostprof::Phase::IdleScan);
-    let mut next: Option<u64> = None;
-    for sm in sms.iter() {
-        let release = sm.last_release();
-        for t in sm
-            .next_event()
-            .into_iter()
-            .chain((release > now).then_some(release))
-        {
-            next = Some(next.map_or(t, |n| n.min(t)));
-        }
-    }
-    let target = next.map_or(now + 1, |t| t.max(now + 1));
-    let skipped = target - (now + 1);
-    if skipped > 0 {
-        for sm in sms {
-            sm.charge_idle_skip(skipped);
-        }
-    }
-    target
 }
 
 /// Merges every SM's statistics into the run's result at cycle `end`

@@ -27,7 +27,7 @@ pub struct Pipe<T> {
     dispatch_free_at: u64,
     inflight: Vec<(u64, T)>,
     /// Earliest completion time in `inflight` (`u64::MAX` when empty),
-    /// so an idle cycle's drain and the idle-skip scan are O(1).
+    /// so an idle cycle's drain and the SM's sleep check are O(1).
     next_due: u64,
 }
 

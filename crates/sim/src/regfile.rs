@@ -341,6 +341,17 @@ impl<T> OperandCollectors<T> {
         res
     }
 
+    /// Runs `n` cycles of arbitration with every collector empty: each
+    /// grants nothing and only advances the rotation.
+    pub fn idle_arbitrations(&mut self, n: u64) {
+        debug_assert_eq!(
+            self.occupied, 0,
+            "idle arbitration with occupied collectors"
+        );
+        let len = self.slots.len().max(1) as u64;
+        self.rr = ((self.rr as u64 + n % len) % len) as usize;
+    }
+
     /// Removes and returns entries whose reads are all complete.
     pub fn take_ready(&mut self) -> Vec<T> {
         let mut out = Vec::new();
@@ -708,6 +719,22 @@ mod tests {
         // rr = 1 after the idle cycle: slot 1 (payload 2) wins.
         assert_eq!(idle.take_ready(), vec![2]);
         assert_eq!(idle.free_slots(), 1);
+    }
+
+    #[test]
+    fn bulk_idle_arbitrations_rotate_like_single_ones() {
+        for start in 0..3u64 {
+            for n in 0..10 {
+                let mut bulk: OperandCollectors<u32> = OperandCollectors::new(3, 16);
+                bulk.idle_arbitrations(start);
+                let mut polled = bulk.clone();
+                bulk.idle_arbitrations(n);
+                for _ in 0..n {
+                    polled.arbitrate(&[]);
+                }
+                assert_eq!(bulk.rr, polled.rr, "start {start}, {n} idle cycles");
+            }
+        }
     }
 
     #[test]

@@ -249,13 +249,6 @@ pub struct Sm {
     rf_class: Vec<RfClass>,
     ctas: Vec<Option<CtaState>>,
     num_regs_per_warp: usize,
-    /// Latest scheduled scoreboard release (for idle skipping).
-    last_release: u64,
-    /// Per-scheduler reason of the most recent stall, used to attribute
-    /// idle-skip jumps (see [`Sm::charge_idle_skip`]). A skip only
-    /// happens after a cycle in which every scheduler stalled, so the
-    /// entry is always fresh when it is read.
-    last_stall: Vec<StallReason>,
     /// Writeback scratch: instructions drained from the pipes this
     /// cycle. Reused every cycle so the hot path never allocates.
     finished: Vec<Inflight>,
@@ -316,8 +309,6 @@ impl Sm {
             rf_class: vec![RfClass::UNKNOWN; max_warps * num_regs_per_warp.max(1)],
             ctas: (0..cfg.ctas_per_sm).map(|_| None).collect(),
             num_regs_per_warp: num_regs_per_warp.max(1),
-            last_release: 0,
-            last_stall: vec![StallReason::Drained; cfg.schedulers],
             finished: Vec::new(),
             write_banks: Vec::new(),
             dispatching: Vec::new(),
@@ -334,16 +325,6 @@ impl Sm {
     #[must_use]
     pub fn resident_warps(&self) -> usize {
         self.warps.iter().filter(|w| w.is_some()).count()
-    }
-
-    /// Whether all resident work has finished and the pipelines drained.
-    #[must_use]
-    pub fn is_idle(&self) -> bool {
-        self.resident_warps() == 0
-            && !self.oc.any_pending()
-            && self.alu_pipes.iter().all(|p| p.in_flight() == 0)
-            && self.sfu_pipe.in_flight() == 0
-            && self.lsu_pipe.in_flight() == 0
     }
 
     /// Whether a CTA of `warps_needed` warps and `shared_bytes` shared
@@ -481,7 +462,6 @@ impl Sm {
             self.scoreboards[f.warp].release_at(&f.instr, release);
             self.ready[f.warp].dirty = true;
             self.verdicts[f.warp % self.cfg.schedulers] = None;
-            self.last_release = self.last_release.max(release);
             // Recycle the coalesced-line buffer for the next issue.
             let mut lines = f.mem_lines;
             if lines.capacity() > 0 {
@@ -566,6 +546,13 @@ impl Sm {
         }
     }
 
+    /// The first cycle at which this SM wakes (0: awake). Every poll
+    /// before it sleeps.
+    #[must_use]
+    pub fn sleep_until(&self) -> u64 {
+        self.sleep_until
+    }
+
     /// One poll of a sleeping SM, charging exactly what the full cycle
     /// would: the empty collectors' arbitration advances their rotation,
     /// and each scheduler charges its held verdict. No hostprof phase is
@@ -578,6 +565,40 @@ impl Sm {
         tracer: &mut Tracer<'_>,
         profiler: &mut Profiler,
     ) {
+        self.check_sleep(now, kernel);
+        self.oc.idle_arbitrations(1);
+        for s in 0..self.verdicts.len() {
+            let v = self.verdicts[s].expect("a sleeping SM holds every verdict");
+            self.charge_stall(s, now, v, false, tracer, profiler);
+        }
+    }
+
+    /// The `n` polls of cycles `from..from + n` at once, all of which
+    /// must come before [`Sm::sleep_until`]: the same charges as `n`
+    /// sleeping polls of [`Sm::cycle`] with the tracer and the profiler
+    /// off (which record nothing for a stall), in O(1). Debug builds check
+    /// the SM steady and every verdict exact at the first and the last
+    /// of the cycles.
+    pub fn sleep_through(&mut self, from: u64, n: u64, kernel: &Kernel) {
+        debug_assert!(
+            n > 0 && from + n <= self.sleep_until,
+            "SM {} wakes inside the jump",
+            self.id
+        );
+        self.check_sleep(from, kernel);
+        self.check_sleep(from + n - 1, kernel);
+        self.oc.idle_arbitrations(n);
+        for (s, v) in self.verdicts.iter().enumerate() {
+            let reason = v.expect("a sleeping SM holds every verdict").reason;
+            self.stats.pipe.scheduler_idle_cycles += n;
+            self.stats.pipe.stalls.add_n(reason, n);
+            self.stats.sched[s].stalls.add_n(reason, n);
+        }
+    }
+
+    /// The debug oracle for a sleeping poll at `now`: the SM must still
+    /// be steady until the same cycle, and every verdict exact.
+    fn check_sleep(&self, now: u64, kernel: &Kernel) {
         if cfg!(debug_assertions) {
             assert_eq!(
                 self.steady_until(now),
@@ -589,17 +610,11 @@ impl Sm {
                 self.check_verdict(s, now, kernel, v.expect("steady"));
             }
         }
-        self.oc.arbitrate(&[]);
-        for s in 0..self.verdicts.len() {
-            let v = self.verdicts[s].expect("a sleeping SM holds every verdict");
-            self.charge_stall(s, now, v, false, tracer, profiler);
-        }
     }
 
-    /// Earliest pending pipe completion on this SM, for idle-cycle
-    /// skipping and for how long the SM may sleep.
-    #[must_use]
-    pub fn next_event(&self) -> Option<u64> {
+    /// Earliest pending pipe completion on this SM: how long it may
+    /// sleep at most.
+    fn next_event(&self) -> Option<u64> {
         let mut t = self
             .alu_pipes
             .iter()
@@ -615,36 +630,6 @@ impl Sm {
             };
         }
         t
-    }
-
-    /// The latest scheduled scoreboard release time.
-    #[must_use]
-    pub fn last_release(&self) -> u64 {
-        self.last_release
-    }
-
-    /// Whether any operand collector is occupied (issue progress is
-    /// possible without new events).
-    #[must_use]
-    pub fn collectors_pending(&self) -> bool {
-        self.oc.any_pending()
-    }
-
-    /// Charges `skipped` cycles jumped over by the run driver's idle-skip
-    /// fast path to each scheduler's most recent stall reason, keeping
-    /// the per-scheduler ledger exact:
-    /// `issued + stalls.total() + skipped.total() == cycles`.
-    ///
-    /// The skipped slots land in [`SchedStats::skipped`], *not* in
-    /// `PipeStats::stalls`, so the cycle-by-cycle invariant
-    /// `stalls.total() == scheduler_idle_cycles` is preserved.
-    pub fn charge_idle_skip(&mut self, skipped: u64) {
-        if skipped == 0 {
-            return;
-        }
-        for (sc, &reason) in self.stats.sched.iter_mut().zip(self.last_stall.iter()) {
-            sc.skipped.add_n(reason, skipped);
-        }
     }
 
     // ---- issue ---------------------------------------------------------
@@ -732,7 +717,6 @@ impl Sm {
         self.stats.pipe.scheduler_idle_cycles += 1;
         self.stats.pipe.stalls.add(reason);
         self.stats.sched[s].stalls.add(reason);
-        self.last_stall[s] = reason;
         if profiler.is_on() {
             // Charge the idle cycle to the instruction at the head of
             // the culprit warp; drained cycles have no culprit and land

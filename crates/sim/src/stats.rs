@@ -231,14 +231,12 @@ pub struct PipeStats {
 /// `gscalar-analyze`'s CPI stacks.
 ///
 /// Every simulated cycle charges exactly one slot per scheduler —
-/// either an issue or a classified stall — and idle-skip jumps charge
-/// the skipped gap to the reason the scheduler last stalled for (kept
-/// in a separate `skipped` breakdown so the PR 1 invariant
-/// `PipeStats::stalls.total() == scheduler_idle_cycles` is untouched).
-/// The accounting identity, per SM and scheduler:
+/// either an issue or a classified stall, whether the cycle was polled
+/// or jumped over in bulk while its SM slept. The accounting identity,
+/// per SM and scheduler:
 ///
 /// ```text
-/// issued + stalls.total() + skipped.total() == Stats::cycles
+/// issued + stalls.total() == Stats::cycles
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SchedStats {
@@ -247,10 +245,6 @@ pub struct SchedStats {
     /// Per-reason stall slots charged cycle-by-cycle (this scheduler's
     /// share of `PipeStats::stalls`).
     pub stalls: StallBreakdown,
-    /// Per-reason slots charged in bulk when the idle-skip fast path
-    /// jumps over cycles no scheduler could use; attributed to the
-    /// scheduler's most recent stall reason.
-    pub skipped: StallBreakdown,
 }
 
 impl SchedStats {
@@ -258,7 +252,7 @@ impl SchedStats {
     /// cycles for a single SM's ledger).
     #[must_use]
     pub fn slots(&self) -> u64 {
-        self.issued + self.stalls.total() + self.skipped.total()
+        self.issued + self.stalls.total()
     }
 }
 
@@ -474,20 +468,12 @@ impl Stats {
 
         let mut s = scope.scope("sched");
         for (i, sc) in sched.iter().enumerate() {
-            let SchedStats {
-                issued,
-                stalls,
-                skipped,
-            } = sc;
+            let SchedStats { issued, stalls } = sc;
             let mut s = s.scope(&i.to_string());
             s.counter_add("issued", *issued);
             let mut st = s.scope("stall");
             for (reason, count) in stalls.iter() {
                 st.counter_add(reason.label(), count);
-            }
-            let mut sk = s.scope("skipped");
-            for (reason, count) in skipped.iter() {
-                sk.counter_add(reason.label(), count);
             }
         }
     }
@@ -645,14 +631,9 @@ impl Stats {
             self.sched.resize(sched.len(), SchedStats::default());
         }
         for (d, s) in self.sched.iter_mut().zip(sched.iter()) {
-            let SchedStats {
-                issued,
-                stalls,
-                skipped,
-            } = s;
+            let SchedStats { issued, stalls } = s;
             d.issued += issued;
             d.stalls.merge(stalls);
-            d.skipped.merge(skipped);
         }
     }
 }
@@ -713,8 +694,6 @@ mod tests {
         mshr_occupancy.record(3);
         let mut sched_stalls = StallBreakdown::default();
         sched_stalls.add(gscalar_trace::StallReason::Scoreboard);
-        let mut sched_skipped = StallBreakdown::default();
-        sched_skipped.add_n(gscalar_trace::StallReason::Drained, 60);
         let src = Stats {
             cycles: 1,
             instr: InstrStats {
@@ -785,7 +764,6 @@ mod tests {
             sched: vec![SchedStats {
                 issued: 59,
                 stalls: sched_stalls,
-                skipped: sched_skipped,
             }],
         };
         let mut dst = Stats::default();
@@ -802,7 +780,7 @@ mod tests {
         assert_eq!(dst.mem.mshr_occupancy.sum(), 6);
         assert_eq!(dst.sched.len(), 1);
         assert_eq!(dst.sched[0].issued, 118);
-        assert_eq!(dst.sched[0].slots(), 2 * (59 + 1 + 60));
+        assert_eq!(dst.sched[0].slots(), 2 * (59 + 1));
     }
 
     #[test]

@@ -134,8 +134,9 @@ impl StallBreakdown {
         self.counts[reason.index()] += 1;
     }
 
-    /// Charges `n` cycles to `reason` at once (idle-skip jumps charge
-    /// a whole gap to the last classified reason in one call).
+    /// Charges `n` cycles to `reason` at once (a jump over cycles a
+    /// sleeping SM polls charges each scheduler's held verdict in one
+    /// call).
     pub fn add_n(&mut self, reason: StallReason, n: u64) {
         self.counts[reason.index()] += n;
     }

@@ -2,21 +2,23 @@
 //! suite and randomized divergent/looping kernels alike — each
 //! (SM, scheduler) ledger charges exactly one slot per cycle, so the
 //! analyzer's stacks reconcile to `cycles × ledgers` at kernel, per-SM
-//! and per-scheduler granularity.
+//! and per-scheduler granularity, and a traced run's stall events count
+//! the same slots.
 
 mod common;
 
 use common::{build_kernel, initial_memory, step_strategy};
-use gscalar::analyze::CpiStack;
+use gscalar::analyze::{analyze_trace, CpiStack};
 use gscalar::core::Arch;
 use gscalar::isa::{Kernel, LaunchConfig};
 use gscalar::sim::memory::GlobalMemory;
-use gscalar::sim::{Gpu, GpuConfig, Instruments, RunObserver, Stats};
-use gscalar::workloads::{suite, Scale};
+use gscalar::sim::{Gpu, GpuConfig, Instruments, RunObserver, SchedStats, Stats};
+use gscalar::trace::{EventBuf, TraceEvent, Tracer};
+use gscalar::workloads::{by_abbr, suite, Scale};
 use proptest::prelude::*;
 
-/// A multi-SM configuration so idle-skip bulk charging and the per-SM
-/// merge both participate.
+/// A multi-SM configuration so sleeping SMs, the driver's jumps over
+/// them and the per-SM merge all participate.
 fn multi_sm_config() -> GpuConfig {
     let mut cfg = GpuConfig::test_small();
     cfg.num_sms = 4;
@@ -115,6 +117,44 @@ fn suite_stacks_reconcile_on_the_full_chip_config() {
             .unwrap();
         assert_reconciles(&merged, &capture.per_sm, cfg.num_sms, &w.abbr);
     }
+}
+
+#[test]
+fn trace_stall_events_count_the_stack_stall_slots() {
+    // One number, one place: a traced run polls every cycle, so each
+    // stalled scheduler-cycle of every SM is one `Stall` event, and the
+    // trace's per-reason counts are the CPI stack's stall components.
+    let cfg = GpuConfig::gtx480();
+    let w = by_abbr("MV", Scale::Test).expect("known benchmark");
+    let mut buf = EventBuf::new(1 << 20);
+    let mut mem = w.memory.clone();
+    let stats = Gpu::new(cfg.clone(), Arch::GScalar.config())
+        .run_with(
+            &w.kernel,
+            w.launch,
+            &mut mem,
+            &mut Instruments {
+                tracer: Tracer::new(&mut buf),
+                ..Instruments::default()
+            },
+        )
+        .unwrap();
+    assert_eq!(buf.dropped(), 0, "the ring must hold the whole run");
+    let records = buf.into_records();
+    let traced = SchedStats {
+        issued: records
+            .iter()
+            .filter(|r| matches!(r.ev, TraceEvent::Issue { .. }))
+            .count() as u64,
+        stalls: analyze_trace(&records, 1).by_reason,
+    };
+    let ledgers = (cfg.num_sms * cfg.schedulers) as u64;
+    let stack = CpiStack::kernel(&stats, cfg.num_sms);
+    stack.reconcile().unwrap();
+    assert_eq!(
+        CpiStack::from_ledgers([&traced], stats.cycles, ledgers),
+        stack
+    );
 }
 
 proptest! {
