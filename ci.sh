@@ -70,6 +70,10 @@ echo "== sweep smoke (parallel run, resume, deterministic manifests)"
 ./target/release/probe --scale test --deterministic \
     --json "$tmp/serial-probe.json" > /dev/null
 cmp "$tmp/sweep/probe.json" "$tmp/serial-probe.json"
+# The figure/table binaries are the sweep front end with their own name
+# first: `probe --out` writes what `sweep probe --out` does.
+./target/release/probe --scale test --out "$tmp/probe-out" 2> /dev/null
+cmp "$tmp/probe-out/probe.json" "$tmp/sweep/probe.json"
 # Rerun over the same results dir: everything must resume, not re-run.
 # (Capture first: grep -q closing the pipe early would SIGPIPE the
 # sweep under pipefail.)

@@ -10,5 +10,5 @@
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    gscalar_bench::experiments::main_single("abl_compiler_moves")
+    gscalar_bench::experiments::cli_main(Some("abl_compiler_moves"))
 }

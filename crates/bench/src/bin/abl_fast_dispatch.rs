@@ -10,5 +10,5 @@
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    gscalar_bench::experiments::main_single("abl_fast_dispatch")
+    gscalar_bench::experiments::cli_main(Some("abl_fast_dispatch"))
 }

@@ -12,5 +12,5 @@
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    gscalar_bench::experiments::main_single("abl_future_gpu")
+    gscalar_bench::experiments::cli_main(Some("abl_future_gpu"))
 }

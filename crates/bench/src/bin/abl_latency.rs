@@ -7,5 +7,5 @@
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    gscalar_bench::experiments::main_single("abl_latency")
+    gscalar_bench::experiments::cli_main(Some("abl_latency"))
 }

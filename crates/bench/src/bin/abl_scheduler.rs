@@ -8,5 +8,5 @@
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    gscalar_bench::experiments::main_single("abl_scheduler")
+    gscalar_bench::experiments::cli_main(Some("abl_scheduler"))
 }

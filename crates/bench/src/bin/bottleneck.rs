@@ -8,5 +8,5 @@
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    gscalar_bench::experiments::main_single("bottleneck")
+    gscalar_bench::experiments::cli_main(Some("bottleneck"))
 }

@@ -8,5 +8,5 @@
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    gscalar_bench::experiments::main_single("fig01_divergence")
+    gscalar_bench::experiments::cli_main(Some("fig01_divergence"))
 }

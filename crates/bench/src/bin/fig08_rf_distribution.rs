@@ -3,5 +3,5 @@
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    gscalar_bench::experiments::main_single("fig08_rf_distribution")
+    gscalar_bench::experiments::cli_main(Some("fig08_rf_distribution"))
 }

@@ -4,5 +4,5 @@
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    gscalar_bench::experiments::main_single("fig09_scalar_eligibility")
+    gscalar_bench::experiments::cli_main(Some("fig09_scalar_eligibility"))
 }

@@ -4,5 +4,5 @@
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    gscalar_bench::experiments::main_single("fig10_warp_size")
+    gscalar_bench::experiments::cli_main(Some("fig10_warp_size"))
 }

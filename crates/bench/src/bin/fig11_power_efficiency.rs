@@ -4,5 +4,5 @@
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    gscalar_bench::experiments::main_single("fig11_power_efficiency")
+    gscalar_bench::experiments::cli_main(Some("fig11_power_efficiency"))
 }

@@ -4,5 +4,5 @@
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    gscalar_bench::experiments::main_single("fig12_rf_power")
+    gscalar_bench::experiments::cli_main(Some("fig12_rf_power"))
 }

@@ -7,5 +7,5 @@
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    gscalar_bench::experiments::main_single("probe")
+    gscalar_bench::experiments::cli_main(Some("probe"))
 }

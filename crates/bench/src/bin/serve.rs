@@ -30,7 +30,6 @@ use std::time::Duration;
 
 use gscalar_bench::experiments;
 use gscalar_serve::{signal, GridBuilder, JobServer, ServeConfig, SubmitSpec};
-use gscalar_workloads::Scale;
 
 const USAGE: &str = "usage:
   serve [--addr HOST:PORT] [--root DIR] [--threads N] [--retries N]
@@ -113,26 +112,12 @@ fn server(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// The bench-registry grid builder: resolve experiment names, apply the
-/// submission's budget, stamp content-address cache keys.
+/// The bench-registry grid builder: [`experiments::grid`] over the
+/// submission's names, scale and budget.
 fn registry_builder() -> GridBuilder {
     Arc::new(|spec: &SubmitSpec| {
-        let scale = match spec.scale.as_str() {
-            "full" => Scale::Full,
-            _ => Scale::Test,
-        };
-        let mut specs = Vec::new();
-        for name in &spec.experiments {
-            let exp = experiments::by_name(name)
-                .ok_or_else(|| format!("unknown experiment {name} (see sweep --list)"))?;
-            specs.extend((exp.grid)(scale));
-        }
-        if spec.budget > 0 {
-            for s in &mut specs {
-                s.cycle_budget = spec.budget;
-            }
-        }
-        Ok(experiments::attach_cache_keys(specs, scale))
+        let scale = experiments::scale_arg(&spec.scale)?;
+        experiments::grid(&spec.experiments, scale, spec.budget)
     })
 }
 

@@ -3,5 +3,5 @@
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    gscalar_bench::experiments::main_single("tab01_config")
+    gscalar_bench::experiments::cli_main(Some("tab01_config"))
 }

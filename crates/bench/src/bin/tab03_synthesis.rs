@@ -4,5 +4,5 @@
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    gscalar_bench::experiments::main_single("tab03_synthesis")
+    gscalar_bench::experiments::cli_main(Some("tab03_synthesis"))
 }

@@ -14,7 +14,7 @@ use gscalar_workloads::{Scale, ABBRS};
 
 use crate::Report;
 
-use super::{suite_grid, JobSim};
+use super::suite_grid;
 
 /// Registry name.
 pub const NAME: &str = "abl_compiler_moves";
@@ -31,20 +31,16 @@ fn fmt(x: f64) -> String {
 /// One job per benchmark: G-Scalar with hardware-only vs
 /// compiler-assisted decompress moves.
 pub fn grid(scale: Scale) -> Vec<JobSpec> {
-    suite_grid(NAME, scale, |w, ctx| {
+    suite_grid(NAME, scale, |w, sim| {
         let cfg = GpuConfig::gtx480();
-        let mut sim = JobSim::new(ctx);
-        let run = |compiler: bool, sim: &mut JobSim| {
+        let mut run = |compiler: bool| {
             let mut arch = Arch::GScalar.config();
             arch.compiler_assisted_moves = compiler;
             sim.run_stats(&cfg, arch, w)
         };
-        let hw = run(false, &mut sim)?;
-        let cc = run(true, &mut sim)?;
-        let mut out = JobOutput {
-            sim_cycles: hw.cycles + cc.cycles,
-            ..JobOutput::default()
-        };
+        let hw = run(false)?;
+        let cc = run(true)?;
+        let mut out = JobOutput::default();
         out.metric("hw-moves", hw.instr.decompress_moves as f64);
         out.metric("cc-moves", cc.instr.decompress_moves as f64);
         out.metric("elided", cc.instr.decompress_moves_elided as f64);
@@ -91,5 +87,4 @@ pub fn render(r: &mut Report, rs: &ResultSet, _scale: Scale) {
     r.metric("total/removed_pct", removed);
     r.note("paper: hardware-only costs ~2% dynamic instructions; compile-time");
     r.note("lifetime analysis \"may further reduce the overhead\" (Section 3.3).");
-    r.add_cycles(rs.sim_cycles(NAME));
 }

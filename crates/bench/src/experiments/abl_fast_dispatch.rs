@@ -10,11 +10,11 @@
 use gscalar_core::Arch;
 use gscalar_sim::GpuConfig;
 use gscalar_sweep::{JobOutput, JobSpec, ResultSet};
-use gscalar_workloads::{Scale, ABBRS};
+use gscalar_workloads::Scale;
 
-use crate::{mean, Report};
+use crate::Report;
 
-use super::{suite_grid, JobSim};
+use super::suite_grid;
 
 /// Registry name.
 pub const NAME: &str = "abl_fast_dispatch";
@@ -22,24 +22,17 @@ pub const NAME: &str = "abl_fast_dispatch";
 /// One job per benchmark: baseline, G-Scalar, and G-Scalar with
 /// one-cycle scalar dispatch, reduced to baseline-normalized IPC.
 pub fn grid(scale: Scale) -> Vec<JobSpec> {
-    suite_grid(NAME, scale, |w, ctx| {
+    suite_grid(NAME, scale, |w, sim| {
         let cfg = GpuConfig::gtx480();
-        let mut sim = JobSim::new(ctx);
-        let run = |fast: bool, arch: Arch, sim: &mut JobSim| {
+        let mut run = |fast: bool, arch: Arch| {
             let mut a = arch.config();
             a.scalar_fast_dispatch = fast;
             sim.run_stats(&cfg, a, w)
         };
-        let base_s = run(false, Arch::Baseline, &mut sim)?;
-        let gs_s = run(false, Arch::GScalar, &mut sim)?;
-        let fast_s = run(true, Arch::GScalar, &mut sim)?;
-        let base = base_s.ipc();
-        let gs = gs_s.ipc() / base;
-        let fast = fast_s.ipc() / base;
-        let mut out = JobOutput {
-            sim_cycles: base_s.cycles + gs_s.cycles + fast_s.cycles,
-            ..JobOutput::default()
-        };
+        let base = run(false, Arch::Baseline)?.ipc();
+        let gs = run(false, Arch::GScalar)?.ipc() / base;
+        let fast = run(true, Arch::GScalar)?.ipc() / base;
+        let mut out = JobOutput::default();
         out.metric("G-Scalar", gs);
         out.metric("fast-disp", fast);
         out.metric("speedup%", 100.0 * (fast / gs - 1.0));
@@ -52,21 +45,13 @@ pub fn render(r: &mut Report, rs: &ResultSet, _scale: Scale) {
     let cfg = GpuConfig::gtx480();
     r.config(&cfg);
     r.title("Extension: scalar fast dispatch (IPC normalized to baseline)");
-    r.table(&["G-Scalar", "fast-disp", "speedup%"]);
-    let mut gains = Vec::new();
-    for abbr in ABBRS {
-        let gs = rs.metric(NAME, abbr, "G-Scalar");
-        let fast = rs.metric(NAME, abbr, "fast-disp");
-        let gain = rs.metric(NAME, abbr, "speedup%");
-        gains.push(gain);
-        r.row(abbr, &[gs, fast, gain], |x| format!("{x:.3}"));
-    }
-    let avg = mean(&gains);
+    let avg = r.suite_table(rs, NAME, &["G-Scalar", "fast-disp", "speedup%"], |x| {
+        format!("{x:.3}")
+    })[2];
     r.row_text("AVG", &["".into(), "".into(), format!("{avg:+.1}")]);
     r.metric("AVG/speedup%", avg);
     r.blank();
     r.note("SFU-heavy benchmarks benefit most: a scalar special-function");
     r.note("instruction frees the 4-lane SFU port after one cycle instead");
     r.note("of eight (Section 6's Fermi/GCN observation).");
-    r.add_cycles(rs.sim_cycles(NAME));
 }

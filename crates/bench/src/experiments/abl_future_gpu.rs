@@ -12,11 +12,11 @@
 use gscalar_core::Arch;
 use gscalar_sim::GpuConfig;
 use gscalar_sweep::{JobOutput, JobSpec, ResultSet};
-use gscalar_workloads::{Scale, ABBRS};
+use gscalar_workloads::Scale;
 
 use crate::Report;
 
-use super::{suite_grid, JobSim};
+use super::suite_grid;
 
 /// Registry name.
 pub const NAME: &str = "abl_future_gpu";
@@ -38,26 +38,22 @@ fn future_gpu() -> GpuConfig {
 /// One job per benchmark: scalar-bank serializations per 1k
 /// instructions for both architectures on both machine sizes.
 pub fn grid(scale: Scale) -> Vec<JobSpec> {
-    suite_grid(NAME, scale, |w, ctx| {
+    suite_grid(NAME, scale, |w, sim| {
         let now = GpuConfig::gtx480();
         let fut = future_gpu();
-        let mut sim = JobSim::new(ctx);
         let mut out = JobOutput::default();
-        let run = |cfg: &GpuConfig, arch: Arch, sim: &mut JobSim| {
-            let s = sim.run_stats(cfg, arch.config(), w)?;
-            Ok::<(u64, f64), gscalar_sweep::JobError>((
-                s.cycles,
-                1000.0 * s.pipe.scalar_bank_serializations as f64 / s.instr.warp_instrs as f64,
-            ))
+        let mut run = |cfg: &GpuConfig, arch: Arch| {
+            sim.run_stats(cfg, arch.config(), w).map(|s| {
+                1000.0 * s.pipe.scalar_bank_serializations as f64 / s.instr.warp_instrs as f64
+            })
         };
         let cells = [
-            run(&now, Arch::AluScalar, &mut sim)?,
-            run(&fut, Arch::AluScalar, &mut sim)?,
-            run(&now, Arch::GScalar, &mut sim)?,
-            run(&fut, Arch::GScalar, &mut sim)?,
+            run(&now, Arch::AluScalar)?,
+            run(&fut, Arch::AluScalar)?,
+            run(&now, Arch::GScalar)?,
+            run(&fut, Arch::GScalar)?,
         ];
-        for (col, (cycles, v)) in COLS.iter().zip(cells) {
-            out.sim_cycles += cycles;
+        for (col, v) in COLS.iter().zip(cells) {
             out.metric(*col, v);
         }
         Ok(out)
@@ -69,24 +65,13 @@ pub fn render(r: &mut Report, rs: &ResultSet, _scale: Scale) {
     let now = GpuConfig::gtx480();
     r.config(&now);
     r.title("Extension: scalar-bank serializations per 1k instructions");
-    r.table(&COLS);
-    let mut tot = [0.0f64; 4];
-    let mut n = 0usize;
-    for abbr in ABBRS {
-        let vals: [f64; 4] = COLS.map(|c| rs.metric(NAME, abbr, c));
-        for (t, v) in tot.iter_mut().zip(vals) {
-            *t += v;
-        }
-        n += 1;
-        r.row(abbr, &vals, |x| format!("{x:.1}"));
-    }
-    let avg: Vec<f64> = tot.iter().map(|t| t / n.max(1) as f64).collect();
-    r.row("AVG", &avg, |x| format!("{x:.1}"));
+    let fmt = |x: f64| format!("{x:.1}");
+    let avg = r.suite_table(rs, NAME, &COLS, fmt);
+    r.row("AVG", &avg, fmt);
     r.blank();
     r.note("with more schedulers and pipelines, pressure on the single scalar");
     r.note("bank grows; G-Scalar's 16 (or 32) per-bank BVR arrays never");
     r.note("serialize (Section 4.1's scalability argument).");
-    r.add_cycles(rs.sim_cycles(NAME));
 }
 
 #[cfg(test)]

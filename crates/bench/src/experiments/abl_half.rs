@@ -9,11 +9,11 @@ use gscalar_core::Arch;
 use gscalar_power::synthesis::rf_area_overhead_fraction;
 use gscalar_sim::GpuConfig;
 use gscalar_sweep::{JobOutput, JobSpec, ResultSet};
-use gscalar_workloads::{Scale, ABBRS};
+use gscalar_workloads::Scale;
 
-use crate::{mean, Report};
+use crate::Report;
 
-use super::{suite_grid, JobSim};
+use super::suite_grid;
 
 /// Registry name.
 pub const NAME: &str = "abl_half";
@@ -22,10 +22,9 @@ pub const NAME: &str = "abl_half";
 /// half-warp scalar execution disabled (priced under the same
 /// byte-wise RF scheme).
 pub fn grid(scale: Scale) -> Vec<JobSpec> {
-    suite_grid(NAME, scale, |w, ctx| {
+    suite_grid(NAME, scale, |w, sim| {
         let cfg = GpuConfig::gtx480();
         let runner = gscalar_core::Runner::new(cfg.clone());
-        let mut sim = JobSim::new(ctx);
         let base = sim.run(&runner, w, Arch::Baseline)?;
         let with = sim.run(&runner, w, Arch::GScalar)?;
         let mut arch = Arch::GScalar.config();
@@ -42,10 +41,7 @@ pub fn grid(scale: Scale) -> Vec<JobSpec> {
         let b = base.power.ipc_per_watt();
         let no_half = power.ipc_per_watt() / b;
         let half = with.power.ipc_per_watt() / b;
-        let mut out = JobOutput {
-            sim_cycles: base.stats.cycles + with.stats.cycles + stats.cycles,
-            ..JobOutput::default()
-        };
+        let mut out = JobOutput::default();
         out.metric("no-half", no_half);
         out.metric("with-half", half);
         out.metric("delta%", 100.0 * (half / no_half - 1.0));
@@ -58,16 +54,9 @@ pub fn render(r: &mut Report, rs: &ResultSet, _scale: Scale) {
     let cfg = GpuConfig::gtx480();
     r.config(&cfg);
     r.title("Ablation: half-warp scalar execution on/off (IPC/W, baseline = 1.0)");
-    r.table(&["no-half", "with-half", "delta%"]);
-    let mut deltas = Vec::new();
-    for abbr in ABBRS {
-        let no_half = rs.metric(NAME, abbr, "no-half");
-        let half = rs.metric(NAME, abbr, "with-half");
-        let d = rs.metric(NAME, abbr, "delta%");
-        deltas.push(d);
-        r.row(abbr, &[no_half, half, d], |x| format!("{x:.3}"));
-    }
-    let avg = mean(&deltas);
+    let avg = r.suite_table(rs, NAME, &["no-half", "with-half", "delta%"], |x| {
+        format!("{x:.3}")
+    })[2];
     r.row_text("AVG", &["".into(), "".into(), format!("{avg:+.2}")]);
     r.metric("AVG/delta%", avg);
     r.blank();
@@ -77,5 +66,4 @@ pub fn render(r: &mut Report, rs: &ResultSet, _scale: Scale) {
         100.0 * rf_area_overhead_fraction(true)
     ));
     r.note("half-warp scalar optional and non-divergent-only.");
-    r.add_cycles(rs.sim_cycles(NAME));
 }

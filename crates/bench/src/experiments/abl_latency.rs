@@ -7,11 +7,11 @@
 use gscalar_core::Arch;
 use gscalar_sim::GpuConfig;
 use gscalar_sweep::{JobOutput, JobSpec, ResultSet};
-use gscalar_workloads::{Scale, ABBRS};
+use gscalar_workloads::Scale;
 
-use crate::{mean, Report};
+use crate::Report;
 
-use super::{suite_grid, JobSim};
+use super::suite_grid;
 
 /// Registry name.
 pub const NAME: &str = "abl_latency";
@@ -26,16 +26,14 @@ fn col(d: u64) -> String {
 /// One job per benchmark: G-Scalar at each extra latency, IPC
 /// normalized to the +0 run.
 pub fn grid(scale: Scale) -> Vec<JobSpec> {
-    suite_grid(NAME, scale, |w, ctx| {
+    suite_grid(NAME, scale, |w, sim| {
         let cfg = GpuConfig::gtx480();
-        let mut sim = JobSim::new(ctx);
         let mut out = JobOutput::default();
         let mut base = 0.0;
         for d in DEPTHS {
             let mut arch = Arch::GScalar.config();
             arch.extra_latency = d;
             let s = sim.run_stats(&cfg, arch, w)?;
-            out.sim_cycles += s.cycles;
             if d == 0 {
                 base = s.ipc();
             }
@@ -52,21 +50,9 @@ pub fn render(r: &mut Report, rs: &ResultSet, _scale: Scale) {
     r.title("Ablation: IPC vs extra pipeline latency (normalized to +0)");
     let head: Vec<String> = DEPTHS.iter().map(|&d| col(d)).collect();
     let head_refs: Vec<&str> = head.iter().map(String::as_str).collect();
-    r.table(&head_refs);
-    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); DEPTHS.len()];
-    for abbr in ABBRS {
-        let vals: Vec<f64> = DEPTHS
-            .iter()
-            .map(|&d| rs.metric(NAME, abbr, &col(d)))
-            .collect();
-        for (c, v) in cols.iter_mut().zip(&vals) {
-            c.push(*v);
-        }
-        r.row(abbr, &vals, |x| format!("{x:.3}"));
-    }
-    let avg: Vec<f64> = cols.iter().map(|c| mean(c)).collect();
-    r.row("AVG", &avg, |x| format!("{x:.3}"));
+    let fmt = |x: f64| format!("{x:.3}");
+    let avg = r.suite_table(rs, NAME, &head_refs, fmt);
+    r.row("AVG", &avg, fmt);
     r.blank();
     r.note("paper: +3 cycles costs 1.7% IPC on average (Section 5.4).");
-    r.add_cycles(rs.sim_cycles(NAME));
 }

@@ -9,11 +9,11 @@ use gscalar_core::Arch;
 use gscalar_sim::scheduler::SchedPolicy;
 use gscalar_sim::GpuConfig;
 use gscalar_sweep::{JobOutput, JobSpec, ResultSet};
-use gscalar_workloads::{Scale, ABBRS};
+use gscalar_workloads::Scale;
 
 use crate::Report;
 
-use super::{suite_grid, JobSim};
+use super::suite_grid;
 
 /// Registry name.
 pub const NAME: &str = "abl_scheduler";
@@ -30,19 +30,15 @@ fn fmt(x: f64) -> String {
 /// One job per benchmark: the ALU-scalar architecture under GTO and
 /// LRR scheduling.
 pub fn grid(scale: Scale) -> Vec<JobSpec> {
-    suite_grid(NAME, scale, |w, ctx| {
-        let mut sim = JobSim::new(ctx);
-        let run = |policy: SchedPolicy, sim: &mut JobSim| {
+    suite_grid(NAME, scale, |w, sim| {
+        let mut run = |policy: SchedPolicy| {
             let mut cfg = GpuConfig::gtx480();
             cfg.sched = policy;
             sim.run_stats(&cfg, Arch::AluScalar.config(), w)
         };
-        let gto = run(SchedPolicy::Gto, &mut sim)?;
-        let lrr = run(SchedPolicy::Lrr, &mut sim)?;
-        let mut out = JobOutput {
-            sim_cycles: gto.cycles + lrr.cycles,
-            ..JobOutput::default()
-        };
+        let gto = run(SchedPolicy::Gto)?;
+        let lrr = run(SchedPolicy::Lrr)?;
+        let mut out = JobOutput::default();
         out.metric("gto-IPC", gto.ipc());
         out.metric("lrr-IPC", lrr.ipc());
         out.metric("gto-ser", gto.pipe.scalar_bank_serializations as f64);
@@ -55,18 +51,8 @@ pub fn grid(scale: Scale) -> Vec<JobSpec> {
 pub fn render(r: &mut Report, rs: &ResultSet, _scale: Scale) {
     r.config(&GpuConfig::gtx480());
     r.title("Ablation: GTO vs LRR (ALU-scalar architecture)");
-    r.table(&["gto-IPC", "lrr-IPC", "gto-ser", "lrr-ser"]);
-    for abbr in ABBRS {
-        let vals = [
-            rs.metric(NAME, abbr, "gto-IPC"),
-            rs.metric(NAME, abbr, "lrr-IPC"),
-            rs.metric(NAME, abbr, "gto-ser"),
-            rs.metric(NAME, abbr, "lrr-ser"),
-        ];
-        r.row(abbr, &vals, fmt);
-    }
+    r.suite_table(rs, NAME, &["gto-IPC", "lrr-IPC", "gto-ser", "lrr-ser"], fmt);
     r.blank();
     r.note("the single scalar bank serializes under both policies; warps running");
     r.note("in lockstep (LRR) tend to burst scalar reads harder (Section 4.1).");
-    r.add_cycles(rs.sim_cycles(NAME));
 }

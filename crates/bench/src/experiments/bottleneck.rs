@@ -22,7 +22,7 @@ use gscalar_workloads::{Scale, ABBRS};
 
 use crate::Report;
 
-use super::{suite_grid, JobSim};
+use super::suite_grid;
 
 /// Registry name.
 pub const NAME: &str = "bottleneck";
@@ -51,9 +51,8 @@ impl RunObserver for PerSmCapture {
 
 /// One job per benchmark: baseline traced run + 4 idealized re-runs.
 pub fn grid(scale: Scale) -> Vec<JobSpec> {
-    suite_grid(NAME, scale, |w, ctx| {
+    suite_grid(NAME, scale, |w, sim| {
         let cfg = GpuConfig::gtx480();
-        let mut sim = JobSim::new(ctx);
 
         // Baseline: one simulation feeding all three analyses.
         let mut buf = EventBuf::new(TRACE_CAPACITY);
@@ -138,7 +137,6 @@ pub fn grid(scale: Scale) -> Vec<JobSpec> {
             out.metric(p(&format!("whatif/{l}/measured")), proj.measured);
             out.metric(p(&format!("whatif/{l}/error")), proj.error());
         }
-        out.sim_cycles = sim.used();
         Ok(out)
     })
 }
@@ -231,5 +229,4 @@ pub fn render(r: &mut Report, rs: &ResultSet, _scale: Scale) {
             r.metric(k, *v);
         }
     }
-    r.add_cycles(rs.sim_cycles(NAME));
 }

@@ -10,7 +10,7 @@ use gscalar_workloads::{by_abbr, Scale, ABBRS};
 
 use crate::{mean, row, Report};
 
-use super::{suite_grid, JobSim};
+use super::suite_grid;
 use gscalar_sweep::JobSpec;
 
 /// Registry name.
@@ -20,27 +20,19 @@ pub const NAME: &str = "fig01_divergence";
 /// figure's two fractions plus per-branch divergence attribution
 /// (`branch<pc>/execs|diverged|div_share%`).
 pub fn grid(scale: Scale) -> Vec<JobSpec> {
-    suite_grid(NAME, scale, |w, ctx| {
+    suite_grid(NAME, scale, |w, sim| {
         let kernel = &w.kernel;
         let mut ins = Instruments {
             profiler: Profiler::for_kernel(0, kernel.name(), kernel.len()),
             ..Instruments::default()
         };
-        let stats = JobSim::new(ctx).run_with(
-            &GpuConfig::gtx480(),
-            Arch::Baseline.config(),
-            w,
-            &mut ins,
-        )?;
+        let stats = sim.run_with(&GpuConfig::gtx480(), Arch::Baseline.config(), w, &mut ins)?;
         let profile = ins
             .profiler
             .into_profile()
             .expect("profiler was created enabled");
         let wi = stats.instr.warp_instrs as f64;
-        let mut out = JobOutput {
-            sim_cycles: stats.cycles,
-            ..JobOutput::default()
-        };
+        let mut out = JobOutput::default();
         out.metric(
             "divergent%",
             100.0 * stats.instr.divergent_instrs as f64 / wi,
@@ -165,5 +157,4 @@ pub fn render(r: &mut Report, rs: &ResultSet, scale: Scale) {
         mean(&divs),
         100.0 * mean(&dscals) / mean(&divs).max(1e-9)
     ));
-    r.add_cycles(rs.sim_cycles(NAME));
 }

@@ -3,11 +3,11 @@
 use gscalar_core::Arch;
 use gscalar_sim::GpuConfig;
 use gscalar_sweep::{JobOutput, JobSpec, ResultSet};
-use gscalar_workloads::{Scale, ABBRS};
+use gscalar_workloads::Scale;
 
-use crate::{mean, Report};
+use crate::Report;
 
-use super::{suite_grid, JobSim};
+use super::suite_grid;
 
 /// Registry name.
 pub const NAME: &str = "fig08_rf_distribution";
@@ -20,15 +20,11 @@ const COLS: [&str; 6] = [
 /// One job per benchmark: a baseline run reduced to the six operand
 /// similarity-class percentages.
 pub fn grid(scale: Scale) -> Vec<JobSpec> {
-    suite_grid(NAME, scale, |w, ctx| {
+    suite_grid(NAME, scale, |w, sim| {
         let runner = gscalar_core::Runner::new(GpuConfig::gtx480());
-        let mut sim = JobSim::new(ctx);
         let report = sim.run(&runner, w, Arch::Baseline)?;
         let f = report.stats.rf.histogram.fractions();
-        let mut out = JobOutput {
-            sim_cycles: report.stats.cycles,
-            ..JobOutput::default()
-        };
+        let mut out = JobOutput::default();
         for (col, x) in COLS.iter().zip(f) {
             out.metric(*col, 100.0 * x);
         }
@@ -41,18 +37,9 @@ pub fn render(r: &mut Report, rs: &ResultSet, _scale: Scale) {
     let cfg = GpuConfig::gtx480();
     r.config(&cfg);
     r.title("Figure 8: RF access distribution (operand value similarity)");
-    r.table(&COLS);
-    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); COLS.len()];
-    for abbr in ABBRS {
-        let vals: Vec<f64> = COLS.iter().map(|c| rs.metric(NAME, abbr, c)).collect();
-        for (c, v) in cols.iter_mut().zip(&vals) {
-            c.push(*v);
-        }
-        r.row(abbr, &vals, |x| format!("{x:.1}"));
-    }
-    let avg: Vec<f64> = cols.iter().map(|c| mean(c)).collect();
-    r.row("AVG", &avg, |x| format!("{x:.1}"));
+    let fmt = |x: f64| format!("{x:.1}");
+    let avg = r.suite_table(rs, NAME, &COLS, fmt);
+    r.row("AVG", &avg, fmt);
     r.blank();
     r.note("paper: avg scalar 36%, 3-byte 17%, 2-byte 4%, 1-byte 7%.");
-    r.add_cycles(rs.sim_cycles(NAME));
 }

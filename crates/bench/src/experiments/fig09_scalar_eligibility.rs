@@ -4,11 +4,11 @@
 use gscalar_core::Arch;
 use gscalar_sim::GpuConfig;
 use gscalar_sweep::{JobOutput, JobSpec, ResultSet};
-use gscalar_workloads::{Scale, ABBRS};
+use gscalar_workloads::Scale;
 
-use crate::{mean, Report};
+use crate::Report;
 
-use super::{suite_grid, JobSim};
+use super::suite_grid;
 
 /// Registry name.
 pub const NAME: &str = "fig09_scalar_eligibility";
@@ -19,9 +19,8 @@ const COLS: [&str; 4] = ["ALU%", "all%", "half%", "diverg%"];
 /// One job per benchmark: a baseline run reduced to the four
 /// cumulative eligibility percentages.
 pub fn grid(scale: Scale) -> Vec<JobSpec> {
-    suite_grid(NAME, scale, |w, ctx| {
+    suite_grid(NAME, scale, |w, sim| {
         let runner = gscalar_core::Runner::new(GpuConfig::gtx480());
-        let mut sim = JobSim::new(ctx);
         let report = sim.run(&runner, w, Arch::Baseline)?;
         let i = &report.stats.instr;
         let wi = i.warp_instrs as f64;
@@ -29,10 +28,7 @@ pub fn grid(scale: Scale) -> Vec<JobSpec> {
         let all = alu + 100.0 * (i.eligible_sfu + i.eligible_mem) as f64 / wi;
         let half = all + 100.0 * i.eligible_half as f64 / wi;
         let div = half + 100.0 * i.eligible_divergent as f64 / wi;
-        let mut out = JobOutput {
-            sim_cycles: report.stats.cycles,
-            ..JobOutput::default()
-        };
+        let mut out = JobOutput::default();
         for (col, v) in COLS.iter().zip([alu, all, half, div]) {
             out.metric(*col, v);
         }
@@ -45,18 +41,9 @@ pub fn render(r: &mut Report, rs: &ResultSet, _scale: Scale) {
     let cfg = GpuConfig::gtx480();
     r.config(&cfg);
     r.title("Figure 9: instructions eligible for scalar execution (cumulative)");
-    r.table(&COLS);
-    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); COLS.len()];
-    for abbr in ABBRS {
-        let vals: Vec<f64> = COLS.iter().map(|c| rs.metric(NAME, abbr, c)).collect();
-        for (c, v) in cols.iter_mut().zip(&vals) {
-            c.push(*v);
-        }
-        r.row(abbr, &vals, |x| format!("{x:.1}"));
-    }
-    let avg: Vec<f64> = cols.iter().map(|c| mean(c)).collect();
-    r.row("AVG", &avg, |x| format!("{x:.1}"));
+    let fmt = |x: f64| format!("{x:.1}");
+    let avg = r.suite_table(rs, NAME, &COLS, fmt);
+    r.row("AVG", &avg, fmt);
     r.blank();
     r.note("paper: ALU scalar 22%; +7% SFU/memory; +2% half; +9% divergent = 40%.");
-    r.add_cycles(rs.sim_cycles(NAME));
 }

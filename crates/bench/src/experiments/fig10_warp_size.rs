@@ -4,11 +4,11 @@
 use gscalar_core::{Arch, Runner};
 use gscalar_sim::GpuConfig;
 use gscalar_sweep::{JobOutput, JobSpec, ResultSet};
-use gscalar_workloads::{Scale, ABBRS};
+use gscalar_workloads::Scale;
 
-use crate::{mean, Report};
+use crate::Report;
 
-use super::{suite_grid, JobSim};
+use super::suite_grid;
 
 /// Registry name.
 pub const NAME: &str = "fig10_warp_size";
@@ -16,19 +16,15 @@ pub const NAME: &str = "fig10_warp_size";
 /// One job per benchmark: two baseline runs (warp 32 and warp 64),
 /// reduced to the half-scalar eligibility percentage at each size.
 pub fn grid(scale: Scale) -> Vec<JobSpec> {
-    suite_grid(NAME, scale, |w, ctx| {
+    suite_grid(NAME, scale, |w, sim| {
         let cfg32 = GpuConfig::gtx480();
         let mut cfg64 = GpuConfig::gtx480();
         cfg64.warp_size = 64;
         let r32 = Runner::new(cfg32);
         let r64 = Runner::new(cfg64);
-        let mut sim = JobSim::new(ctx);
         let s32 = sim.run(&r32, w, Arch::Baseline)?.stats;
         let s64 = sim.run(&r64, w, Arch::Baseline)?.stats;
-        let mut out = JobOutput {
-            sim_cycles: s32.cycles + s64.cycles,
-            ..JobOutput::default()
-        };
+        let mut out = JobOutput::default();
         out.metric(
             "warp32%",
             100.0 * s32.instr.eligible_half as f64 / s32.instr.warp_instrs as f64,
@@ -46,20 +42,11 @@ pub fn render(r: &mut Report, rs: &ResultSet, _scale: Scale) {
     let cfg32 = GpuConfig::gtx480();
     r.config(&cfg32);
     r.title("Figure 10: half-scalar eligibility vs warp size");
-    r.table(&["warp32%", "warp64%"]);
-    let mut a32 = Vec::new();
-    let mut a64 = Vec::new();
-    for abbr in ABBRS {
-        let h32 = rs.metric(NAME, abbr, "warp32%");
-        let h64 = rs.metric(NAME, abbr, "warp64%");
-        a32.push(h32);
-        a64.push(h64);
-        r.row(abbr, &[h32, h64], |x| format!("{x:.1}"));
-    }
-    r.row("AVG", &[mean(&a32), mean(&a64)], |x| format!("{x:.1}"));
+    let fmt = |x: f64| format!("{x:.1}");
+    let avg = r.suite_table(rs, NAME, &["warp32%", "warp64%"], fmt);
+    r.row("AVG", &avg, fmt);
     r.blank();
     r.note("paper: average half-scalar ~2% at warp 32, rising to ~5% at warp 64");
     r.note("(full-warp-scalar instructions of two merged 32-thread warps become");
     r.note("half-scalar at warp 64).");
-    r.add_cycles(rs.sim_cycles(NAME));
 }

@@ -4,11 +4,11 @@
 use gscalar_core::Arch;
 use gscalar_sim::GpuConfig;
 use gscalar_sweep::{JobOutput, JobSpec, ResultSet};
-use gscalar_workloads::{Scale, ABBRS};
+use gscalar_workloads::Scale;
 
-use crate::{mean, Report};
+use crate::Report;
 
-use super::{suite_grid, JobSim};
+use super::suite_grid;
 
 /// Registry name.
 pub const NAME: &str = "fig11_power_efficiency";
@@ -19,19 +19,15 @@ const COLS: [&str; 4] = ["ALUscal", "GS-w/o-div", "G-Scalar", "GS(IPC)"];
 /// One job per benchmark: all four architecture variants, reduced to
 /// baseline-normalized IPC/W (and G-Scalar's normalized IPC).
 pub fn grid(scale: Scale) -> Vec<JobSpec> {
-    suite_grid(NAME, scale, |w, ctx| {
+    suite_grid(NAME, scale, |w, sim| {
         let runner = gscalar_core::Runner::new(GpuConfig::gtx480());
-        let mut sim = JobSim::new(ctx);
         let base = sim.run(&runner, w, Arch::Baseline)?;
         let alu = sim.run(&runner, w, Arch::AluScalar)?;
         let nod = sim.run(&runner, w, Arch::GScalarNoDivergent)?;
         let gs = sim.run(&runner, w, Arch::GScalar)?;
         let base_eff = base.ipc_per_watt();
         let base_ipc = base.stats.ipc();
-        let mut out = JobOutput {
-            sim_cycles: base.stats.cycles + alu.stats.cycles + nod.stats.cycles + gs.stats.cycles,
-            ..JobOutput::default()
-        };
+        let mut out = JobOutput::default();
         out.metric("ALUscal", alu.ipc_per_watt() / base_eff);
         out.metric("GS-w/o-div", nod.ipc_per_watt() / base_eff);
         out.metric("G-Scalar", gs.ipc_per_watt() / base_eff);
@@ -46,17 +42,9 @@ pub fn render(r: &mut Report, rs: &ResultSet, _scale: Scale) {
     let cfg = GpuConfig::gtx480();
     r.config(&cfg);
     r.title("Figure 11: normalized IPC/W (baseline = 1.0) and G-Scalar IPC");
-    r.table(&COLS);
-    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); COLS.len()];
-    for abbr in ABBRS {
-        let vals: Vec<f64> = COLS.iter().map(|c| rs.metric(NAME, abbr, c)).collect();
-        for (c, v) in cols.iter_mut().zip(&vals) {
-            c.push(*v);
-        }
-        r.row(abbr, &vals, |x| format!("{x:.3}"));
-    }
-    let avg: Vec<f64> = cols.iter().map(|c| mean(c)).collect();
-    r.row("AVG", &avg, |x| format!("{x:.3}"));
+    let fmt = |x: f64| format!("{x:.3}");
+    let avg = r.suite_table(rs, NAME, &COLS, fmt);
+    r.row("AVG", &avg, fmt);
     r.blank();
     r.note("paper: G-Scalar +24% IPC/W vs baseline and +15% vs ALU-scalar;");
     r.note("mean IPC degradation 1.7% (LC worst); BP gains 79%.");
@@ -68,5 +56,4 @@ pub fn render(r: &mut Report, rs: &ResultSet, _scale: Scale) {
         100.0 * (gs_avg / alu_avg - 1.0),
         100.0 * (avg[3] - 1.0)
     ));
-    r.add_cycles(rs.sim_cycles(NAME));
 }

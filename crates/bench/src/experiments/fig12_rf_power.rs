@@ -2,14 +2,14 @@
 //! register-file designs, plus average compression ratios.
 
 use gscalar_core::Arch;
-use gscalar_power::{rf_energy_pj, RfScheme};
+use gscalar_power::{rf_power_normalized, RfScheme};
 use gscalar_sim::GpuConfig;
 use gscalar_sweep::{JobOutput, JobSpec, ResultSet};
-use gscalar_workloads::{Scale, ABBRS};
+use gscalar_workloads::Scale;
 
-use crate::{mean, Report};
+use crate::Report;
 
-use super::{suite_grid, JobSim};
+use super::suite_grid;
 
 /// Registry name.
 pub const NAME: &str = "fig12_rf_power";
@@ -19,27 +19,14 @@ const COLS: [&str; 5] = ["scalar-only", "W-C", "ours", "ratio", "bdi-ratio"];
 
 /// One job per benchmark: a G-Scalar run priced under every RF scheme
 /// (normalized to the baseline scheme) plus a baseline run for the
-/// compression ratios. This inlines `Runner::rf_power_normalized` so
-/// both runs go through the budgeted entry point.
+/// compression ratios.
 pub fn grid(scale: Scale) -> Vec<JobSpec> {
-    suite_grid(NAME, scale, |w, ctx| {
+    suite_grid(NAME, scale, |w, sim| {
         let runner = gscalar_core::Runner::new(GpuConfig::gtx480());
-        let mut sim = JobSim::new(ctx);
         let gs = sim.run(&runner, w, Arch::GScalar)?;
-        let base_e = rf_energy_pj(&gs.stats, RfScheme::Baseline, runner.energy());
-        let norm = |s: RfScheme| {
-            let e = rf_energy_pj(&gs.stats, s, runner.energy());
-            if base_e > 0.0 {
-                e / base_e
-            } else {
-                0.0
-            }
-        };
+        let norm = |s: RfScheme| rf_power_normalized(&gs.stats, s, runner.energy());
         let report = sim.run(&runner, w, Arch::Baseline)?;
-        let mut out = JobOutput {
-            sim_cycles: gs.stats.cycles + report.stats.cycles,
-            ..JobOutput::default()
-        };
+        let mut out = JobOutput::default();
         out.metric("scalar-only", norm(RfScheme::ScalarRf));
         out.metric("W-C", norm(RfScheme::WarpedCompression));
         out.metric("ours", norm(RfScheme::ByteWise));
@@ -54,19 +41,10 @@ pub fn render(r: &mut Report, rs: &ResultSet, _scale: Scale) {
     let cfg = GpuConfig::gtx480();
     r.config(&cfg);
     r.title("Figure 12: normalized RF dynamic power (baseline = 1.0)");
-    r.table(&COLS);
-    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); COLS.len()];
-    for abbr in ABBRS {
-        let vals: Vec<f64> = COLS.iter().map(|c| rs.metric(NAME, abbr, c)).collect();
-        for (c, v) in cols.iter_mut().zip(&vals) {
-            c.push(*v);
-        }
-        r.row(abbr, &vals, |x| format!("{x:.3}"));
-    }
-    let avg: Vec<f64> = cols.iter().map(|c| mean(c)).collect();
-    r.row("AVG", &avg, |x| format!("{x:.3}"));
+    let fmt = |x: f64| format!("{x:.3}");
+    let avg = r.suite_table(rs, NAME, &COLS, fmt);
+    r.row("AVG", &avg, fmt);
     r.blank();
     r.note("paper: scalar RF 63% of baseline, ours 46% (i.e. -54%); ours beats");
     r.note("W-C slightly; compression ratio ours 2.17 vs BDI 2.13.");
-    r.add_cycles(rs.sim_cycles(NAME));
 }

@@ -12,17 +12,21 @@
 //!   never re-simulates, an experiment resumed from on-disk job
 //!   manifests renders byte-identically to a fresh run.
 //!
-//! The standalone binaries ([`main_single`]) and the `sweep` binary
-//! both drive experiments through this registry, so there is exactly
-//! one code path producing every figure and table.
+//! Every experiment binary — `sweep` and each figure/table binary —
+//! is [`cli_main`]: one flag parser, one grid builder ([`grid`]) and
+//! one run-and-render driver, so `probe --scale test` and
+//! `sweep probe --scale test` are the same run.
 
+use std::fs::File;
+use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use gscalar_core::{Arch, BudgetExceeded, Instruments, RunReport, Runner, Workload};
 use gscalar_sim::{ArchConfig, GpuConfig, LiveObserver, Stats};
 use gscalar_sweep::{
-    run_sweep, JobCtx, JobError, JobOutput, JobSpec, Progress, ResultSet, SweepConfig,
+    run_sweep, JobCache, JobCtx, JobError, JobOutput, JobSpec, Progress, ResultSet, SweepConfig,
 };
 use gscalar_workloads::Scale;
 
@@ -223,9 +227,8 @@ impl JobSim {
 
 /// Command-line options shared by every experiment binary.
 ///
-/// This is the *single* parser for the flag set the binaries share —
-/// `--scale`, `--threads`, `--budget`, `--hostprof`, `--json`,
-/// `--deterministic`, `--live`, `--live-interval` — so no
+/// `throughput` and `trace` take exactly these flags; the experiment
+/// runner ([`cli_main`]) adds its own to the same parse loop, so no
 /// binary re-implements flag handling. [`Report::from_args`] delegates
 /// here too.
 #[derive(Debug, Clone)]
@@ -267,42 +270,7 @@ impl CliOptions {
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
-        let mut o = CliOptions {
-            scale: Scale::Full,
-            threads: 1,
-            budget: 0,
-            hostprof: false,
-            json: None,
-            deterministic: false,
-            live: None,
-            live_interval: gscalar_live::DEFAULT_SNAPSHOT_INTERVAL,
-        };
-        let mut it = args.into_iter().map(Into::into).peekable();
-        while let Some(a) = it.next() {
-            let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} expects a value"));
-            match a.as_str() {
-                "--scale" => o.scale = scale_arg(&value("--scale")?)?,
-                "--threads" => o.threads = parse_number("--threads", &value("--threads")?)?,
-                "--budget" => o.budget = parse_number("--budget", &value("--budget")?)?,
-                "--hostprof" => o.hostprof = true,
-                "--json" => {
-                    // The path operand is optional: `--json --scale ...`
-                    // means "default path".
-                    o.json = Some(match it.peek() {
-                        Some(p) if !p.starts_with("--") => Some(PathBuf::from(it.next().unwrap())),
-                        _ => None,
-                    });
-                }
-                "--deterministic" => o.deterministic = true,
-                "--live" => o.live = Some(value("--live")?),
-                "--live-interval" => {
-                    o.live_interval = parse_number("--live-interval", &value("--live-interval")?)?;
-                }
-                other if other.starts_with("--") => return Err(format!("unknown flag {other}")),
-                other => return Err(format!("unexpected argument {other}")),
-            }
-        }
-        Ok(o)
+        parse_flags(args, false).map(|o| o.cli)
     }
 
     /// Resolves the manifest path for `bench` (`None` when `--json` was
@@ -339,6 +307,110 @@ impl CliOptions {
     }
 }
 
+/// The experiment runner's options: the shared [`CliOptions`] plus
+/// which experiments run and where their results persist.
+#[derive(Debug, Clone)]
+pub(crate) struct RunOptions {
+    /// The shared flags.
+    pub cli: CliOptions,
+    /// Experiment names (positional arguments), in the order given.
+    pub names: Vec<String>,
+    /// Run every registered experiment (`--all`).
+    pub all: bool,
+    /// Print the registry instead of running (`--list`).
+    pub list: bool,
+    /// Results directory (`--out DIR`): per-job manifests (resumed on
+    /// a rerun) and each experiment's `<name>.txt` and `<name>.json`.
+    pub out: Option<PathBuf>,
+    /// Content-addressed result cache shared across out dirs and with
+    /// the `serve` job server (`--cache DIR`).
+    pub cache: Option<PathBuf>,
+    /// Discard `<out>/jobs/` and re-execute everything (`--fresh`).
+    pub fresh: bool,
+    /// Extra attempts for a panicking or failing job (`--retries N`,
+    /// default 1).
+    pub retries: u32,
+}
+
+impl RunOptions {
+    /// Parses the runner's options from `args`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the flag for an unknown flag, a flag
+    /// missing its value, and a malformed value.
+    pub(crate) fn parse<I, S>(args: I) -> Result<Self, String>
+    where
+        I: IntoIterator<Item = S>,
+        S: Into<String>,
+    {
+        parse_flags(args, true)
+    }
+}
+
+/// The one flag table. The runner's flags and positional experiment
+/// names are accepted only when `runner` is set; otherwise they are
+/// unknown, as for `throughput` and `trace`.
+fn parse_flags<I, S>(args: I, runner: bool) -> Result<RunOptions, String>
+where
+    I: IntoIterator<Item = S>,
+    S: Into<String>,
+{
+    let mut o = RunOptions {
+        cli: CliOptions {
+            scale: Scale::Full,
+            threads: 1,
+            budget: 0,
+            hostprof: false,
+            json: None,
+            deterministic: false,
+            live: None,
+            live_interval: gscalar_live::DEFAULT_SNAPSHOT_INTERVAL,
+        },
+        names: Vec::new(),
+        all: false,
+        list: false,
+        out: None,
+        cache: None,
+        fresh: false,
+        retries: 1,
+    };
+    let c = &mut o.cli;
+    let mut it = args.into_iter().map(Into::into).peekable();
+    while let Some(a) = it.next() {
+        let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} expects a value"));
+        match a.as_str() {
+            "--scale" => c.scale = scale_arg(&value("--scale")?)?,
+            "--threads" => c.threads = parse_number("--threads", &value("--threads")?)?,
+            "--budget" => c.budget = parse_number("--budget", &value("--budget")?)?,
+            "--hostprof" => c.hostprof = true,
+            "--json" => {
+                // The path operand is optional: `--json --scale ...`
+                // means "default path".
+                c.json = Some(match it.peek() {
+                    Some(p) if !p.starts_with("--") => Some(PathBuf::from(it.next().unwrap())),
+                    _ => None,
+                });
+            }
+            "--deterministic" => c.deterministic = true,
+            "--live" => c.live = Some(value("--live")?),
+            "--live-interval" => {
+                c.live_interval = parse_number("--live-interval", &value("--live-interval")?)?;
+            }
+            "--all" if runner => o.all = true,
+            "--list" if runner => o.list = true,
+            "--fresh" if runner => o.fresh = true,
+            "--out" if runner => o.out = Some(PathBuf::from(value("--out")?)),
+            "--cache" if runner => o.cache = Some(PathBuf::from(value("--cache")?)),
+            "--retries" if runner => o.retries = parse_number("--retries", &value("--retries")?)?,
+            other if other.starts_with("--") => return Err(format!("unknown flag {other}")),
+            name if runner => o.names.push(name.to_string()),
+            other => return Err(format!("unexpected argument {other}")),
+        }
+    }
+    Ok(o)
+}
+
 /// Parses a `--scale` value: `test` or `full`.
 ///
 /// # Errors
@@ -360,59 +432,160 @@ where
     v.parse().map_err(|e| format!("{flag}: {e} ({v:?})"))
 }
 
-/// The whole main of a standalone experiment binary: parse options,
-/// run the grid through the sweep engine (in-memory, no results dir),
-/// and render. Failures print one line per job to stderr and exit
-/// nonzero.
+/// The whole main of every experiment binary. A figure/table binary
+/// passes its own name, which is parsed as the first argument, so
+/// `probe --scale test` runs exactly what `sweep probe --scale test`
+/// does; `sweep` passes `None`. It takes the [`CliOptions`] flags plus
+/// experiment names, `--all`, `--list`, `--out DIR`, `--cache DIR`,
+/// `--fresh` and `--retries N` (default 1). Bad flags exit 2, other
+/// errors and failed jobs exit 1.
 #[must_use]
-pub fn main_single(name: &str) -> ExitCode {
-    let exp = by_name(name).unwrap_or_else(|| panic!("experiment {name} not registered"));
-    let opts = match CliOptions::parse(std::env::args().skip(1)) {
+pub fn cli_main(own: Option<&str>) -> ExitCode {
+    let bin = own.unwrap_or("sweep");
+    let args = own
+        .map(String::from)
+        .into_iter()
+        .chain(std::env::args().skip(1));
+    let opts = match RunOptions::parse(args) {
         Ok(o) => o,
         Err(e) => {
-            eprintln!("{name}: {e}");
+            eprintln!("{bin}: {e}");
             return ExitCode::from(2);
         }
     };
-    gscalar_hostprof::set_enabled(opts.hostprof);
-    let live = match opts.open_live() {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("{name}: --live: {e}");
-            return ExitCode::FAILURE;
+    run(bin, &opts).unwrap_or_else(|e| {
+        eprintln!("{bin}: {e}");
+        ExitCode::FAILURE
+    })
+}
+
+/// Runs the selected experiments' grid through the sweep engine and
+/// renders every experiment whose jobs all completed.
+///
+/// Output is deterministic (wall-clock fields zeroed) with
+/// `--deterministic` or `--out`. The text goes to `<out>/<name>.txt`,
+/// else stdout; the manifest to the `--json` path, else
+/// `<out>/<name>.json`, else nowhere.
+fn run(bin: &str, o: &RunOptions) -> Result<ExitCode, String> {
+    if o.list {
+        for e in all() {
+            println!("{:<26} {}", e.name, e.about);
         }
+        return Ok(ExitCode::SUCCESS);
+    }
+    let cli = &o.cli;
+    let names: Vec<&str> = if o.all {
+        all().iter().map(|e| e.name).collect()
+    } else {
+        o.names.iter().map(String::as_str).collect()
     };
-    let mut specs = (exp.grid)(opts.scale);
-    if opts.budget > 0 {
-        for s in &mut specs {
-            s.cycle_budget = opts.budget;
+    if names.is_empty() {
+        return Err("nothing to run: pass experiment names, --all, or --list".into());
+    }
+    let specs = grid(&names, cli.scale, cli.budget)?;
+    let exps: Vec<Experiment> = names
+        .iter()
+        .map(|n| by_name(n).expect("grid resolved every name"))
+        .collect();
+    if matches!(cli.json, Some(Some(_))) && exps.len() > 1 {
+        return Err(format!(
+            "--json PATH holds one manifest, but {} experiments run (use --out DIR)",
+            exps.len()
+        ));
+    }
+    gscalar_hostprof::set_enabled(cli.hostprof);
+    let cache = o
+        .cache
+        .as_ref()
+        .map(|dir| Arc::new(gscalar_serve::ResultCache::new(dir)));
+    if let Some(c) = &cache {
+        let warm = c.scan();
+        if warm > 0 {
+            eprintln!("{bin}: result cache warm with {warm} entries");
         }
     }
+    if let Some(out) = &o.out {
+        let jobs = out.join("jobs");
+        if o.fresh && jobs.exists() {
+            std::fs::remove_dir_all(&jobs).map_err(|e| format!("{}: {e}", jobs.display()))?;
+        }
+        std::fs::create_dir_all(out).map_err(|e| format!("{}: {e}", out.display()))?;
+    }
+    let live = cli.open_live().map_err(|e| format!("--live: {e}"))?;
     let cfg = SweepConfig {
-        threads: opts.threads,
-        out_dir: None,
-        max_retries: 0,
-        progress: Progress::Quiet,
+        threads: cli.threads,
+        out_dir: o.out.clone(),
+        max_retries: o.retries,
+        progress: Progress::PerJob,
         live: live.clone(),
-        ..SweepConfig::default()
+        cache: cache.clone().map(|c| c as Arc<dyn JobCache>),
+        cancel: None,
     };
+    eprintln!(
+        "{bin}: {} jobs across {} experiments on {} thread(s)",
+        specs.len(),
+        exps.len(),
+        gscalar_sweep::resolve_threads(cli.threads)
+    );
     let outcome = run_sweep(&specs, &cfg);
     if let Some(h) = live {
         h.close();
     }
-    if !outcome.all_completed() {
-        for f in &outcome.failures {
-            eprintln!(
-                "{}: job {} failed ({}): {}",
-                exp.name, f.job, f.kind, f.message
-            );
-        }
-        return ExitCode::FAILURE;
+    eprintln!(
+        "{bin}: {} executed, {} resumed, {} cached, {} failed in {:.1}s",
+        outcome.executed,
+        outcome.resumed,
+        outcome.cached,
+        outcome.failures.len(),
+        outcome.wall_s
+    );
+    if let Some(c) = &cache {
+        let k = c.counters();
+        eprintln!(
+            "{bin}: cache {} hit(s), {} miss(es), {} store(s) at {}",
+            k.hits,
+            k.misses,
+            k.stores,
+            c.root().display()
+        );
     }
-    let mut r = Report::from_options(exp.name, &opts);
-    (exp.render)(&mut r, &outcome.results, opts.scale);
-    r.finish();
-    ExitCode::SUCCESS
+
+    let failed = outcome.failed_experiments();
+    for e in &exps {
+        if failed.iter().any(|f| f == e.name) {
+            eprintln!("{bin}: skipping render of {} (failed jobs)", e.name);
+            continue;
+        }
+        let text: Box<dyn Write> = match &o.out {
+            Some(out) => {
+                let path = out.join(format!("{}.txt", e.name));
+                Box::new(File::create(&path).map_err(|err| format!("{}: {err}", path.display()))?)
+            }
+            None => Box::new(std::io::stdout()),
+        };
+        let json = cli.json_path(e.name).or_else(|| {
+            o.out
+                .as_ref()
+                .map(|out| out.join(format!("{}.json", e.name)))
+        });
+        let mut r = Report::to_writer(e.name, json, text);
+        r.set_deterministic(cli.deterministic || o.out.is_some());
+        (e.render)(&mut r, &outcome.results, cli.scale);
+        r.add_cycles(outcome.results.sim_cycles(e.name));
+        r.finish();
+    }
+
+    for f in &outcome.failures {
+        eprintln!(
+            "{bin}: job {} failed ({}, {} attempt(s)): {}",
+            f.job, f.kind, f.attempts, f.message
+        );
+    }
+    Ok(if outcome.all_completed() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    })
 }
 
 /// Digest of the modeled hardware configuration, as recorded in every
@@ -455,18 +628,43 @@ pub fn attach_cache_keys(specs: Vec<JobSpec>, scale: Scale) -> Vec<JobSpec> {
         .collect()
 }
 
+/// The one grid builder of every front end (the experiment binaries
+/// and the `serve` job server): the grids of the experiments `names`,
+/// in the order given, at `scale`, each job under the per-job cycle
+/// `budget` (0 = unlimited) and keyed by its [`cache_key`].
+///
+/// # Errors
+///
+/// Returns a message naming the first unknown experiment.
+pub fn grid<S: AsRef<str>>(names: &[S], scale: Scale, budget: u64) -> Result<Vec<JobSpec>, String> {
+    let mut specs = Vec::new();
+    for name in names {
+        let name = name.as_ref();
+        let exp =
+            by_name(name).ok_or_else(|| format!("unknown experiment {name} (see sweep --list)"))?;
+        specs.extend((exp.grid)(scale).into_iter().map(|s| s.with_budget(budget)));
+    }
+    Ok(attach_cache_keys(specs, scale))
+}
+
 /// Builds one [`JobSpec`] per suite workload via `job`, which receives
-/// the workload by value and the job context.
+/// the workload and the job's [`JobSim`]; the job's simulated cycles
+/// are what its `JobSim` ran.
 pub(crate) fn suite_grid<F>(name: &'static str, scale: Scale, job: F) -> Vec<JobSpec>
 where
-    F: Fn(&Workload, &JobCtx) -> Result<JobOutput, JobError> + Send + Sync + Clone + 'static,
+    F: Fn(&Workload, &mut JobSim) -> Result<JobOutput, JobError> + Send + Sync + Clone + 'static,
 {
     gscalar_workloads::suite(scale)
         .into_iter()
         .map(|w| {
             let job = job.clone();
             let id = gscalar_sweep::JobId::new(name, &w.abbr);
-            JobSpec::new(id, move |ctx| job(&w, ctx))
+            JobSpec::new(id, move |ctx| {
+                let mut sim = JobSim::new(ctx);
+                let mut out = job(&w, &mut sim)?;
+                out.sim_cycles = sim.used();
+                Ok(out)
+            })
         })
         .collect()
 }
@@ -552,6 +750,9 @@ mod tests {
         assert!(err(&["--threads", "two"]).starts_with("--threads: "));
         assert!(err(&["--budget", "-1"]).starts_with("--budget: "));
         assert!(err(&["--live-interval", "1.5"]).starts_with("--live-interval: "));
+        // The runner's own flags stay unknown to `throughput` and `trace`.
+        assert_eq!(err(&["--out", "d"]), "unknown flag --out");
+        assert_eq!(err(&["--all"]), "unknown flag --all");
         let full = CliOptions::parse(["--scale", "full"]).unwrap();
         assert!(matches!(full.scale, Scale::Full));
     }
@@ -667,14 +868,41 @@ mod tests {
     }
 
     #[test]
-    fn attach_cache_keys_covers_a_real_grid() {
-        let specs = (by_name("probe").unwrap().grid)(Scale::Test);
-        let n = specs.len();
-        let specs = attach_cache_keys(specs, Scale::Test);
-        assert_eq!(specs.len(), n);
+    fn run_options_take_names_and_runner_flags() {
+        let o = RunOptions::parse([
+            "probe",
+            "--scale",
+            "test",
+            "--out",
+            "d",
+            "fig12_rf_power",
+            "--retries",
+            "0",
+        ])
+        .unwrap();
+        assert_eq!(o.names, ["probe", "fig12_rf_power"]);
+        assert_eq!(o.out, Some(PathBuf::from("d")));
+        assert_eq!(o.retries, 0);
+        assert!(matches!(o.cli.scale, Scale::Test));
+        let d = RunOptions::parse(Vec::<String>::new()).unwrap();
+        assert_eq!(d.retries, 1);
+        assert!(d.names.is_empty() && !d.all && !d.list && !d.fresh);
+        let err = RunOptions::parse(["probe", "--retries", "x"]).unwrap_err();
+        assert!(err.starts_with("--retries: "), "{err}");
+    }
+
+    #[test]
+    fn grid_budgets_and_keys_every_spec() {
+        let specs = grid(&["probe", "tab01_config"], Scale::Test, 5000).unwrap();
+        assert_eq!(specs.len(), 18, "17 probe jobs and one tab01 job");
         for s in &specs {
-            let key = s.cache_key.as_deref().expect("every spec keyed");
-            assert!(key.starts_with(&format!("{}-{}-", s.id.experiment, s.id.unit)));
+            assert_eq!(s.cycle_budget, 5000);
+            assert_eq!(
+                s.cache_key.as_deref(),
+                Some(cache_key(&s.id.experiment, &s.id.unit, Scale::Test, 5000).as_str())
+            );
         }
+        let err = grid(&["probe", "fig99_nope"], Scale::Test, 0).unwrap_err();
+        assert!(err.contains("unknown experiment fig99_nope"), "{err}");
     }
 }

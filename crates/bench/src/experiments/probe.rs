@@ -8,7 +8,7 @@ use gscalar_workloads::{Scale, ABBRS};
 
 use crate::{run_metrics, Report};
 
-use super::{suite_grid, JobSim};
+use super::suite_grid;
 
 /// Registry name.
 pub const NAME: &str = "probe";
@@ -17,13 +17,12 @@ pub const NAME: &str = "probe";
 /// [`crate::run_metrics`] set (keys already prefixed with the abbr, as
 /// `Report::record_run` would write them).
 pub fn grid(scale: Scale) -> Vec<JobSpec> {
-    suite_grid(NAME, scale, |w, ctx| {
+    suite_grid(NAME, scale, |w, sim| {
         let runner = gscalar_core::Runner::new(GpuConfig::gtx480());
-        let mut sim = JobSim::new(ctx);
         let report = sim.run(&runner, w, Arch::Baseline)?;
         Ok(JobOutput {
-            sim_cycles: report.stats.cycles,
             metrics: run_metrics(&w.abbr, &report),
+            ..JobOutput::default()
         })
     })
 }
@@ -76,5 +75,4 @@ pub fn render(r: &mut Report, rs: &ResultSet, _scale: Scale) {
             r.metric(k, *v);
         }
     }
-    r.add_cycles(rs.sim_cycles(NAME));
 }

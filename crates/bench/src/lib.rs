@@ -14,6 +14,8 @@ use std::time::Instant;
 use gscalar_core::RunReport;
 use gscalar_metrics::{fnv1a_hex, Manifest};
 use gscalar_sim::GpuConfig;
+use gscalar_sweep::ResultSet;
+use gscalar_workloads::ABBRS;
 
 pub mod experiments;
 
@@ -107,10 +109,10 @@ impl Report {
         r
     }
 
-    /// Creates a report whose table text goes to `out` instead of
-    /// stdout and whose manifest (if `json_path` is set) is written at
-    /// [`Report::finish`]. This is how the `sweep` binary renders every
-    /// experiment into `<out>/<bench>.txt` + `<out>/<bench>.json`.
+    /// Creates a report whose table text goes to `out` and whose
+    /// manifest (if `json_path` is set) is written at
+    /// [`Report::finish`]. This is how the experiment driver
+    /// ([`experiments::cli_main`]) renders every experiment.
     #[must_use]
     pub fn to_writer(bench: &str, json_path: Option<PathBuf>, out: Box<dyn Write>) -> Self {
         Report {
@@ -127,8 +129,8 @@ impl Report {
     /// Switches deterministic manifests on: [`Report::finish`] zeroes
     /// the host wall-clock fields (keeping simulated cycles), so the
     /// written JSON is byte-identical across machines, thread counts,
-    /// and runs. The sweep pipeline always renders deterministically;
-    /// the standalone binaries opt in via `--deterministic`.
+    /// and runs. The experiment driver turns it on for
+    /// `--deterministic` and `--out`.
     pub fn set_deterministic(&mut self, on: bool) {
         self.deterministic = on;
     }
@@ -192,6 +194,29 @@ impl Report {
         let _ = writeln!(self.out, "{}", row(label, cells));
     }
 
+    /// Prints a table of experiment `exp`'s `cols` job metrics: the
+    /// header, then one row per suite benchmark ([`ABBRS`] order), each
+    /// cell through `fmt`. Returns the column means, for the caller's
+    /// `AVG` row.
+    pub fn suite_table(
+        &mut self,
+        rs: &ResultSet,
+        exp: &str,
+        cols: &[&str],
+        fmt: impl Fn(f64) -> String,
+    ) -> Vec<f64> {
+        self.table(cols);
+        let mut columns: Vec<Vec<f64>> = vec![Vec::new(); cols.len()];
+        for abbr in ABBRS {
+            let vals: Vec<f64> = cols.iter().map(|c| rs.metric(exp, abbr, c)).collect();
+            for (c, v) in columns.iter_mut().zip(&vals) {
+                c.push(*v);
+            }
+            self.row(abbr, &vals, &fmt);
+        }
+        columns.iter().map(|c| mean(c)).collect()
+    }
+
     /// Records one metric in the manifest.
     pub fn metric(&mut self, path: &str, value: f64) {
         self.manifest.set(path, value);
@@ -229,15 +254,7 @@ impl Report {
     /// with `--json` must not silently produce nothing.
     pub fn finish(mut self) -> Option<Manifest> {
         let wall = self.start.elapsed().as_secs_f64();
-        let real_host = gscalar_metrics::HostProfile {
-            wall_time_s: wall,
-            sim_cycles: self.sim_cycles,
-            cycles_per_host_s: if wall <= 0.0 {
-                0.0
-            } else {
-                self.sim_cycles as f64 / wall
-            },
-        };
+        let side = host_side_channel(&self.manifest.bench, self.sim_cycles, wall);
         self.manifest.host = if self.deterministic {
             gscalar_metrics::HostProfile {
                 wall_time_s: 0.0,
@@ -245,7 +262,7 @@ impl Report {
                 cycles_per_host_s: 0.0,
             }
         } else {
-            real_host.clone()
+            side.host.clone()
         };
         // Host-time phase breakdown rides in the manifest only when it
         // cannot perturb determinism; otherwise it goes to the side
@@ -267,7 +284,6 @@ impl Report {
             eprintln!("wrote {}", path.display());
             if self.deterministic {
                 let side_path = path.with_extension("host.json");
-                let side = host_side_channel(&self.manifest.bench, &real_host);
                 std::fs::write(&side_path, side.to_json())
                     .unwrap_or_else(|e| panic!("writing {}: {e}", side_path.display()));
             }
@@ -277,16 +293,13 @@ impl Report {
 }
 
 /// Builds the `<stem>.host.json` side-channel manifest: the real host
-/// profile a deterministic run measured, plus the hostprof phase/pool
-/// breakdown when profiling is enabled. Every metric lives under
-/// `host/`, so `report compare` treats the whole file as informational.
+/// profile a deterministic run measured ([`gscalar_sweep::host_manifest`]),
+/// plus the hostprof phase/pool breakdown when profiling is enabled.
+/// Every metric lives under `host/`, so `report compare` treats the
+/// whole file as informational.
 #[must_use]
-pub fn host_side_channel(bench: &str, real: &gscalar_metrics::HostProfile) -> Manifest {
-    let mut side = Manifest::new(format!("{bench}.host"));
-    side.host = real.clone();
-    side.set("host/wall_time_s", real.wall_time_s);
-    side.set("host/sim_cycles", real.sim_cycles as f64);
-    side.set("host/cycles_per_host_s", real.cycles_per_host_s);
+pub fn host_side_channel(bench: &str, sim_cycles: u64, wall_s: f64) -> Manifest {
+    let mut side = gscalar_sweep::host_manifest(bench, sim_cycles, wall_s);
     if gscalar_hostprof::enabled() {
         for (path, v) in gscalar_hostprof::snapshot().flatten() {
             side.set(path, v);

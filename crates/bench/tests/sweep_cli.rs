@@ -1,9 +1,12 @@
 //! End-to-end properties of the sweep subsystem, driven through the
-//! `sweep` binary and the standalone experiment binaries:
+//! `sweep` binary and the figure/table binaries:
 //!
 //! * **Determinism** — the manifests a sweep writes are byte-identical
 //!   whether the grid ran on 1 thread or 4, and identical to what the
-//!   standalone binary produces serially with `--deterministic`.
+//!   standalone binary produces serially with `--deterministic` or
+//!   into its own `--out` directory.
+//! * **Aggregation** — `report aggregate <out> --merge` over a sweep's
+//!   out dir merges each experiment's manifest exactly once.
 //! * **Resume** — rerunning over the same results directory executes
 //!   nothing and still renders identical output; corrupting one job
 //!   manifest re-executes exactly that job.
@@ -70,9 +73,43 @@ fn sweep_manifests_are_thread_count_invariant_and_match_serial() {
             "{name}.txt differs between 1 and 4 threads"
         );
     }
+    // The figure/table binaries are the same front end: `probe --out D`
+    // writes what `sweep probe --out D` does.
+    let own = root.join("own");
+    let o = Command::new(env!("CARGO_BIN_EXE_probe"))
+        .args(["--scale", "test", "--out", own.to_str().unwrap()])
+        .output()
+        .expect("probe binary runs");
+    assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
+    for file in ["probe.json", "probe.txt"] {
+        assert_eq!(
+            read(&own.join(file)),
+            read(&one.join(file)),
+            "probe --out and sweep probe --out differ in {file}"
+        );
+    }
+
+    // Aggregating the out dir merges each experiment once: the sweep
+    // writes no merged manifest of its own for the glob to pick up.
+    let merged = root.join("merged.json");
+    let o = Command::new(env!("CARGO_BIN_EXE_report"))
+        .args(["aggregate", one.to_str().unwrap(), "--merge"])
+        .arg(&merged)
+        .output()
+        .expect("report binary runs");
+    assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
+    let merged = gscalar_metrics::Manifest::load(&merged).unwrap();
+    let mut expected = 0;
+    for name in ["probe", "fig11_power_efficiency"] {
+        let m = gscalar_metrics::Manifest::load(&one.join(format!("{name}.json"))).unwrap();
+        // Every metric, plus the merge's `<bench>/host/wall_time_s`.
+        expected += m.metrics.len() + 1;
+    }
     assert_eq!(
-        read(&one.join("BENCH_sweep.json")),
-        read(&four.join("BENCH_sweep.json"))
+        merged.metrics.len(),
+        expected,
+        "{:?}",
+        merged.metrics.keys()
     );
 
     // The standalone binary, run serially with --deterministic,
@@ -101,7 +138,21 @@ fn sweep_manifests_are_thread_count_invariant_and_match_serial() {
 fn bad_flags_fail_by_name_before_anything_runs() {
     let root = fresh_dir("gscalar-sweep-cli-flags");
     let merged = root.join("x.json");
-    let runs: [(&str, Vec<&str>, &str); 6] = [
+    let manifest = root.join("two.json");
+    let runs: [(&str, Vec<&str>, &str); 7] = [
+        // One --json path cannot hold two experiments' manifests.
+        (
+            env!("CARGO_BIN_EXE_sweep"),
+            vec![
+                "probe",
+                "fig11_power_efficiency",
+                "--scale",
+                "test",
+                "--json",
+                manifest.to_str().unwrap(),
+            ],
+            "--json",
+        ),
         (
             env!("CARGO_BIN_EXE_probe"),
             vec!["--scale", "test", "--bugdet", "500"],
@@ -149,6 +200,7 @@ fn bad_flags_fail_by_name_before_anything_runs() {
         assert!(o.stdout.is_empty(), "{args:?} ran anyway");
     }
     assert!(!merged.exists(), "a rejected aggregate wrote its merge");
+    assert!(!manifest.exists(), "a rejected sweep wrote a manifest");
     std::fs::remove_dir_all(&root).ok();
 }
 

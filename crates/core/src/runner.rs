@@ -2,7 +2,7 @@
 
 use gscalar_isa::{Kernel, LaunchConfig};
 use gscalar_metrics::MetricsRegistry;
-use gscalar_power::{chip_power, EnergyModel, PowerReport, PowerTimeline, RfScheme};
+use gscalar_power::{chip_power, EnergyModel, PowerReport, PowerTimeline};
 use gscalar_profile::{KernelProfile, Profiler};
 use gscalar_sim::memory::GlobalMemory;
 use gscalar_sim::{
@@ -282,27 +282,6 @@ impl Runner {
             registry,
         }
     }
-
-    /// Runs `workload` on every Figure 11 architecture.
-    #[must_use]
-    pub fn run_all(&self, workload: &Workload) -> Vec<RunReport> {
-        Arch::ALL.iter().map(|&a| self.run(workload, a)).collect()
-    }
-
-    /// Register-file dynamic power under each Figure 12 scheme,
-    /// normalized to the baseline scheme, from a single run.
-    #[must_use]
-    pub fn rf_power_normalized(&self, workload: &Workload) -> Vec<(RfScheme, f64)> {
-        let report = self.run(workload, Arch::GScalar);
-        let base = gscalar_power::rf_energy_pj(&report.stats, RfScheme::Baseline, &self.energy);
-        RfScheme::ALL
-            .iter()
-            .map(|&s| {
-                let e = gscalar_power::rf_energy_pj(&report.stats, s, &self.energy);
-                (s, if base > 0.0 { e / base } else { 0.0 })
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -338,18 +317,6 @@ mod tests {
             LaunchConfig::linear(4, 64),
             GlobalMemory::new(),
         )
-    }
-
-    #[test]
-    fn run_all_covers_every_arch() {
-        let runner = Runner::new(GpuConfig::test_small());
-        let reports = runner.run_all(&mixed_workload());
-        assert_eq!(reports.len(), 4);
-        let archs: Vec<_> = reports.iter().map(|r| r.arch).collect();
-        assert_eq!(archs, Arch::ALL.to_vec());
-        // Same workload ⇒ same instruction counts everywhere.
-        let w0 = reports[0].stats.instr.warp_instrs;
-        assert!(reports.iter().all(|r| r.stats.instr.warp_instrs == w0));
     }
 
     #[test]
@@ -499,19 +466,5 @@ mod tests {
         };
         let err = runner.run_with(&w, arch, &mut ins).expect_err("must trip");
         assert_eq!(err.budget, 2);
-    }
-
-    #[test]
-    fn rf_power_normalized_baseline_is_one() {
-        let runner = Runner::new(GpuConfig::test_small());
-        let rows = runner.rf_power_normalized(&mixed_workload());
-        assert_eq!(rows.len(), 4);
-        assert!((rows[0].1 - 1.0).abs() < 1e-9);
-        // Our scheme saves power vs baseline.
-        let ours = rows
-            .iter()
-            .find(|(s, _)| *s == RfScheme::ByteWise)
-            .expect("scheme present");
-        assert!(ours.1 < 1.0);
     }
 }

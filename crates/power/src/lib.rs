@@ -40,7 +40,7 @@ pub mod telemetry;
 
 pub use energy::EnergyModel;
 pub use model::{
-    chip_power, component_energies_pj, rf_energy_pj, sfu_power_w, total_energy_pj, PowerReport,
-    RfScheme,
+    chip_power, component_energies_pj, rf_energy_pj, rf_power_normalized, sfu_power_w,
+    total_energy_pj, PowerReport, RfScheme,
 };
 pub use telemetry::{PowerInterval, PowerTimeline};

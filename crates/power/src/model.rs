@@ -59,6 +59,19 @@ pub fn rf_energy_pj(stats: &Stats, scheme: RfScheme, e: &EnergyModel) -> f64 {
     }
 }
 
+/// Register-file dynamic energy under `scheme` normalized to the
+/// baseline scheme's (Figure 12's metric); 0 when the baseline spends
+/// nothing.
+#[must_use]
+pub fn rf_power_normalized(stats: &Stats, scheme: RfScheme, e: &EnergyModel) -> f64 {
+    let base = rf_energy_pj(stats, RfScheme::Baseline, e);
+    if base > 0.0 {
+        rf_energy_pj(stats, scheme, e) / base
+    } else {
+        0.0
+    }
+}
+
 /// A power breakdown for one simulated run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PowerReport {
@@ -250,6 +263,10 @@ mod tests {
         assert!(scalar < base);
         assert!(wc < scalar);
         assert!(ours < wc, "ours {ours} should beat W-C {wc}");
+        assert_eq!(rf_power_normalized(&s, RfScheme::Baseline, &e), 1.0);
+        assert_eq!(rf_power_normalized(&s, RfScheme::ByteWise, &e), ours / base);
+        let idle = stats_with(|_| {});
+        assert_eq!(rf_power_normalized(&idle, RfScheme::ByteWise, &e), 0.0);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::job::{
-    FailureRecord, JobCache, JobCtx, JobError, JobId, JobOutput, JobResult, JobSpec, ResultSet,
+    FailureRecord, JobCache, JobCtx, JobError, JobOutput, JobResult, JobSpec, ResultSet,
 };
 use crate::pool::run_indexed;
 use gscalar_live::{EtaTracker, LiveHandle, LiveRecord};
@@ -162,14 +162,18 @@ fn job_paths(out_dir: &Path, spec: &JobSpec) -> (PathBuf, PathBuf) {
     )
 }
 
-/// Builds the real-timing side channel written next to a job's
-/// deterministic manifest as `jobs/<exp>/<unit>.host.json`. The main
-/// manifest stays byte-deterministic; actual host wall time rides
-/// here. The resume scan never reads these files, and every metric is
-/// under `host/`, so the side channel can neither perturb determinism
-/// nor gate a regression comparison.
-fn host_manifest(id: &JobId, sim_cycles: u64, wall_s: f64) -> Manifest {
-    let mut m = Manifest::new(format!("{id}.host"));
+/// Builds a real-timing side channel, bench `<name>.host`: the host
+/// profile of `sim_cycles` simulated in `wall_s` seconds, also as the
+/// metrics `host/{wall_time_s,sim_cycles,cycles_per_host_s}`. The
+/// sweep writes one next to each job's deterministic manifest as
+/// `jobs/<exp>/<unit>.host.json`, and a deterministic report one next
+/// to its manifest. The main manifest stays byte-deterministic; actual
+/// host wall time rides here. The resume scan never reads these files,
+/// and every metric is under `host/`, so the side channel can neither
+/// perturb determinism nor gate a regression comparison.
+#[must_use]
+pub fn host_manifest(name: &str, sim_cycles: u64, wall_s: f64) -> Manifest {
+    let mut m = Manifest::new(format!("{name}.host"));
     m.host = HostProfile {
         wall_time_s: wall_s,
         sim_cycles,
@@ -386,7 +390,7 @@ pub fn run_sweep(specs: &[JobSpec], cfg: &SweepConfig) -> SweepOutcome {
                         write_atomic(&done_path, &r.to_manifest().to_json());
                         write_atomic(
                             &done_path.with_extension("host.json"),
-                            &host_manifest(&spec.id, r.sim_cycles, wall_s).to_json(),
+                            &host_manifest(&spec.id.to_string(), r.sim_cycles, wall_s).to_json(),
                         );
                         // A success supersedes any failure record left
                         // by a previous run.

@@ -54,7 +54,9 @@ pub mod engine;
 pub mod job;
 pub mod pool;
 
-pub use engine::{execute_one, run_sweep, write_atomic, Progress, SweepConfig, SweepOutcome};
+pub use engine::{
+    execute_one, host_manifest, run_sweep, write_atomic, Progress, SweepConfig, SweepOutcome,
+};
 pub use job::{
     FailureRecord, JobCache, JobCtx, JobError, JobId, JobOutput, JobResult, JobSpec, ResultSet,
     FAILURE_SCHEMA_VERSION,

@@ -4,7 +4,7 @@
 //! reports must hold.
 
 use gscalar::core::{Arch, Runner};
-use gscalar::power::RfScheme;
+use gscalar::power::{rf_power_normalized, RfScheme};
 use gscalar::sim::GpuConfig;
 use gscalar::workloads::{by_abbr, Scale};
 
@@ -90,8 +90,8 @@ fn rf_scheme_ordering_holds_on_value_similar_benchmarks() {
     let mut n = 0.0;
     for abbr in ["BT", "MQ", "MM", "MV"] {
         let w = by_abbr(abbr, Scale::Full).expect("benchmark exists");
-        let rows = r.rf_power_normalized(&w);
-        let get = |s: RfScheme| rows.iter().find(|(x, _)| *x == s).expect("scheme").1;
+        let stats = r.run(&w, Arch::GScalar).stats;
+        let get = |s: RfScheme| rf_power_normalized(&stats, s, r.energy());
         let ours = get(RfScheme::ByteWise);
         let scalar = get(RfScheme::ScalarRf);
         assert!(ours < 1.0, "{abbr}: ours {ours} must beat the baseline");
