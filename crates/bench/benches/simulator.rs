@@ -55,7 +55,7 @@ fn bench_simt_stack(c: &mut Criterion) {
                 s.advance(20);
                 s.advance(20);
             }
-            s.exit();
+            s.exit(u64::MAX, 21);
             black_box(s.is_done())
         })
     });

@@ -35,12 +35,11 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use gscalar_bench::experiments::scale_arg;
 use gscalar_bench::Report;
 use gscalar_core::{Arch, Runner};
 use gscalar_profile::{annotate, branch_markdown, hotspot_markdown};
 use gscalar_sim::GpuConfig;
-use gscalar_workloads::{by_abbr, divergent_example, Scale};
+use gscalar_workloads::{by_abbr, divergent_example, Scale, ABBRS};
 
 /// Hotspot rows in the markdown report.
 const TOP_N: usize = 10;
@@ -60,18 +59,14 @@ fn main() -> ExitCode {
                 out_dir = PathBuf::from(dir);
             }
             "--json" => {
-                json = Some(match args.next_if(|v| !v.starts_with("--")) {
+                // The path is optional, and a workload name is never
+                // taken as one: `--json BP` profiles BP.
+                let is_path =
+                    |v: &String| !v.starts_with("--") && v != "DIV" && !ABBRS.contains(&v.as_str());
+                json = Some(match args.next_if(is_path) {
                     Some(path) => PathBuf::from(path),
                     None => PathBuf::from("results/profile.json"),
                 });
-            }
-            "--scale" => {
-                // Checked for CLI uniformity; suite workloads always
-                // profile at test scale.
-                if let Err(e) = scale_arg(&args.next().unwrap_or_default()) {
-                    eprintln!("profile: {e}");
-                    return ExitCode::FAILURE;
-                }
             }
             other if !other.starts_with("--") => abbr = Some(other.to_string()),
             other => {

@@ -22,6 +22,7 @@ use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
+use std::time::Instant;
 
 use gscalar_core::{Arch, BudgetExceeded, Instruments, RunReport, Runner, Workload};
 use gscalar_sim::{ArchConfig, GpuConfig, LiveObserver, Stats};
@@ -386,11 +387,12 @@ where
             "--hostprof" => c.hostprof = true,
             "--json" => {
                 // The path operand is optional: `--json --scale ...`
-                // means "default path".
-                c.json = Some(match it.peek() {
-                    Some(p) if !p.starts_with("--") => Some(PathBuf::from(it.next().unwrap())),
-                    _ => None,
-                });
+                // means "default path", and so does `--json probe` for
+                // the runner, which never takes an experiment name as
+                // the path.
+                let is_path =
+                    |p: &String| !p.starts_with("--") && (!runner || by_name(p).is_none());
+                c.json = Some(it.next_if(is_path).map(PathBuf::from));
             }
             "--deterministic" => c.deterministic = true,
             "--live" => c.live = Some(value("--live")?),
@@ -527,6 +529,8 @@ fn run(bin: &str, o: &RunOptions) -> Result<ExitCode, String> {
         exps.len(),
         gscalar_sweep::resolve_threads(cli.threads)
     );
+    // Every manifest's wall time covers the sweep, not only its render.
+    let start = Instant::now();
     let outcome = run_sweep(&specs, &cfg);
     if let Some(h) = live {
         h.close();
@@ -569,6 +573,7 @@ fn run(bin: &str, o: &RunOptions) -> Result<ExitCode, String> {
                 .map(|out| out.join(format!("{}.json", e.name)))
         });
         let mut r = Report::to_writer(e.name, json, text);
+        r.set_start(start);
         r.set_deterministic(cli.deterministic || o.out.is_some());
         (e.render)(&mut r, &outcome.results, cli.scale);
         r.add_cycles(outcome.results.sim_cycles(e.name));
@@ -732,6 +737,13 @@ mod tests {
         );
         let o = CliOptions::parse(["--json", "out/custom.json"]).unwrap();
         assert_eq!(o.json_path("fig99"), Some(PathBuf::from("out/custom.json")));
+        // The runner never takes an experiment name as the path.
+        let o = RunOptions::parse(["--json", "probe", "--scale", "test"]).unwrap();
+        assert_eq!(o.names, ["probe"]);
+        assert_eq!(
+            o.cli.json_path("probe"),
+            Some(PathBuf::from("results/probe.json"))
+        );
     }
 
     #[test]

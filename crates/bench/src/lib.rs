@@ -126,6 +126,13 @@ impl Report {
         }
     }
 
+    /// Starts the wall clock [`Report::finish`] reads at `at` instead
+    /// of at construction. The experiment driver starts it before the
+    /// sweep whose results the report renders.
+    pub fn set_start(&mut self, at: Instant) {
+        self.start = at;
+    }
+
     /// Switches deterministic manifests on: [`Report::finish`] zeroes
     /// the host wall-clock fields (keeping simulated cycles), so the
     /// written JSON is byte-identical across machines, thread counts,

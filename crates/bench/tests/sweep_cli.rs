@@ -15,6 +15,8 @@
 //!   (library-level, with an injected faulty grid).
 //! * **Flag checking** — an unknown flag, a missing value or a malformed
 //!   one stops a binary with the flag's name before it runs anything.
+//! * **Host timing** — an experiment's host side channel times the
+//!   sweep that produced it, not only the render.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -312,6 +314,33 @@ fn corrupt_host_side_channels_neither_crash_nor_reexecute_on_resume() {
     );
     assert_eq!(first, read(&out.join("probe.json")));
     std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn experiment_wall_time_covers_its_jobs() {
+    let out = fresh_dir("gscalar-sweep-cli-walltime");
+    let o = Command::new(env!("CARGO_BIN_EXE_probe"))
+        .args(["--scale", "test", "--threads", "1", "--out"])
+        .arg(&out)
+        .output()
+        .expect("probe runs");
+    assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
+    let wall = |p: &Path| gscalar_metrics::Manifest::load(p).unwrap().host.wall_time_s;
+    let jobs: f64 = std::fs::read_dir(out.join("jobs/probe"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.to_str().is_some_and(|n| n.ends_with(".host.json")))
+        .map(|p| wall(&p))
+        .sum();
+    let experiment = wall(&out.join("probe.host.json"));
+    assert!(jobs > 0.0, "no job timings under {}", out.display());
+    // One thread runs the jobs one after another, so the experiment's
+    // wall time is at least their sum (less timer slack).
+    assert!(
+        experiment >= 0.9 * jobs,
+        "probe took {experiment}s for {jobs}s of jobs"
+    );
+    std::fs::remove_dir_all(&out).ok();
 }
 
 #[test]

@@ -587,7 +587,8 @@ impl KernelBuilder {
     }
 
     /// Finalizes the kernel: patches label targets, appends a trailing
-    /// `EXIT` if the stream does not already end in one, and validates.
+    /// `EXIT` if control could fall off the end of the stream, and
+    /// validates.
     ///
     /// # Errors
     ///
@@ -597,7 +598,7 @@ impl KernelBuilder {
         if self
             .instrs
             .last()
-            .is_none_or(|i| !(i.is_exit() || (i.is_branch() && i.guard.is_always())))
+            .is_none_or(|i| !(i.guard.is_always() && (i.is_exit() || i.is_branch())))
         {
             self.exit();
         }

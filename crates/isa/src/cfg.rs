@@ -116,7 +116,8 @@ impl Cfg {
                         }
                     }
                 }
-                InstrKind::Exit => {}
+                // A guarded EXIT falls through for the lanes it spares.
+                InstrKind::Exit if last.guard.is_always() => {}
                 _ => {
                     if last_pc + 1 < n {
                         succs.push(block_at_pc[last_pc + 1]);
@@ -308,6 +309,19 @@ mod tests {
         let code = vec![bra(2), exit(), exit()];
         let cfg = Cfg::build(&code);
         assert_eq!(cfg.reconvergence_table(&code)[0], None);
+    }
+
+    #[test]
+    fn guarded_exit_falls_through_to_the_join() {
+        // 0: @P0 BRA 3
+        // 1: @P0 EXIT      some lanes leave, the rest go on
+        // 2: nop
+        // 3: exit          join
+        let guarded_exit = Instr::new(Guard::pos(Pred::new(0)), InstrKind::Exit);
+        let code = vec![bra(3), guarded_exit, nop(), exit()];
+        let cfg = Cfg::build(&code);
+        assert_eq!(cfg.blocks()[1].succs, vec![2]);
+        assert_eq!(cfg.reconvergence_table(&code)[0], Some(3));
     }
 
     #[test]

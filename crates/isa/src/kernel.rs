@@ -203,10 +203,10 @@ impl Kernel {
                 check(d)?;
             }
         }
-        // The last instruction must not fall through: it must be an exit
-        // or an unconditional branch.
+        // The last instruction must not fall through: it must be an
+        // unconditional exit or branch.
         let last = instrs[instrs.len() - 1];
-        let terminates = last.is_exit() || (last.is_branch() && last.guard.is_always());
+        let terminates = last.guard.is_always() && (last.is_exit() || last.is_branch());
         if !terminates {
             return Err(KernelError::MissingExit);
         }
@@ -350,6 +350,12 @@ mod tests {
         )];
         assert_eq!(
             Kernel::new("k", bad2, 4).unwrap_err(),
+            KernelError::MissingExit
+        );
+        // So can the lanes a guarded EXIT spares.
+        let bad3 = vec![Instr::new(Guard::pos(Pred::new(0)), InstrKind::Exit)];
+        assert_eq!(
+            Kernel::new("k", bad3, 4).unwrap_err(),
             KernelError::MissingExit
         );
         // An unconditional backward branch is a valid terminator.

@@ -68,7 +68,8 @@ impl Liveness {
             .iter()
             .enumerate()
             .map(|(pc, i)| match i.kind {
-                InstrKind::Exit => Vec::new(),
+                // A guarded EXIT falls through for the lanes it spares.
+                InstrKind::Exit if i.guard.is_always() => Vec::new(),
                 InstrKind::Bra { target } => {
                     if i.guard.is_always() {
                         vec![target]

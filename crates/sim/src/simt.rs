@@ -163,10 +163,15 @@ impl SimtStack {
         true
     }
 
-    /// Retires the current path's active lanes (an `EXIT`).
-    pub fn exit(&mut self) {
+    /// Retires `lanes` of the current path (an `EXIT` whose guard
+    /// passed for them); the path's other active lanes go on at
+    /// `next_pc`.
+    pub fn exit(&mut self, lanes: u64, next_pc: usize) {
         self.path_events.clear();
-        self.exited |= self.active();
+        self.exited |= self.active() & lanes;
+        if let Some(top) = self.entries.last_mut() {
+            top.pc = next_pc;
+        }
         self.normalize();
     }
 
@@ -260,11 +265,11 @@ mod tests {
         assert_eq!(s.pc(), 1);
         s.advance(2);
         // Fall-through path exits.
-        s.exit();
+        s.exit(u64::MAX, 0);
         // Taken path becomes active.
         assert_eq!(s.pc(), 10);
         assert_eq!(s.active(), 0b0011);
-        s.exit();
+        s.exit(u64::MAX, 0);
         assert!(s.is_done());
         assert_eq!(s.exited(), 0xF);
     }
@@ -272,9 +277,24 @@ mod tests {
     #[test]
     fn full_warp_exit() {
         let mut s = SimtStack::new(5, u64::MAX);
-        s.exit();
+        s.exit(u64::MAX, 0);
         assert!(s.is_done());
         assert_eq!(s.active(), 0);
+    }
+
+    #[test]
+    fn guarded_exit_retires_only_its_lanes() {
+        let mut s = SimtStack::new(0, 0xF);
+        // Lanes 2-3 fall through a branch reconverging at 9; at pc 1
+        // lane 3 exits and lane 2 goes on to pc 2.
+        s.branch(0b0011, 4, 1, Some(9));
+        s.exit(0b1010, 2);
+        assert_eq!((s.pc(), s.active()), (2, 0b0100));
+        s.advance(9);
+        assert_eq!((s.pc(), s.active()), (4, 0b0011));
+        s.advance(9);
+        assert_eq!((s.pc(), s.active()), (9, 0b0111));
+        assert_eq!(s.exited(), 0b1000);
     }
 
     #[test]
@@ -290,11 +310,11 @@ mod tests {
         s.advance(11);
         assert!(s.path_events().is_empty());
         // Taken path exits before reconverging → charged as exited.
-        s.exit();
+        s.exit(u64::MAX, 0);
         assert_eq!(s.path_events(), &[(5, false)]);
         // Remaining join entry has no origin: popping it emits nothing.
         assert_eq!(s.pc(), 20);
-        s.exit();
+        s.exit(u64::MAX, 0);
         assert!(s.path_events().is_empty());
         assert!(s.is_done());
     }
@@ -327,7 +347,7 @@ mod tests {
                     s.branch(taken, 0, 2, Some(2));
                 }
                 2 => {
-                    s.exit();
+                    s.exit(u64::MAX, 0);
                     break;
                 }
                 _ => unreachable!(),

@@ -959,7 +959,7 @@ impl Sm {
             }
             InstrKind::Exit => {
                 let depth_before = warp.simt.depth();
-                warp.simt.exit();
+                warp.simt.exit(mask, pc + 1);
                 drain_path_events(profiler, &warp.simt);
                 if tracer.is_on() && !warp.simt.is_done() {
                     let depth = warp.simt.depth() as u32;

@@ -1,29 +1,24 @@
-//! The CPI-stack accounting identity, end to end: for every run — full
-//! suite and randomized divergent/looping kernels alike — each
-//! (SM, scheduler) ledger charges exactly one slot per cycle, so the
-//! analyzer's stacks reconcile to `cycles × ledgers` at kernel, per-SM
-//! and per-scheduler granularity, and a traced run's stall events count
-//! the same slots.
+//! Accounting identities, end to end. For every run — full suite and
+//! generated kernels alike — each (SM, scheduler) ledger charges
+//! exactly one slot per cycle, so the analyzer's stacks reconcile to
+//! `cycles × ledgers` at kernel, per-SM and per-scheduler granularity,
+//! and a traced run's stall events count the same slots. On generated
+//! kernels, the interval power timeline also integrates to the one-shot
+//! energy total, and the per-PC profile reconciles with the aggregate
+//! statistics.
 
 mod common;
 
-use common::{build_kernel, initial_memory, step_strategy};
+use common::{build_kernel, initial_memory, multi_sm_config, program};
 use gscalar::analyze::{analyze_trace, CpiStack};
-use gscalar::core::Arch;
+use gscalar::core::{Arch, Runner, Workload};
 use gscalar::isa::{Kernel, LaunchConfig};
 use gscalar::sim::memory::GlobalMemory;
 use gscalar::sim::{Gpu, GpuConfig, Instruments, RunObserver, SchedStats, Stats};
 use gscalar::trace::{EventBuf, TraceEvent, Tracer};
 use gscalar::workloads::{by_abbr, suite, Scale};
+use gscalar_profile::EligClass;
 use proptest::prelude::*;
-
-/// A multi-SM configuration so sleeping SMs, the driver's jumps over
-/// them and the per-SM merge all participate.
-fn multi_sm_config() -> GpuConfig {
-    let mut cfg = GpuConfig::test_small();
-    cfg.num_sms = 4;
-    cfg
-}
 
 struct PerSmCapture {
     per_sm: Vec<Stats>,
@@ -37,13 +32,15 @@ impl RunObserver for PerSmCapture {
     }
 }
 
-/// Runs the kernel and returns (merged, per-SM) statistics.
+/// Runs the kernel on the Baseline architecture and returns (merged,
+/// per-SM) statistics.
 fn run_with_per_sm(
+    cfg: &GpuConfig,
     kernel: &Kernel,
     launch: LaunchConfig,
     init: &GlobalMemory,
 ) -> (Stats, Vec<Stats>) {
-    let mut gpu = Gpu::new(multi_sm_config(), Arch::Baseline.config());
+    let mut gpu = Gpu::new(cfg.clone(), Arch::Baseline.config());
     let mut mem = init.clone();
     let mut capture = PerSmCapture { per_sm: Vec::new() };
     let stats = gpu
@@ -90,7 +87,7 @@ fn assert_reconciles(merged: &Stats, per_sm: &[Stats], num_sms: usize, what: &st
 #[test]
 fn suite_stacks_reconcile_at_test_scale() {
     for w in suite(Scale::Test) {
-        let (merged, per_sm) = run_with_per_sm(&w.kernel, w.launch, &w.memory);
+        let (merged, per_sm) = run_with_per_sm(&multi_sm_config(), &w.kernel, w.launch, &w.memory);
         assert_reconciles(&merged, &per_sm, 4, &w.abbr);
     }
 }
@@ -101,21 +98,8 @@ fn suite_stacks_reconcile_on_the_full_chip_config() {
     // same identity must hold where the bottleneck binary runs.
     let cfg = GpuConfig::gtx480();
     for w in suite(Scale::Test).into_iter().take(2) {
-        let mut gpu = Gpu::new(cfg.clone(), Arch::Baseline.config());
-        let mut mem = w.memory.clone();
-        let mut capture = PerSmCapture { per_sm: Vec::new() };
-        let merged = gpu
-            .run_with(
-                &w.kernel,
-                w.launch,
-                &mut mem,
-                &mut Instruments {
-                    observers: vec![&mut capture],
-                    ..Instruments::default()
-                },
-            )
-            .unwrap();
-        assert_reconciles(&merged, &capture.per_sm, cfg.num_sms, &w.abbr);
+        let (merged, per_sm) = run_with_per_sm(&cfg, &w.kernel, w.launch, &w.memory);
+        assert_reconciles(&merged, &per_sm, cfg.num_sms, &w.abbr);
     }
 }
 
@@ -162,14 +146,135 @@ proptest! {
 
     #[test]
     fn random_kernels_reconcile(
-        steps in proptest::collection::vec(step_strategy(), 1..10),
+        prog in program(),
         ctas in 1u32..7,
         warps in 1u32..3,
     ) {
-        let kernel = build_kernel(&steps);
+        let kernel = build_kernel(&prog);
         let launch = LaunchConfig::linear(ctas, warps * 32);
         let init = initial_memory(ctas * warps * 32);
-        let (merged, per_sm) = run_with_per_sm(&kernel, launch, &init);
+        let (merged, per_sm) = run_with_per_sm(&multi_sm_config(), &kernel, launch, &init);
         assert_reconciles(&merged, &per_sm, 4, "random kernel");
+    }
+}
+
+/// A generated kernel as a workload on two CTAs of 64 threads.
+fn two_cta_workload(prog: &[common::Stmt]) -> Workload {
+    let launch = LaunchConfig::linear(2, 64);
+    Workload::new(
+        "rand",
+        "RAND",
+        build_kernel(prog),
+        launch,
+        initial_memory(128),
+    )
+}
+
+/// The architectures the timeline and profile identities run on.
+const METERED_ARCHS: [Arch; 3] = [Arch::Baseline, Arch::AluScalar, Arch::GScalar];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn timeline_integrates_to_one_shot_energy_and_stalls_stay_exhaustive(
+        prog in program(),
+        arch_pick in 0usize..3,
+        interval_pick in 0usize..3,
+    ) {
+        let w = two_cta_workload(&prog);
+        let arch = METERED_ARCHS[arch_pick];
+        let sample_interval = [0u64, 7, 64][interval_pick];
+        let runner = Runner::new(GpuConfig::test_small());
+        let run = runner.run_metered(&w, arch, sample_interval);
+        let stats = &run.report.stats;
+
+        // The interval timeline re-integrates (sum of interval power ×
+        // interval duration) to the one-shot total.
+        let integrated = run.timeline.integrated_energy_pj();
+        let one_shot = gscalar::power::total_energy_pj(
+            stats,
+            runner.config(),
+            arch.rf_scheme(),
+            arch.has_codec(),
+            runner.energy(),
+        );
+        let rel = (integrated - one_shot).abs() / one_shot.max(1e-12);
+        prop_assert!(
+            rel < 1e-6,
+            "timeline {integrated} pJ vs one-shot {one_shot} pJ (rel {rel:.3e}, \
+             arch {arch:?}, interval {sample_interval})"
+        );
+
+        // Exactly one stall reason is charged per idle scheduler-cycle,
+        // with metrics observation enabled.
+        prop_assert_eq!(stats.pipe.stalls.total(), stats.pipe.scheduler_idle_cycles);
+
+        // The registry saw the same run: its exported cycle counter
+        // matches the merged statistics.
+        let flat = run.registry.flatten();
+        let cycles = flat
+            .iter()
+            .find(|(p, _)| p == "gpu/cycles")
+            .expect("gpu/cycles exported")
+            .1;
+        prop_assert_eq!(cycles, stats.cycles as f64);
+    }
+
+    #[test]
+    fn per_pc_profile_reconciles_with_aggregate_stats(
+        prog in program(),
+        arch_pick in 0usize..3,
+    ) {
+        let w = two_cta_workload(&prog);
+        let arch = METERED_ARCHS[arch_pick];
+        let runner = Runner::new(GpuConfig::test_small());
+        let run = runner.run_profiled(&w, arch);
+        let stats = &run.report.stats;
+        let prof = &run.profile;
+
+        // Profiling must not perturb the simulation.
+        let plain = runner.run(&w, arch);
+        prop_assert_eq!(&plain.stats, stats);
+
+        // Issue slots: every issued warp-instruction is attributed to
+        // exactly one PC; every idle scheduler-cycle is charged to the
+        // losing warp's PC or recorded as unattributed.
+        prop_assert_eq!(prof.total_issues(), stats.pipe.issued);
+        prop_assert_eq!(prof.total_stall_cycles(), stats.pipe.scheduler_idle_cycles);
+
+        // Lane-level totals.
+        let recs = prof.records();
+        let lanes: u64 = recs.iter().map(|r| r.active_lanes).sum();
+        prop_assert_eq!(lanes, stats.instr.thread_instrs);
+        let divergent: u64 = recs.iter().map(|r| r.divergent_issues).sum();
+        prop_assert_eq!(divergent, stats.instr.divergent_instrs);
+
+        // Scalar-eligibility classes: per-PC class counts sum to the
+        // aggregate eligible_* counters.
+        let class_sum = |c: EligClass| -> u64 { recs.iter().map(|r| r.class_count(c)).sum() };
+        prop_assert_eq!(class_sum(EligClass::Alu), stats.instr.eligible_alu);
+        prop_assert_eq!(class_sum(EligClass::Sfu), stats.instr.eligible_sfu);
+        prop_assert_eq!(class_sum(EligClass::Mem), stats.instr.eligible_mem);
+        prop_assert_eq!(class_sum(EligClass::Half), stats.instr.eligible_half);
+        prop_assert_eq!(class_sum(EligClass::Divergent), stats.instr.eligible_divergent);
+
+        // Register-write compressor outcomes: per-PC byte totals match
+        // the aggregate register-file accounting (divergent writes are
+        // excluded from both, by the same rule).
+        let raw: u64 = recs.iter().map(|r| r.raw_bytes).sum();
+        prop_assert_eq!(raw, stats.rf.raw_bytes);
+        let compressed: u64 = recs.iter().map(|r| r.compressed_bytes).sum();
+        prop_assert_eq!(compressed, stats.rf.ours_bytes);
+        let writes: u64 = recs
+            .iter()
+            .map(|r| {
+                (0..gscalar_profile::ENCODING_SLOTS)
+                    .map(|t| r.enc_count(t))
+                    .sum::<u64>()
+                    + r.enc_divergent
+            })
+            .sum();
+        prop_assert_eq!(writes, stats.rf.writes);
     }
 }
