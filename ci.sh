@@ -180,15 +180,20 @@ echo "== throughput smoke + regression floor (gated)"
 # to the reference interpreter, timed kernel by kernel in the same
 # process. A drop of more than 10% against the committed trend file
 # fails CI, while improvements (and absolute or per-app numbers) only
-# print. Regenerate the floor after an
-# intentional change with:
+# print. Three host/* numbers do not depend on the host at all and are
+# gated exactly, in both directions: the scheduler and compressor
+# phase call counts and the simulated cycles. Regenerate the file after
+# an intentional change with:
 #   cargo run --release -p gscalar-bench --bin throughput -- \
 #       --scale test --json BENCH_throughput.json
 ./target/release/throughput --scale test \
     --json "$tmp/throughput/BENCH_throughput.json" > /dev/null
 ./target/release/report compare BENCH_throughput.json \
     "$tmp/throughput/BENCH_throughput.json" \
-    --gate-min host/serial/speed_vs_reference=10
+    --gate-min host/serial/speed_vs_reference=10 \
+    --gate-exact host/phase/scheduler/calls \
+    --gate-exact host/phase/compressor/calls \
+    --gate-exact host/serial/total_cycles
 
 echo "== profile smoke"
 # Separate subdirectory: the compare above globs $tmp/*.json and must

@@ -1,6 +1,7 @@
 //! Criterion benchmarks for simulator throughput: warp instructions
-//! simulated per second on representative issue-bound kernels, and
-//! simulated cycles per second on a stall-bound one, per architecture.
+//! simulated per second on representative issue-bound kernels (at test
+//! scale, and the most issue-bound one at full scale), and simulated
+//! cycles per second on a stall-bound one, per architecture.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use gscalar_core::{Arch, Runner};
@@ -22,6 +23,26 @@ fn bench_kernels(c: &mut Criterion) {
                 b.iter(|| black_box(runner.run(&w, arch).stats.cycles))
             });
         }
+    }
+    g.finish();
+}
+
+/// The issue stage under load: full-scale MM on the GTX 480 config keeps
+/// its schedulers issuing most cycles, so its cost is the pick,
+/// readiness refresh, operand gathering and execution of each warp
+/// instruction, the path a full-scale pass spends most of its time in.
+/// Throughput is in warp instructions.
+fn bench_busy(c: &mut Criterion) {
+    let mut g = c.benchmark_group("simulate_busy");
+    g.sample_size(10);
+    let runner = Runner::new(GpuConfig::gtx480());
+    let w = by_abbr("MM", Scale::Full).expect("known benchmark");
+    for arch in [Arch::Baseline, Arch::GScalar] {
+        let instrs = runner.run(&w, arch).stats.instr.warp_instrs;
+        g.throughput(Throughput::Elements(instrs));
+        g.bench_function(format!("MM/{}", arch.label()), |b| {
+            b.iter(|| black_box(runner.run(&w, arch).stats.cycles))
+        });
     }
     g.finish();
 }
@@ -61,5 +82,11 @@ fn bench_simt_stack(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_kernels, bench_stalled, bench_simt_stack);
+criterion_group!(
+    benches,
+    bench_kernels,
+    bench_busy,
+    bench_stalled,
+    bench_simt_stack
+);
 criterion_main!(benches);

@@ -5,7 +5,7 @@
 //! report aggregate <dir|file> [--merge <out.json>]
 //! report compare <baseline dir|file> <current dir|file>
 //!        [--threshold <pct>] [--allow-missing] [--max-rows <n>]
-//!        [--gate-min <path-prefix>=<pct>]...
+//!        [--gate-min <path-prefix>=<pct>]... [--gate-exact <metric-path>]...
 //! ```
 //!
 //! `aggregate` prints a markdown dashboard of every manifest and can
@@ -16,6 +16,9 @@
 //! one-sided floor for a higher-is-better metric (CI uses it to fail on
 //! throughput regressions while letting improvements through); it
 //! overrides the built-in `host/*` informational exemption.
+//! `--gate-exact` fails on any change of one metric, in either
+//! direction, and overrides every other rule: CI gates host-independent
+//! counts (phase calls, simulated cycles) with it.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -28,6 +31,7 @@ fn usage() -> ExitCode {
     eprintln!("       report compare <baseline> <current> [--threshold <pct>]");
     eprintln!("              [--allow-missing] [--max-rows <n>]");
     eprintln!("              [--gate-min <path-prefix>=<pct>]...");
+    eprintln!("              [--gate-exact <metric-path>]...");
     ExitCode::from(2)
 }
 
@@ -90,34 +94,61 @@ fn parse_gate_min(v: &str) -> Option<(String, f64)> {
     (!path.is_empty() && pct >= 0.0).then(|| (path.to_string(), pct))
 }
 
-fn compare_cmd(args: &[String]) -> ExitCode {
-    let (Some(base_path), Some(cur_path)) = (args.first(), args.get(1)) else {
-        return usage();
+/// `compare`'s operands: the two manifest sets, the gate configuration
+/// and the row limit of the rendered summary.
+#[derive(Debug)]
+struct CompareArgs<'a> {
+    baseline: &'a str,
+    current: &'a str,
+    cfg: CompareConfig,
+    max_rows: usize,
+}
+
+/// Parses `compare`'s arguments; `None` on a missing, malformed or
+/// unknown one (reported on stderr).
+fn parse_compare(args: &[String]) -> Option<CompareArgs<'_>> {
+    let (Some(baseline), Some(current)) = (args.first(), args.get(1)) else {
+        return None;
     };
     let mut cfg = CompareConfig::default();
     let mut max_rows = 20usize;
     let mut it = args[2..].iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--threshold" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(t) => cfg.default_threshold_pct = t,
-                None => return usage(),
-            },
+            "--threshold" => cfg.default_threshold_pct = it.next()?.parse().ok()?,
             "--allow-missing" => cfg.fail_on_missing = false,
-            "--max-rows" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) => max_rows = n,
-                None => return usage(),
-            },
-            "--gate-min" => match it.next().and_then(|v| parse_gate_min(v)) {
-                Some((path, pct)) => cfg.min_gates.push((path, pct)),
-                None => return usage(),
+            "--max-rows" => max_rows = it.next()?.parse().ok()?,
+            "--gate-min" => cfg.min_gates.push(parse_gate_min(it.next()?)?),
+            "--gate-exact" => match it.next() {
+                Some(path) if !path.is_empty() && !path.starts_with("--") => {
+                    cfg.exact_gates.push(path.clone());
+                }
+                _ => return None,
             },
             other => {
                 eprintln!("report: unknown argument {other}");
-                return usage();
+                return None;
             }
         }
     }
+    Some(CompareArgs {
+        baseline,
+        current,
+        cfg,
+        max_rows,
+    })
+}
+
+fn compare_cmd(args: &[String]) -> ExitCode {
+    let Some(CompareArgs {
+        baseline: base_path,
+        current: cur_path,
+        cfg,
+        max_rows,
+    }) = parse_compare(args)
+    else {
+        return usage();
+    };
     let load = |p: &str| match load_manifests(Path::new(p)) {
         Ok(m) => Some(m),
         Err(e) => {
@@ -134,5 +165,55 @@ fn compare_cmd(args: &[String]) -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(v: &[&str]) -> Vec<String> {
+        v.iter().map(ToString::to_string).collect()
+    }
+
+    #[test]
+    fn compare_parses_every_gate() {
+        let a = args(&[
+            "base",
+            "cur",
+            "--gate-min",
+            "host/serial/speed_vs_reference=10",
+            "--gate-exact",
+            "host/phase/scheduler/calls",
+            "--gate-exact",
+            "host/serial/total_cycles",
+            "--max-rows",
+            "5",
+        ]);
+        let c = parse_compare(&a).expect("valid");
+        assert_eq!((c.baseline, c.current, c.max_rows), ("base", "cur", 5));
+        assert_eq!(
+            c.cfg.min_gates,
+            [("host/serial/speed_vs_reference".to_string(), 10.0)]
+        );
+        assert_eq!(
+            c.cfg.exact_gates,
+            ["host/phase/scheduler/calls", "host/serial/total_cycles"]
+        );
+    }
+
+    #[test]
+    fn compare_rejects_a_gate_without_its_operand() {
+        for bad in [
+            &["b", "c", "--gate-exact"][..],
+            &["b", "c", "--gate-exact", "--allow-missing"],
+            &["b", "c", "--gate-exact", ""],
+            &["b", "c", "--gate-min", "host/x"],
+            &["b", "c", "--threshold", "two"],
+            &["b", "c", "--gate-everything"],
+            &["b"],
+        ] {
+            assert!(parse_compare(&args(bad)).is_none(), "{bad:?}");
+        }
     }
 }

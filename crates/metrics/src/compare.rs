@@ -31,6 +31,11 @@ pub struct CompareConfig {
     /// built-in host informational exemption — gating a wall-clock
     /// throughput floor is exactly what this is for.
     pub min_gates: Vec<(String, f64)>,
+    /// Metric paths gated exactly: any change, in either direction,
+    /// breaches. An exact gate overrides every other rule, the host
+    /// informational exemption included — it is for host-side numbers
+    /// that do not depend on the host, such as phase call counts.
+    pub exact_gates: Vec<String>,
 }
 
 impl Default for CompareConfig {
@@ -40,6 +45,7 @@ impl Default for CompareConfig {
             overrides: Vec::new(),
             fail_on_missing: true,
             min_gates: Vec::new(),
+            exact_gates: Vec::new(),
         }
     }
 }
@@ -188,6 +194,8 @@ impl CompareReport {
             }
             let limit = if d.one_sided {
                 format!("floor -{}%", d.threshold_pct)
+            } else if d.threshold_pct == 0.0 {
+                "exact".to_string()
             } else {
                 format!("limit {}%", d.threshold_pct)
             };
@@ -239,9 +247,13 @@ pub fn compare(baseline: &[Manifest], current: &[Manifest], cfg: &CompareConfig)
                     .push(format!("{}/{path}", base.bench)),
                 Some(cval) => {
                     let d = delta_pct(bval, cval);
-                    let (threshold_pct, one_sided) = match cfg.min_gate_for(path) {
-                        Some(floor) => (floor, true),
-                        None => (cfg.threshold_for(path), false),
+                    let (threshold_pct, one_sided) = if cfg.exact_gates.contains(path) {
+                        (0.0, false)
+                    } else {
+                        match cfg.min_gate_for(path) {
+                            Some(floor) => (floor, true),
+                            None => (cfg.threshold_for(path), false),
+                        }
                     };
                     report.deltas.push(Delta {
                         bench: base.bench.clone(),
@@ -506,6 +518,40 @@ mod tests {
         assert_eq!(b.len(), 1);
         assert!(b[0].one_sided);
         assert!(report.render(10).contains("floor -10%"));
+    }
+
+    #[test]
+    fn exact_gate_fails_on_any_change_of_a_host_metric() {
+        let calls = "host/phase/scheduler/calls";
+        let cfg = CompareConfig {
+            min_gates: vec![("host/".into(), 50.0)],
+            exact_gates: vec![calls.into()],
+            ..CompareConfig::default()
+        };
+        let base = vec![manifest("t", &[(calls, 1000.0), ("host/wall_s", 1.0)])];
+        let same = vec![manifest("t", &[(calls, 1000.0), ("host/wall_s", 1.2)])];
+        assert!(compare(&base, &same, &cfg).passed());
+        // One call more or one fewer breaches, although the path is a
+        // host metric and a looser floor matches it by prefix.
+        for changed in [999.0, 1001.0] {
+            let cur = vec![manifest("t", &[(calls, changed), ("host/wall_s", 1.0)])];
+            let report = compare(&base, &cur, &cfg);
+            assert!(!report.passed(), "{changed} calls must gate");
+            let b = report.breaches();
+            assert_eq!(b.len(), 1);
+            assert_eq!(b[0].path, calls);
+            assert!(report.render(10).contains("(exact)"));
+        }
+        // The gate names a path exactly, not a prefix.
+        let other = vec![manifest(
+            "t",
+            &[
+                (calls, 1000.0),
+                ("host/wall_s", 1.0),
+                (&*format!("{calls}/x"), 1.0),
+            ],
+        )];
+        assert!(compare(&base, &other, &cfg).passed());
     }
 
     #[test]

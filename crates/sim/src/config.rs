@@ -200,9 +200,10 @@ impl GpuConfig {
     }
 
     /// Checks the limits the simulator's bitmask state relies on: lane
-    /// masks, collector-slot masks and bank busy masks are `u64`, so
-    /// warps, operand collectors and register banks each number 1 to
-    /// 64. [`crate::Gpu::new`] refuses a config that fails this.
+    /// masks, warp-slot masks, collector-slot masks and bank busy masks
+    /// are `u64`, so lanes per warp, warp slots per SM, operand
+    /// collectors and register banks each number 1 to 64.
+    /// [`crate::Gpu::new`] refuses a config that fails this.
     ///
     /// # Errors
     ///
@@ -211,6 +212,9 @@ impl GpuConfig {
         const LIMIT: std::ops::RangeInclusive<usize> = 1..=64;
         if !LIMIT.contains(&self.warp_size) {
             return Err(ConfigError::WarpSize(self.warp_size));
+        }
+        if !LIMIT.contains(&self.warps_per_sm()) {
+            return Err(ConfigError::WarpSlots(self.warps_per_sm()));
         }
         if !LIMIT.contains(&self.operand_collectors) {
             return Err(ConfigError::OperandCollectors(self.operand_collectors));
@@ -228,6 +232,9 @@ impl GpuConfig {
 pub enum ConfigError {
     /// `warp_size` outside 1..=64 (lane masks are `u64`).
     WarpSize(usize),
+    /// [`GpuConfig::warps_per_sm`] outside 1..=64 (the scheduler's
+    /// readiness masks are `u64`).
+    WarpSlots(usize),
     /// `operand_collectors` outside 1..=64 (collector-slot masks are
     /// `u64`).
     OperandCollectors(usize),
@@ -239,6 +246,7 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let (field, v) = match *self {
             ConfigError::WarpSize(v) => ("warp_size", v),
+            ConfigError::WarpSlots(v) => ("threads_per_sm / warp_size", v),
             ConfigError::OperandCollectors(v) => ("operand_collectors", v),
             ConfigError::RfBanks(v) => ("rf_banks", v),
         };
@@ -366,6 +374,26 @@ mod tests {
         wide.operand_collectors = 64;
         wide.rf_banks = 64;
         assert_eq!(wide.validate(), Ok(()));
+    }
+
+    #[test]
+    fn warp_slots_are_bounded_by_the_readiness_masks() {
+        let slots = |threads_per_sm, warp_size| {
+            let mut c = GpuConfig::gtx480();
+            c.threads_per_sm = threads_per_sm;
+            c.warp_size = warp_size;
+            c.validate()
+        };
+        assert_eq!(GpuConfig::gtx480().warps_per_sm(), 48);
+        assert_eq!(slots(2048, 32), Ok(()));
+        assert_eq!(slots(4096, 32), Err(ConfigError::WarpSlots(128)));
+        assert_eq!(slots(16, 32), Err(ConfigError::WarpSlots(0)));
+        // A zero warp size is reported as such, before any division.
+        assert_eq!(slots(4096, 0), Err(ConfigError::WarpSize(0)));
+        assert_eq!(
+            ConfigError::WarpSlots(128).to_string(),
+            "threads_per_sm / warp_size = 128 is outside 1..=64"
+        );
     }
 
     #[test]

@@ -15,6 +15,7 @@ use gscalar_profile::Profiler;
 use gscalar_trace::{TraceEvent, Tracer};
 
 use crate::config::{ArchConfig, GpuConfig};
+use crate::decode::DecodeTable;
 use crate::live::LiveObserver;
 use crate::memory::GlobalMemory;
 use crate::memsys::MemSystem;
@@ -245,7 +246,8 @@ impl Gpu {
             .map(|i| Sm::new(i, &self.cfg, &self.arch, kernel.num_regs() as usize))
             .collect();
         let mut memsys = MemSystem::new(&self.cfg);
-        let mut driver = Driver::start(&self.cfg, kernel, launch, ins, &mut sms);
+        let decoded = DecodeTable::new(kernel);
+        let mut driver = Driver::start(&self.cfg, kernel, &decoded, launch, ins, &mut sms);
         let mut now = 0;
         loop {
             for sm in &mut sms {
@@ -263,6 +265,8 @@ impl Gpu {
 /// SM's cycle and refill, and everything between one cycle and the next.
 struct Driver<'k> {
     kernel: &'k Kernel,
+    /// `kernel` decoded, shared by every SM.
+    decoded: &'k DecodeTable,
     launch: LaunchConfig,
     warps_per_cta: usize,
     total_ctas: u64,
@@ -282,6 +286,7 @@ impl<'k> Driver<'k> {
     fn start(
         cfg: &GpuConfig,
         kernel: &'k Kernel,
+        decoded: &'k DecodeTable,
         launch: LaunchConfig,
         ins: &Instruments<'_>,
         sms: &mut [Sm],
@@ -296,6 +301,7 @@ impl<'k> Driver<'k> {
         };
         let mut driver = Driver {
             kernel,
+            decoded,
             launch,
             warps_per_cta: threads.div_ceil(cfg.warp_size),
             total_ctas: launch.grid.count(),
@@ -349,6 +355,7 @@ impl<'k> Driver<'k> {
         let completed = sm.cycle(
             now,
             self.kernel,
+            self.decoded,
             gmem,
             memsys,
             &mut ins.tracer,
@@ -407,7 +414,7 @@ impl<'k> Driver<'k> {
             }
         }
         for sm in sms {
-            sm.sleep_through(next, wake - next, self.kernel);
+            sm.sleep_through(next, wake - next, self.decoded);
         }
         wake
     }

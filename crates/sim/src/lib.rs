@@ -7,7 +7,8 @@
 //! register contents. Timing is modeled per SM cycle:
 //!
 //! * two GTO [schedulers](scheduler) issuing up to one instruction each,
-//! * a per-warp [scoreboard] (RAW/WAW),
+//! * a per-register [scoreboard] (RAW/WAW) read through a kernel
+//!   [decoded](decode) once per run,
 //! * a [SIMT reconvergence stack](simt) driven by the kernel's
 //!   post-dominator analysis,
 //! * 16 [operand collectors](regfile) arbitrating over 16 single-ported
@@ -48,6 +49,7 @@
 
 pub mod cache;
 pub mod config;
+pub mod decode;
 pub mod exec;
 pub mod gpu;
 pub mod live;

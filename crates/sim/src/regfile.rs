@@ -33,8 +33,9 @@ pub enum PortKind {
 /// One pending operand read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadReq {
-    /// Home bank of the register.
-    pub bank: usize,
+    /// Home bank of the register (banks number at most 64, see
+    /// [`crate::GpuConfig::validate`]).
+    pub bank: u8,
     /// Port class this read consumes.
     pub port: PortKind,
     /// Completed.
@@ -46,7 +47,7 @@ impl ReadReq {
     #[must_use]
     pub fn data(bank: usize) -> Self {
         ReadReq {
-            bank,
+            bank: u8::try_from(bank).expect("banks number at most 64"),
             port: PortKind::Data,
             done: false,
         }
@@ -56,7 +57,7 @@ impl ReadReq {
     #[must_use]
     pub fn bvr(bank: usize) -> Self {
         ReadReq {
-            bank,
+            bank: u8::try_from(bank).expect("banks number at most 64"),
             port: PortKind::Bvr,
             done: false,
         }
@@ -430,8 +431,8 @@ mod tests {
                 };
                 for r in entry.reads.iter_mut().filter(|r| !r.done) {
                     let busy = match r.port {
-                        PortKind::Data => &mut data_busy[r.bank],
-                        PortKind::Bvr => &mut bvr_busy[r.bank],
+                        PortKind::Data => &mut data_busy[usize::from(r.bank)],
+                        PortKind::Bvr => &mut bvr_busy[usize::from(r.bank)],
                         PortKind::ScalarRf => &mut scalar_rf_busy,
                     };
                     if *busy {

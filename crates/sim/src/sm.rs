@@ -11,6 +11,7 @@ use gscalar_trace::{ModeKind, StallReason, TraceEvent, Tracer, UnitKind};
 
 use crate::bits;
 use crate::config::{ArchConfig, GpuConfig};
+use crate::decode::{DecodeTable, DecodedInstr};
 use crate::exec;
 use crate::memory::{GlobalMemory, SharedMemory};
 use crate::memsys::MemSystem;
@@ -82,96 +83,95 @@ fn drain_path_events(profiler: &mut Profiler, simt: &crate::simt::SimtStack) {
     }
 }
 
-/// An instruction in flight between issue and writeback.
+/// An instruction in flight between issue and writeback. Fields are
+/// narrow so the record moves through the collectors and pipes in a few
+/// registers' worth of copies.
 #[derive(Debug, Clone)]
 struct Inflight {
-    warp: usize,
-    instr: Instr,
-    /// PC the instruction was fetched from (trace labeling).
-    pc: usize,
+    /// Unique coalesced line addresses (global memory instructions).
+    mem_lines: Vec<u64>,
     mask: u64,
+    /// PC the instruction was fetched from: its decode-table row at
+    /// writeback, and trace and profile labeling.
+    pc: u32,
+    /// ALU and SFU result latency after the dispatch occupancy, fixed at
+    /// issue (the memory system times memory instructions).
+    latency: u32,
+    /// Warp slot (at most 64, see [`GpuConfig::validate`]).
+    warp: u8,
+    /// Bank of the destination register (for writeback port pressure;
+    /// at most 64).
+    wb_bank: Option<u8>,
     mode: ExecMode,
     unit: FuncUnit,
-    /// Bank of the destination register (for writeback port pressure).
-    wb_bank: Option<usize>,
     /// Destination write touches only the BVR (scalar write in a
     /// compressed register file).
     wb_bvr_only: bool,
-    /// Unique coalesced line addresses (global memory instructions).
-    mem_lines: Vec<u64>,
     /// Shared-memory access.
     shared: bool,
     /// Store (no register writeback).
     store: bool,
-    /// Extra result latency (decompress-move injection, int division).
-    extra_latency: u64,
 }
 
-/// Cached issue readiness of one warp slot: the hazard window of the
-/// instruction at the warp's PC (see [`Scoreboard::hazard_window`]).
+/// Issue readiness of an SM's warp slots: one bit per slot in each
+/// mask, one entry per slot in each array.
 ///
-/// Only three events can change it, and each sets `dirty`: a CTA launch
-/// (fresh scoreboard), a writeback (`release_at`), and any issue from
-/// the warp (moves the PC, may reserve destinations). Barrier state is
-/// read straight from the [`Warp`], so barrier release invalidates
-/// nothing.
-#[derive(Debug, Clone, Copy)]
-struct Ready {
-    dirty: bool,
-    /// The head instruction is a control instruction (needs no
+/// `clear_at` and `mem_until` cache the hazard window of the instruction
+/// at a live slot's PC (see [`Scoreboard::hazard_window`]). Only three
+/// events can change a window, and each marks the slot dirty: a CTA
+/// launch (fresh scoreboard slots), a writeback (`release_at`), and any
+/// issue from the warp (moves the PC, may reserve destinations). A pick
+/// refreshes the dirty live slots it owns before it tests any.
+#[derive(Debug, Clone)]
+struct Readiness {
+    /// Resident slots not waiting at a barrier.
+    live: u64,
+    /// Resident slots waiting at a barrier.
+    barrier: u64,
+    /// Slots whose cached window is stale.
+    dirty: u64,
+    /// Slots whose head instruction is a control instruction (needs no
     /// operand collector).
-    control: bool,
-    /// First cycle at which the head instruction is hazard-free.
-    clear_at: u64,
-    /// A memory producer blocks the head instruction while
-    /// `mem_until > now` (0: none does).
-    mem_until: u64,
+    control: u64,
+    /// First cycle at which each slot's head instruction is hazard-free.
+    clear_at: Vec<u64>,
+    /// A memory producer blocks each slot's head instruction while
+    /// `mem_until > now`.
+    mem_until: Vec<u64>,
 }
 
-impl Ready {
-    const DIRTY: Ready = Ready {
-        dirty: true,
-        control: false,
-        clear_at: 0,
-        mem_until: 0,
-    };
-
-    /// Recomputes a dirty entry for `warp`'s head instruction, expiring
-    /// its scoreboard lazily on the way.
-    #[inline]
-    fn refresh(&mut self, sb: &mut Scoreboard, kernel: &Kernel, warp: &Warp, now: u64) -> Ready {
-        if self.dirty {
-            sb.expire(now);
-            let instr = kernel.instr(warp.simt.pc());
-            let (clear_at, mem_until) = sb.hazard_window(instr);
-            *self = Ready {
-                dirty: false,
-                control: instr.func_unit() == FuncUnit::Control,
-                clear_at,
-                mem_until,
-            };
+impl Readiness {
+    fn new(slots: usize) -> Self {
+        Readiness {
+            live: 0,
+            barrier: 0,
+            dirty: 0,
+            control: 0,
+            clear_at: vec![0; slots],
+            mem_until: vec![0; slots],
         }
-        *self
     }
 
-    /// Whether the head instruction may issue at `now`: hazard-free,
-    /// and either a control instruction or a collector slot is free.
-    fn issuable(&self, now: u64, oc_free: bool) -> bool {
-        self.clear_at <= now && (self.control || oc_free)
+    /// Whether slot `w`'s head instruction may issue at `now`:
+    /// hazard-free, and either a control instruction or a collector slot
+    /// is free.
+    #[inline]
+    fn issuable(&self, w: usize, now: u64, oc_free: bool) -> bool {
+        self.clear_at[w] <= now && (oc_free || self.control >> w & 1 != 0)
     }
 
-    /// The polled scoreboard's answer at `now`:
+    /// The polled scoreboard's answer for slot `w` at `now`:
     /// [`Scoreboard::blocking_is_mem`] read off the cached window.
-    fn blocking_is_mem(&self, now: u64) -> Option<bool> {
-        (self.clear_at > now).then_some(self.mem_until > now)
+    fn blocking_is_mem(&self, w: usize, now: u64) -> Option<bool> {
+        (self.clear_at[w] > now).then_some(self.mem_until[w] > now)
     }
 }
 
 /// A scheduler's cached stall verdict: what its last miss concluded,
 /// exact until the next event can change the answer.
 ///
-/// A miss's classification reads only the scheduler's warps (slot
-/// occupancy, done and barrier flags, cached [`Ready`] windows) and
+/// A miss's classification reads only the scheduler's slots (the live
+/// and barrier masks, cached [`Readiness`] windows) and
 /// whether a collector slot is free. Every event that changes a warp
 /// drops its scheduler's verdict: a writeback, an issue and a CTA
 /// launch drop the owning scheduler's, and a barrier release drops
@@ -229,9 +229,9 @@ pub struct Sm {
     cfg: GpuConfig,
     arch: ArchConfig,
     warps: Vec<Option<Warp>>,
-    scoreboards: Vec<Scoreboard>,
-    /// Per-warp-slot issue readiness, refreshed lazily by the scheduler.
-    ready: Vec<Ready>,
+    scoreboard: Scoreboard,
+    /// Per-warp-slot issue readiness, refreshed lazily by the pick.
+    ready: Readiness,
     schedulers: Vec<Scheduler>,
     /// Per-scheduler cached stall verdict (`None`: dropped by an event
     /// since the last miss).
@@ -281,16 +281,19 @@ impl Sm {
     #[must_use]
     pub fn new(id: usize, cfg: &GpuConfig, arch: &ArchConfig, num_regs_per_warp: usize) -> Self {
         let max_warps = cfg.warps_per_sm();
-        let per_sched = |s: usize| -> Vec<usize> {
-            (0..max_warps).filter(|w| w % cfg.schedulers == s).collect()
+        let num_regs_per_warp = num_regs_per_warp.max(1);
+        let per_sched = |s: usize| -> u64 {
+            (0..max_warps)
+                .filter(|w| w % cfg.schedulers == s)
+                .fold(0, |m, w| m | 1 << w)
         };
         Sm {
             id,
             cfg: cfg.clone(),
             arch: arch.clone(),
             warps: (0..max_warps).map(|_| None).collect(),
-            scoreboards: (0..max_warps).map(|_| Scoreboard::new()).collect(),
-            ready: vec![Ready::DIRTY; max_warps],
+            scoreboard: Scoreboard::new(max_warps, num_regs_per_warp),
+            ready: Readiness::new(max_warps),
             schedulers: (0..cfg.schedulers)
                 .map(|s| Scheduler::new(cfg.sched, per_sched(s)))
                 .collect(),
@@ -306,9 +309,9 @@ impl Sm {
                 cfg.vector_regs_per_sm(),
                 MetaConfig::g_scalar(cfg.warp_size),
             ),
-            rf_class: vec![RfClass::UNKNOWN; max_warps * num_regs_per_warp.max(1)],
+            rf_class: vec![RfClass::UNKNOWN; max_warps * num_regs_per_warp],
             ctas: (0..cfg.ctas_per_sm).map(|_| None).collect(),
-            num_regs_per_warp: num_regs_per_warp.max(1),
+            num_regs_per_warp,
             finished: Vec::new(),
             write_banks: Vec::new(),
             dispatching: Vec::new(),
@@ -400,8 +403,9 @@ impl Sm {
                 block,
                 grid,
             ));
-            self.scoreboards[w] = Scoreboard::new();
-            self.ready[w] = Ready::DIRTY;
+            self.scoreboard.clear_warp(w);
+            self.ready.live |= 1 << w;
+            self.ready.dirty |= 1 << w;
             self.verdicts[w % self.cfg.schedulers] = None;
             let regs = w * self.num_regs_per_warp;
             self.rf_class[regs..regs + self.num_regs_per_warp].fill(RfClass::UNKNOWN);
@@ -426,17 +430,19 @@ impl Sm {
     /// A steadily stalled SM sleeps: until the next event that can
     /// change it, a poll charges exactly what a full cycle would, in
     /// O(1).
+    #[allow(clippy::too_many_arguments)]
     pub fn cycle(
         &mut self,
         now: u64,
         kernel: &Kernel,
+        decoded: &DecodeTable,
         gmem: &mut GlobalMemory,
         memsys: &mut MemSystem,
         tracer: &mut Tracer<'_>,
         profiler: &mut Profiler,
     ) -> usize {
         if now < self.sleep_until {
-            self.sleep_poll(now, kernel, tracer, profiler);
+            self.sleep_poll(now, decoded, tracer, profiler);
             return 0;
         }
         // A steady cycle still runs in full; the polls after it sleep.
@@ -456,12 +462,14 @@ impl Sm {
         write_banks.clear();
         for f in finished.drain(..) {
             if let (Some(b), false) = (f.wb_bank, f.wb_bvr_only) {
-                write_banks.push(b);
+                write_banks.push(usize::from(b));
             }
             let release = now + self.arch.extra_latency;
-            self.scoreboards[f.warp].release_at(&f.instr, release);
-            self.ready[f.warp].dirty = true;
-            self.verdicts[f.warp % self.cfg.schedulers] = None;
+            let w = usize::from(f.warp);
+            self.scoreboard
+                .release_at(w, decoded.get(f.pc as usize), release);
+            self.ready.dirty |= 1 << w;
+            self.verdicts[w % self.cfg.schedulers] = None;
             // Recycle the coalesced-line buffer for the next issue.
             let mut lines = f.mem_lines;
             if lines.capacity() > 0 {
@@ -517,7 +525,8 @@ impl Sm {
         // 4. Issue from each scheduler.
         let mut completed_ctas = 0;
         for s in 0..self.schedulers.len() {
-            completed_ctas += self.issue_one(s, now, kernel, gmem, rf_conflict, tracer, profiler);
+            completed_ctas +=
+                self.issue_one(s, now, kernel, decoded, gmem, rf_conflict, tracer, profiler);
         }
         completed_ctas
     }
@@ -561,11 +570,11 @@ impl Sm {
     fn sleep_poll(
         &mut self,
         now: u64,
-        kernel: &Kernel,
+        decoded: &DecodeTable,
         tracer: &mut Tracer<'_>,
         profiler: &mut Profiler,
     ) {
-        self.check_sleep(now, kernel);
+        self.check_sleep(now, decoded);
         self.oc.idle_arbitrations(1);
         for s in 0..self.verdicts.len() {
             let v = self.verdicts[s].expect("a sleeping SM holds every verdict");
@@ -579,14 +588,14 @@ impl Sm {
     /// off (which record nothing for a stall), in O(1). Debug builds check
     /// the SM steady and every verdict exact at the first and the last
     /// of the cycles.
-    pub fn sleep_through(&mut self, from: u64, n: u64, kernel: &Kernel) {
+    pub fn sleep_through(&mut self, from: u64, n: u64, decoded: &DecodeTable) {
         debug_assert!(
             n > 0 && from + n <= self.sleep_until,
             "SM {} wakes inside the jump",
             self.id
         );
-        self.check_sleep(from, kernel);
-        self.check_sleep(from + n - 1, kernel);
+        self.check_sleep(from, decoded);
+        self.check_sleep(from + n - 1, decoded);
         self.oc.idle_arbitrations(n);
         for (s, v) in self.verdicts.iter().enumerate() {
             let reason = v.expect("a sleeping SM holds every verdict").reason;
@@ -598,7 +607,7 @@ impl Sm {
 
     /// The debug oracle for a sleeping poll at `now`: the SM must still
     /// be steady until the same cycle, and every verdict exact.
-    fn check_sleep(&self, now: u64, kernel: &Kernel) {
+    fn check_sleep(&self, now: u64, decoded: &DecodeTable) {
         if cfg!(debug_assertions) {
             assert_eq!(
                 self.steady_until(now),
@@ -607,7 +616,7 @@ impl Sm {
                 self.id
             );
             for (s, v) in self.verdicts.iter().enumerate() {
-                self.check_verdict(s, now, kernel, v.expect("steady"));
+                self.check_verdict(s, now, decoded, v.expect("steady"));
             }
         }
     }
@@ -637,17 +646,18 @@ impl Sm {
     /// Attempts one issue from scheduler `s`. Returns completed CTAs.
     ///
     /// While the scheduler's cached [`Verdict`] holds, the cycle skips
-    /// `pick` and the stall scan and charges the cached answer. That is
-    /// exact: a verdict is a miss's answer, and a miss leaves the GTO
-    /// greedy pointer cleared and the LRR cursor in place, so the
-    /// skipped `pick` would have missed the same way. Debug builds
-    /// re-run the scan on every hit and assert the same verdict.
+    /// the pick and charges the cached answer. That is exact: a verdict
+    /// is a miss's answer, and a miss leaves the GTO greedy pointer
+    /// cleared and the LRR cursor in place, so the skipped pick would
+    /// have missed the same way. Debug builds re-run the stall scan on
+    /// every hit and every miss and assert the same verdict.
     #[allow(clippy::too_many_arguments)]
     fn issue_one(
         &mut self,
         s: usize,
         now: u64,
         kernel: &Kernel,
+        decoded: &DecodeTable,
         gmem: &mut GlobalMemory,
         rf_conflict: bool,
         tracer: &mut Tracer<'_>,
@@ -660,39 +670,111 @@ impl Sm {
         let verdict = match self.verdicts[s] {
             Some(v) if v.oc_free == oc_free && now < v.until => {
                 if cfg!(debug_assertions) {
-                    self.check_verdict(s, now, kernel, v);
+                    self.check_verdict(s, now, decoded, v);
                 }
                 v
             }
-            _ => {
-                let warps = &self.warps;
-                let scoreboards = &mut self.scoreboards;
-                let ready = &mut self.ready;
-                let picked = self.schedulers[s].pick(|w| {
-                    let Some(warp) = warps[w].as_ref() else {
-                        return false;
-                    };
-                    if warp.is_done() || warp.at_barrier {
-                        return false;
-                    }
-                    ready[w]
-                        .refresh(&mut scoreboards[w], kernel, warp, now)
-                        .issuable(now, oc_free)
-                });
-                if let Some(w) = picked {
+            _ => match self.pick(s, now, decoded, oc_free) {
+                Ok(w) => {
                     drop(sched_phase);
                     self.stats.pipe.issued += 1;
                     self.stats.sched[s].issued += 1;
                     let _exec_phase = hostprof::phase(hostprof::Phase::Execute);
-                    return self.execute_instruction(w, s, now, kernel, gmem, tracer, profiler);
+                    return self
+                        .execute_instruction(w, s, now, kernel, decoded, gmem, tracer, profiler);
                 }
-                let v = self.scan_stall(s, now, kernel, oc_free);
-                self.verdicts[s] = Some(v);
-                v
-            }
+                Err(v) => {
+                    debug_assert_eq!(
+                        v,
+                        self.scan_stall(s, now, decoded, oc_free),
+                        "scheduler {s}'s miss at cycle {now} disagrees with the stall scan"
+                    );
+                    self.verdicts[s] = Some(v);
+                    v
+                }
+            },
         };
         self.charge_stall(s, now, verdict, rf_conflict, tracer, profiler);
         0
+    }
+
+    /// Scheduler `s`'s pick at `now`: tests its live slots by the
+    /// policy's priority, refreshing each stale window on the way, and
+    /// returns the first issuable slot. On a miss every live slot was
+    /// tested, and the same pass classified why each could not issue;
+    /// the verdict is read off those classes (see [`Sm::scan_stall`] for
+    /// their order).
+    fn pick(
+        &mut self,
+        s: usize,
+        now: u64,
+        decoded: &DecodeTable,
+        oc_free: bool,
+    ) -> Result<usize, Verdict> {
+        let owned = self.schedulers[s].slots();
+        let (mut mem, mut data, mut no_collector) = (0u64, 0u64, 0u64);
+        let mut until = u64::MAX;
+        for w in self.schedulers[s].order(self.ready.live) {
+            if self.ready.dirty >> w & 1 != 0 {
+                self.refresh(w, decoded);
+            }
+            let r = &self.ready;
+            let clear_at = r.clear_at[w];
+            if clear_at <= now {
+                if oc_free || r.control >> w & 1 != 0 {
+                    self.schedulers[s].issued(w);
+                    return Ok(w);
+                }
+                no_collector |= 1 << w;
+                continue;
+            }
+            // `mem_until <= clear_at`, so both edges lie ahead only
+            // while the slot is blocked.
+            until = until.min(clear_at);
+            let mem_until = r.mem_until[w];
+            if mem_until > now {
+                until = until.min(mem_until);
+                mem |= 1 << w;
+            } else {
+                data |= 1 << w;
+            }
+        }
+        self.schedulers[s].missed();
+        let lowest = |m: u64| (m != 0).then(|| m.trailing_zeros());
+        let (reason, culprit) = if let Some(w) = lowest(no_collector) {
+            (StallReason::NoCollector, Some(w))
+        } else if let Some(w) = lowest(mem) {
+            (StallReason::MemPending, Some(w))
+        } else if let Some(w) = lowest(data) {
+            (StallReason::Scoreboard, Some(w))
+        } else if let Some(w) = lowest(self.ready.barrier & owned) {
+            (StallReason::Barrier, Some(w))
+        } else {
+            (StallReason::Drained, None)
+        };
+        Err(Verdict {
+            oc_free,
+            until,
+            reason,
+            culprit,
+        })
+    }
+
+    /// Recomputes live slot `w`'s cached window from the scoreboard.
+    fn refresh(&mut self, w: usize, decoded: &DecodeTable) {
+        let pc = self.warps[w].as_ref().expect("live slot").simt.pc();
+        let instr = decoded.get(pc);
+        let (clear_at, mem_until) = self.scoreboard.hazard_window(w, instr);
+        let r = &mut self.ready;
+        r.clear_at[w] = clear_at;
+        r.mem_until[w] = mem_until;
+        let bit = 1 << w;
+        r.dirty &= !bit;
+        if instr.unit == FuncUnit::Control {
+            r.control |= bit;
+        } else {
+            r.control &= !bit;
+        }
     }
 
     /// Charges one idle cycle of scheduler `s` to `verdict`: the
@@ -746,41 +828,63 @@ impl Sm {
     /// bottleneck even if its siblings also wait on memory:
     /// collector-full (refined by the caller to bank-conflict when this
     /// cycle's arbitration lost reads) > memory pending > scoreboard >
-    /// barrier > drained.
+    /// barrier > drained. Each cause's culprit is its lowest slot.
     ///
-    /// A miss means `pick` refreshed the readiness of every live warp it
-    /// owns, so the scoreboard split reads the cache; debug builds check
-    /// each answer against the polled [`Scoreboard::blocking_is_mem`].
-    fn scan_stall(&self, s: usize, now: u64, kernel: &Kernel, oc_free: bool) -> Verdict {
+    /// This is the debug oracle of [`Sm::pick`]'s verdict: it walks the
+    /// warps themselves, not the readiness masks, and classifies each
+    /// from the polled [`Scoreboard::blocking_is_mem`], checking every
+    /// cached window against it on the way.
+    fn scan_stall(&self, s: usize, now: u64, decoded: &DecodeTable, oc_free: bool) -> Verdict {
         let mut barrier: Option<u32> = None;
         let mut mem: Option<u32> = None;
         let mut data: Option<u32> = None;
         let mut no_collector: Option<u32> = None;
         let mut until = u64::MAX;
-        for &w in self.schedulers[s].warps() {
-            let Some(warp) = self.warps[w].as_ref() else {
+        let owned = self.schedulers[s].slots();
+        for (w, warp) in self.warps.iter().enumerate() {
+            let Some(warp) = warp.as_ref().filter(|_| owned >> w & 1 != 0) else {
                 continue;
             };
-            if warp.is_done() {
-                continue;
-            }
+            assert!(!warp.is_done(), "warp {w} is done but resident");
+            let bit = 1u64 << w;
+            assert_eq!(
+                self.ready.barrier & bit != 0,
+                warp.at_barrier,
+                "barrier mask of warp {w}"
+            );
+            assert_eq!(
+                self.ready.live & bit != 0,
+                !warp.at_barrier,
+                "live mask of warp {w}"
+            );
             if warp.at_barrier {
                 barrier.get_or_insert(w as u32);
                 continue;
             }
-            let r = &self.ready[w];
-            debug_assert!(!r.dirty, "pick refreshes every live warp on a miss");
-            debug_assert_eq!(
-                r.blocking_is_mem(now),
-                self.scoreboards[w].blocking_is_mem(kernel.instr(warp.simt.pc()), now),
+            assert_eq!(
+                self.ready.dirty & bit,
+                0,
+                "a pick refreshes every live warp"
+            );
+            let instr = decoded.get(warp.simt.pc());
+            let (clear_at, mem_until) = self.scoreboard.hazard_window(w, instr);
+            assert_eq!(
+                (self.ready.clear_at[w], self.ready.mem_until[w]),
+                (clear_at, mem_until),
+                "cached window of warp {w} diverged from its scoreboard at cycle {now}"
+            );
+            let polled = self.scoreboard.blocking_is_mem(w, instr, now);
+            assert_eq!(
+                self.ready.blocking_is_mem(w, now),
+                polled,
                 "cached readiness of warp {w} diverged from its scoreboard at cycle {now}"
             );
-            for edge in [r.clear_at, r.mem_until] {
+            for edge in [clear_at, mem_until] {
                 if edge > now {
                     until = until.min(edge);
                 }
             }
-            match r.blocking_is_mem(now) {
+            match polled {
                 Some(true) => {
                     mem.get_or_insert(w as u32);
                 }
@@ -789,8 +893,12 @@ impl Sm {
                 }
                 // Issuable by scoreboard rules, so only the collector
                 // gate can have blocked it (control instructions never
-                // reach here: the scheduler would have picked them).
+                // reach here: the pick would have issued them).
                 None => {
+                    assert!(
+                        !oc_free && instr.unit != FuncUnit::Control,
+                        "scheduler {s} missed issuable warp {w} at cycle {now}"
+                    );
                     no_collector.get_or_insert(w as u32);
                 }
             }
@@ -814,25 +922,24 @@ impl Sm {
         }
     }
 
-    /// The debug oracle for a verdict hit: no warp of scheduler `s` may
-    /// be issuable, and a fresh scan must reach the cached verdict.
-    fn check_verdict(&self, s: usize, now: u64, kernel: &Kernel, cached: Verdict) {
-        for &w in self.schedulers[s].warps() {
-            let Some(warp) = self.warps[w].as_ref() else {
-                continue;
-            };
-            if warp.is_done() || warp.at_barrier {
-                continue;
-            }
-            let r = &self.ready[w];
-            assert!(!r.dirty, "warp {w} changed without dropping its verdict");
+    /// The debug oracle for a verdict hit: no live warp of scheduler `s`
+    /// may be stale or issuable, and a fresh scan must reach the cached
+    /// verdict.
+    fn check_verdict(&self, s: usize, now: u64, decoded: &DecodeTable, cached: Verdict) {
+        let live = self.ready.live & self.schedulers[s].slots();
+        assert_eq!(
+            self.ready.dirty & live,
+            0,
+            "a warp of scheduler {s} changed without dropping its verdict"
+        );
+        for w in bits(live) {
             assert!(
-                !r.issuable(now, cached.oc_free),
+                !self.ready.issuable(w, now, cached.oc_free),
                 "cached verdict of scheduler {s} hides issuable warp {w} at cycle {now}"
             );
         }
         assert_eq!(
-            self.scan_stall(s, now, kernel, cached.oc_free),
+            self.scan_stall(s, now, decoded, cached.oc_free),
             cached,
             "cached verdict of scheduler {s} went stale at cycle {now}"
         );
@@ -847,6 +954,7 @@ impl Sm {
         s: usize,
         now: u64,
         kernel: &Kernel,
+        decoded: &DecodeTable,
         gmem: &mut GlobalMemory,
         tracer: &mut Tracer<'_>,
         profiler: &mut Profiler,
@@ -857,10 +965,11 @@ impl Sm {
             .simt
             .pc();
         let instr = *kernel.instr(pc);
+        let decode = decoded.get(pc);
         // Every issue arm below moves the PC (and ALU/memory issues
         // reserve destinations), so the cached readiness and the
         // scheduler's verdict go stale.
-        self.ready[w].dirty = true;
+        self.ready.dirty |= 1 << w;
         self.verdicts[s] = None;
         let warp = self.warps[w].as_mut().expect("picked warp exists");
         let path_mask = warp.simt.active();
@@ -885,7 +994,8 @@ impl Sm {
             self.stats.instr.divergent_instrs += 1;
         }
         profiler.record_issue(pc, lanes, divergent);
-        match instr.func_unit() {
+        let unit = decode.unit;
+        match unit {
             FuncUnit::Alu => self.stats.instr.alu_instrs += 1,
             FuncUnit::Sfu => self.stats.instr.sfu_instrs += 1,
             FuncUnit::Mem => self.stats.instr.mem_instrs += 1,
@@ -898,7 +1008,7 @@ impl Sm {
             sched: s as u32,
             warp: w as u32,
             pc: pc as u32,
-            unit: unit_kind(instr.func_unit()),
+            unit: unit_kind(unit),
             // The vector/scalar decision for non-control instructions
             // is refined by a later ExecSpan event.
             mode: ModeKind::Vector,
@@ -982,18 +1092,13 @@ impl Sm {
                 warp.simt.advance(pc + 1);
                 drain_path_events(profiler, &warp.simt);
                 warp.at_barrier = true;
+                self.ready.live &= !(1 << w);
+                self.ready.barrier |= 1 << w;
                 let slot = warp.cta_slot;
                 let cta = self.ctas[slot].as_mut().expect("warp's CTA is resident");
                 cta.at_barrier += 1;
                 if cta.at_barrier >= cta.warps_total - cta.warps_done {
-                    cta.at_barrier = 0;
-                    for other in self.warps.iter_mut().flatten() {
-                        if other.cta_slot == slot {
-                            other.at_barrier = false;
-                        }
-                    }
-                    // The released warps may belong to any scheduler.
-                    self.verdicts.fill(None);
+                    self.release_barrier(slot);
                 }
                 return 0;
             }
@@ -1022,7 +1127,7 @@ impl Sm {
         let mut all_scalar = !matches!(instr.kind, InstrKind::S2R { .. });
         let mut all_chunk_scalar = all_scalar;
         let mut reads = ReadSet::new();
-        for r in instr.src_regs() {
+        for &r in decode.srcs.iter() {
             let phys = self.phys_reg(w, r);
             let info = self.regmeta.read(phys, mask);
             let d_stored = self.regmeta.meta(phys).d;
@@ -1052,7 +1157,6 @@ impl Sm {
         }
         drop(compress_phase);
 
-        let unit = instr.func_unit();
         let class = if divergent {
             // `ReadInfo::scalar` already encodes Section 4.2's rule: a
             // D-stored source is scalar only when its recorded mask
@@ -1107,7 +1211,7 @@ impl Sm {
         let uniform = all_scalar;
         let first = mask.trailing_zeros() as usize;
         if uniform && cfg!(debug_assertions) {
-            check_uniform_sources(warp, &instr, mask);
+            check_uniform_sources(warp, &instr, decode, mask);
         }
         let line_bytes = self.cfg.line_bytes as u64;
         let mut result: Option<Reg> = None;
@@ -1272,7 +1376,7 @@ impl Sm {
                 // no second snapshot needed.
                 let phys = self.phys_reg(w, dst);
                 let winfo = self.regmeta.write(phys, &vals, mask);
-                wb_bank = Some(self.bank_of(phys));
+                wb_bank = Some(u8::try_from(self.bank_of(phys)).expect("banks number at most 64"));
                 wb_bvr_only = winfo.stored == Encoding::Scalar && !winfo.divergent;
                 let warp_size = self.cfg.warp_size;
                 tracer.emit_with(now, || TraceEvent::CompressWrite {
@@ -1324,27 +1428,34 @@ impl Sm {
         let warp = self.warps[w].as_mut().expect("picked warp exists");
         warp.simt.advance(pc + 1);
         drain_path_events(profiler, &warp.simt);
-        self.scoreboards[w].reserve(&instr);
+        self.scoreboard.reserve(w, decode, now);
 
         // Exec-unit energy accounting.
         self.account_exec(&instr, mask, mode);
 
         // Queue into an operand collector.
+        let latency = match unit {
+            FuncUnit::Alu => self.alu_latency(&instr) + extra_latency,
+            // What-if idealization: a zero-latency SFU still occupies
+            // its dispatch port but completes in a single cycle.
+            FuncUnit::Sfu if self.cfg.ideal.zero_latency_sfu => 1,
+            FuncUnit::Sfu => self.cfg.lat.sfu + extra_latency,
+            FuncUnit::Mem | FuncUnit::Control => 0,
+        };
         self.stats.pipe.oc_allocs += 1;
         self.oc.insert(OcEntry {
             payload: Inflight {
-                warp: w,
-                instr,
-                pc,
+                mem_lines,
                 mask,
+                pc: u32::try_from(pc).expect("PCs fit 32 bits"),
+                latency: u32::try_from(latency).expect("result latency fits 32 bits"),
+                warp: u8::try_from(w).expect("warp slots number at most 64"),
+                wb_bank,
                 mode,
                 unit,
-                wb_bank,
                 wb_bvr_only,
-                mem_lines,
                 shared: shared_access,
                 store,
-                extra_latency,
             },
             reads,
         });
@@ -1506,10 +1617,11 @@ impl Sm {
     ) {
         let threads = self.cfg.warp_size;
         let sm_id = self.id as u32;
+        let pc = inst.pc as usize;
         let span = |inst: &Inflight, end: u64| TraceEvent::ExecSpan {
             sm: sm_id,
-            warp: inst.warp as u32,
-            pc: inst.pc as u32,
+            warp: u32::from(inst.warp),
+            pc: inst.pc,
             unit: unit_kind(inst.unit),
             mode: inst.mode.trace_kind(),
             end,
@@ -1525,8 +1637,8 @@ impl Sm {
                 } else {
                     self.alu_pipes[0].occupancy(threads)
                 };
-                let latency = self.alu_latency(&inst.instr) + inst.extra_latency;
-                profiler.record_latency(inst.pc, occupancy.max(1) + latency);
+                let latency = u64::from(inst.latency);
+                profiler.record_latency(pc, occupancy.max(1) + latency);
                 tracer.emit_with(now, || span(&inst, now + occupancy.max(1) + latency));
                 let pipe = self
                     .alu_pipes
@@ -1541,14 +1653,8 @@ impl Sm {
                 } else {
                     self.sfu_pipe.occupancy(threads)
                 };
-                // What-if idealization: a zero-latency SFU still occupies
-                // its dispatch port but completes in a single cycle.
-                let latency = if self.cfg.ideal.zero_latency_sfu {
-                    1
-                } else {
-                    self.cfg.lat.sfu + inst.extra_latency
-                };
-                profiler.record_latency(inst.pc, occupancy.max(1) + latency);
+                let latency = u64::from(inst.latency);
+                profiler.record_latency(pc, occupancy.max(1) + latency);
                 tracer.emit_with(now, || span(&inst, now + occupancy.max(1) + latency));
                 self.sfu_pipe.dispatch(now, occupancy, latency, inst);
             }
@@ -1583,7 +1689,7 @@ impl Sm {
                         finish = finish.max(t);
                     }
                 }
-                profiler.record_latency(inst.pc, finish.saturating_sub(now));
+                profiler.record_latency(pc, finish.saturating_sub(now));
                 tracer.emit_with(now, || span(&inst, finish));
                 self.lsu_pipe.complete_at(finish, inst);
             }
@@ -1602,6 +1708,22 @@ impl Sm {
         }
     }
 
+    /// Releases every warp of CTA `slot` waiting at its barrier.
+    fn release_barrier(&mut self, slot: usize) {
+        self.ctas[slot].as_mut().expect("CTA resident").at_barrier = 0;
+        let mut released = 0;
+        for other in self.warps.iter_mut().flatten() {
+            if other.cta_slot == slot {
+                other.at_barrier = false;
+                released |= 1 << other.id;
+            }
+        }
+        self.ready.barrier &= !released;
+        self.ready.live |= released;
+        // The released warps may belong to any scheduler.
+        self.verdicts.fill(None);
+    }
+
     /// Retires a finished warp; returns completed CTAs (0 or 1).
     fn retire_warp(&mut self, w: usize) -> usize {
         let slot = self.warps[w]
@@ -1614,18 +1736,14 @@ impl Sm {
         // slot priority over older siblings (and charge stalls to the
         // dead warp's stale head PC while the slot is empty).
         self.schedulers[w % self.cfg.schedulers].retire(w);
+        self.ready.live &= !(1 << w);
         let cta = self.ctas[slot].as_mut().expect("warp's CTA resident");
         cta.warps_done += 1;
         // A warp exiting may release a barrier its siblings wait on.
         if cta.at_barrier > 0 && cta.at_barrier >= cta.warps_total - cta.warps_done {
-            cta.at_barrier = 0;
-            for other in self.warps.iter_mut().flatten() {
-                if other.cta_slot == slot {
-                    other.at_barrier = false;
-                }
-            }
-            self.verdicts.fill(None);
+            self.release_barrier(slot);
         }
+        let cta = self.ctas[slot].as_ref().expect("warp's CTA resident");
         if cta.warps_done == cta.warps_total {
             self.ctas[slot] = None;
             return 1;
@@ -1660,9 +1778,9 @@ fn broadcast(vals: &mut [u32], mask: u64, v: u32) {
 
 /// The debug oracle of uniform-once execution: every active lane of
 /// every source register holds the first active lane's value.
-fn check_uniform_sources(warp: &Warp, instr: &Instr, mask: u64) {
+fn check_uniform_sources(warp: &Warp, instr: &Instr, decode: &DecodedInstr, mask: u64) {
     let first = mask.trailing_zeros() as usize;
-    for r in instr.src_regs() {
+    for &r in decode.srcs.iter() {
         let lanes = warp.reg(r.index());
         for lane in bits(mask) {
             assert_eq!(

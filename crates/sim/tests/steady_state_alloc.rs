@@ -53,9 +53,8 @@ fn allocs() -> u64 {
 /// and statistics vectors (about 32 today).
 const PER_SM: u64 = 64;
 
-/// Allowance per launched warp: its register vectors (one per kernel
-/// register), SIMT stack, scoreboard entries and the CTA's shared memory
-/// (about 50 today, for kernels of up to ~30 registers).
+/// Allowance per launched warp: its register file, SIMT stack and the
+/// CTA's shared memory. (Scoreboard slots are per SM, sized at set-up.)
 const PER_WARP: u64 = 64;
 
 #[test]
