@@ -6,8 +6,8 @@
 //! sweep --list
 //! ```
 //!
-//! The sweep shards the (experiment × benchmark) job grid across a
-//! work-stealing thread pool, isolates every job (panic containment,
+//! The sweep runs the (experiment × benchmark) job grid on a shared-
+//! cursor job executor, isolates every job (panic containment,
 //! optional `--budget` cycle cap, bounded retry), and persists each
 //! completed job as a schema-v1 manifest under `<out>/jobs/`. Rerunning
 //! over the same `--out` directory resumes: completed jobs are loaded

@@ -61,11 +61,6 @@ impl Rng {
         self.s1.wrapping_add(y)
     }
 
-    /// The next 32 random bits.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// A uniform `u64` in `[lo, hi)`.
     ///
     /// # Panics

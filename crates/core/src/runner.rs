@@ -132,12 +132,6 @@ impl Runner {
         }
     }
 
-    /// Creates a runner with a custom energy model.
-    #[must_use]
-    pub fn with_energy(cfg: GpuConfig, energy: EnergyModel) -> Self {
-        Runner { cfg, energy }
-    }
-
     /// The hardware configuration.
     #[must_use]
     pub fn config(&self) -> &GpuConfig {

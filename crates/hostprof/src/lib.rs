@@ -9,9 +9,6 @@
 //!   [`Instant`]) with **exclusive** (self-time) attribution: a nested
 //!   phase pauses its parent, so the per-phase totals sum to the
 //!   instrumented wall time instead of double-counting.
-//! * [`counter_add`] / [`hist_record`] — pool telemetry (steals,
-//!   failed steals) and a log₂ histogram of the work-stealing queue
-//!   depth, reusing [`gscalar_metrics::Histogram`].
 //! * [`timeline_scope`] — coarse named wall-time spans exported as
 //!   Chrome trace-event JSON ([`chrome_timeline_json`]) so a host-time
 //!   timeline loads in `chrome://tracing` next to the simulated-cycle
@@ -62,7 +59,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use gscalar_metrics::{Histogram, MetricsRegistry};
+use gscalar_metrics::MetricsRegistry;
 use gscalar_trace::export::ChromeTraceBuilder;
 
 /// One slice of the host-time taxonomy. Variants mirror the
@@ -148,68 +145,18 @@ impl Phase {
     }
 }
 
-/// A process-wide event counter.
+/// A process-wide event counter. Nothing increments one: its only
+/// variant reads 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Counter {
-    /// Successful steals in the work-stealing pool.
-    PoolSteals,
-    /// Steal probes that found an empty victim queue.
-    PoolFailedSteals,
     /// Unused (always 0), like [`Phase::Barrier`], and kept for the
     /// same reason.
     PoolEpochs,
 }
 
-/// Number of [`Counter`] variants.
-pub const COUNTER_COUNT: usize = 3;
-
-impl Counter {
-    /// Every counter, in display order.
-    pub const ALL: [Counter; COUNTER_COUNT] = [
-        Counter::PoolSteals,
-        Counter::PoolFailedSteals,
-        Counter::PoolEpochs,
-    ];
-
-    /// Stable snake_case name (used in metric paths).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::PoolSteals => "steals",
-            Counter::PoolFailedSteals => "failed_steals",
-            Counter::PoolEpochs => "epochs",
-        }
-    }
-}
-
-/// A process-wide log₂ histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Hist {
-    /// Own-queue depth observed at each work-stealing pop.
-    QueueDepth,
-}
-
-/// Number of [`Hist`] variants.
-pub const HIST_COUNT: usize = 1;
-
-impl Hist {
-    /// Every histogram, in display order.
-    pub const ALL: [Hist; HIST_COUNT] = [Hist::QueueDepth];
-
-    /// Stable snake_case name (used in metric paths).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Hist::QueueDepth => "queue_depth",
-        }
-    }
-}
-
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static PHASE_NS: [AtomicU64; PHASE_COUNT] = [const { AtomicU64::new(0) }; PHASE_COUNT];
 static PHASE_CALLS: [AtomicU64; PHASE_COUNT] = [const { AtomicU64::new(0) }; PHASE_COUNT];
-static COUNTERS: [AtomicU64; COUNTER_COUNT] = [const { AtomicU64::new(0) }; COUNTER_COUNT];
-static HISTS: Mutex<Option<Vec<Histogram>>> = Mutex::new(None);
 static TIMELINE: Mutex<Vec<SpanRec>> = Mutex::new(Vec::new());
 static ORIGIN: Mutex<Option<Instant>> = Mutex::new(None);
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
@@ -336,25 +283,6 @@ impl Drop for PhaseGuard {
     }
 }
 
-/// Adds `n` to counter `c`. No-op when disabled.
-#[inline]
-pub fn counter_add(c: Counter, n: u64) {
-    if enabled() {
-        COUNTERS[c as usize].fetch_add(n, Ordering::Relaxed);
-    }
-}
-
-/// Records `v` into histogram `h`. No-op when disabled. Takes a
-/// process-wide lock, so call at coarse boundaries (per task) — not per
-/// instruction.
-pub fn hist_record(h: Hist, v: u64) {
-    if !enabled() {
-        return;
-    }
-    let mut g = HISTS.lock().expect("hist lock");
-    g.get_or_insert_with(|| vec![Histogram::default(); HIST_COUNT])[h as usize].record(v);
-}
-
 /// RAII guard returned by [`timeline_scope`]; records a Chrome-trace
 /// span on drop.
 #[must_use = "dropping the guard immediately ends the span"]
@@ -412,17 +340,17 @@ impl Drop for TimelineGuard {
 /// Flushes the calling thread's phase accumulators into the
 /// process-wide totals. Threads also flush on exit, but a scoped
 /// thread's exit can trail the end of its scope, so scoped workers
-/// (the `gscalar-pool` executors) call this as their last step;
+/// (those of the `gscalar-pool` executor) call this as their last step;
 /// long-lived threads (e.g. `main`) call this — or just [`snapshot`],
 /// which flushes first — before reading totals.
 pub fn flush() {
     let _ = LOCAL.try_with(|l| l.borrow_mut().flush_into_globals());
 }
 
-/// Zeroes all process-wide totals, histograms, and the timeline, plus
-/// the calling thread's local accumulators. Call at quiescent points
-/// only (no live guards anywhere); other threads' unflushed locals are
-/// untouched and will still flush on their exit.
+/// Zeroes all process-wide totals and the timeline, plus the calling
+/// thread's local accumulators. Call at quiescent points only (no live
+/// guards anywhere); other threads' unflushed locals are untouched and
+/// will still flush on their exit.
 pub fn reset() {
     let _ = LOCAL.try_with(|l| {
         let mut l = l.borrow_mut();
@@ -435,10 +363,6 @@ pub fn reset() {
         PHASE_NS[i].store(0, Ordering::Relaxed);
         PHASE_CALLS[i].store(0, Ordering::Relaxed);
     }
-    for c in &COUNTERS {
-        c.store(0, Ordering::Relaxed);
-    }
-    *HISTS.lock().expect("hist lock") = None;
     TIMELINE.lock().expect("timeline lock").clear();
 }
 
@@ -456,10 +380,6 @@ pub struct PhaseStat {
 pub struct Snapshot {
     /// Per-phase totals, indexed like [`Phase::ALL`].
     pub phases: [PhaseStat; PHASE_COUNT],
-    /// Counter totals, indexed like [`Counter::ALL`].
-    pub counters: [u64; COUNTER_COUNT],
-    /// Histograms, indexed like [`Hist::ALL`].
-    pub hists: Vec<Histogram>,
 }
 
 impl Snapshot {
@@ -469,16 +389,12 @@ impl Snapshot {
         self.phases[p as usize]
     }
 
-    /// Total for one counter.
+    /// Total for one counter: always 0, as nothing increments one.
     #[must_use]
     pub fn counter(&self, c: Counter) -> u64 {
-        self.counters[c as usize]
-    }
-
-    /// One histogram.
-    #[must_use]
-    pub fn hist(&self, h: Hist) -> &Histogram {
-        &self.hists[h as usize]
+        match c {
+            Counter::PoolEpochs => 0,
+        }
     }
 
     /// Sum of exclusive phase time — the instrumented wall time.
@@ -488,11 +404,10 @@ impl Snapshot {
     }
 
     /// Exports everything under `host/...` paths: per-phase
-    /// `host/phase/<name>/ns` and `/calls`, pool counters under
-    /// `host/pool/<name>`, and histograms merged at
-    /// `host/pool/<name>` (flattened to `/count`..`/max` by the
-    /// registry). The `host/` prefix is what keeps these informational
-    /// in `report compare`.
+    /// `host/phase/<name>/ns` and `/calls`, and `host/pool/epochs`
+    /// (always 0, kept so committed metric files keep their keys). The
+    /// `host/` prefix is what keeps these informational in
+    /// `report compare`.
     pub fn export(&self, reg: &mut MetricsRegistry) {
         for (i, p) in Phase::ALL.iter().enumerate() {
             reg.counter_add(&format!("host/phase/{}/ns", p.name()), self.phases[i].ns);
@@ -501,12 +416,7 @@ impl Snapshot {
                 self.phases[i].calls,
             );
         }
-        for (i, c) in Counter::ALL.iter().enumerate() {
-            reg.counter_add(&format!("host/pool/{}", c.name()), self.counters[i]);
-        }
-        for (i, h) in Hist::ALL.iter().enumerate() {
-            reg.histogram_merge(&format!("host/pool/{}", h.name()), &self.hists[i]);
-        }
+        reg.counter_add("host/pool/epochs", self.counter(Counter::PoolEpochs));
     }
 
     /// Flat `(path, value)` pairs, as [`Self::export`] would produce.
@@ -517,7 +427,7 @@ impl Snapshot {
         reg.flatten()
     }
 
-    /// Renders a human-readable phase table plus pool telemetry.
+    /// Renders a human-readable phase table.
     /// `wall_s`, when positive, adds a percent-of-total-wall column.
     #[must_use]
     pub fn render(&self, wall_s: f64) -> String {
@@ -560,32 +470,6 @@ impl Snapshot {
             "total(instr)",
             total as f64 / 1e6
         ));
-        if self.counters.iter().any(|&c| c > 0) {
-            out.push_str("pool counters\n");
-            for (i, c) in Counter::ALL.iter().enumerate() {
-                out.push_str(&format!("  {:<16} {:>12}\n", c.name(), self.counters[i]));
-            }
-        }
-        for (i, h) in Hist::ALL.iter().enumerate() {
-            let hist = &self.hists[i];
-            if hist.count() == 0 {
-                continue;
-            }
-            out.push_str(&format!(
-                "{} histogram: count {}  mean {:.1}  min {}  max {}\n",
-                h.name(),
-                hist.count(),
-                hist.mean(),
-                hist.min().unwrap_or(0),
-                hist.max().unwrap_or(0)
-            ));
-            for b in 0..65 {
-                let n = hist.bucket(b);
-                if n > 0 {
-                    out.push_str(&format!("  2^{b:<2} {n:>10}\n"));
-                }
-            }
-        }
         out
     }
 }
@@ -593,7 +477,7 @@ impl Snapshot {
 /// Takes a consistent snapshot of every accumulator, flushing the
 /// calling thread's locals first. Other still-running threads'
 /// unflushed time is not included — snapshot after joining workers
-/// (the pool's scoped threads always join before returning).
+/// (the executor's scoped threads always join before returning).
 #[must_use]
 pub fn snapshot() -> Snapshot {
     flush();
@@ -602,20 +486,7 @@ pub fn snapshot() -> Snapshot {
         p.ns = PHASE_NS[i].load(Ordering::Relaxed);
         p.calls = PHASE_CALLS[i].load(Ordering::Relaxed);
     }
-    let mut counters = [0u64; COUNTER_COUNT];
-    for (i, c) in counters.iter_mut().enumerate() {
-        *c = COUNTERS[i].load(Ordering::Relaxed);
-    }
-    let hists = HISTS
-        .lock()
-        .expect("hist lock")
-        .clone()
-        .unwrap_or_else(|| vec![Histogram::default(); HIST_COUNT]);
-    Snapshot {
-        phases,
-        counters,
-        hists,
-    }
+    Snapshot { phases }
 }
 
 /// Renders the recorded timeline spans plus per-phase aggregate bars
@@ -688,15 +559,11 @@ mod tests {
             let _g = phase(Phase::Execute);
             spin(50);
         }
-        counter_add(Counter::PoolSteals, 5);
-        hist_record(Hist::QueueDepth, 3);
         let _t = timeline_scope("x");
         drop(_t);
         let s = snapshot();
         assert_eq!(s.total_ns(), 0);
         assert_eq!(s.phase(Phase::Execute).calls, 0);
-        assert_eq!(s.counter(Counter::PoolSteals), 0);
-        assert_eq!(s.hist(Hist::QueueDepth).count(), 0);
         assert_eq!(TIMELINE.lock().unwrap().len(), 0);
     }
 
@@ -728,31 +595,21 @@ mod tests {
     }
 
     #[test]
-    fn counters_hists_and_timeline_accumulate_when_enabled() {
+    fn timeline_accumulates_when_enabled() {
         let _l = lock();
         reset();
         set_enabled(true);
-        counter_add(Counter::PoolSteals, 2);
-        counter_add(Counter::PoolSteals, 3);
-        counter_add(Counter::PoolFailedSteals, 1);
-        hist_record(Hist::QueueDepth, 1024);
-        hist_record(Hist::QueueDepth, 7);
         {
             let _t = timeline_scope("workload BP");
             spin(50);
         }
         set_enabled(false);
-        let s = snapshot();
-        assert_eq!(s.counter(Counter::PoolSteals), 5);
-        assert_eq!(s.counter(Counter::PoolFailedSteals), 1);
-        assert_eq!(s.hist(Hist::QueueDepth).count(), 2);
-        assert_eq!(s.hist(Hist::QueueDepth).max(), Some(1024));
         let json = chrome_timeline_json();
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.ends_with("]}"));
         assert!(json.contains("workload BP"));
         reset();
-        assert_eq!(snapshot().counter(Counter::PoolSteals), 0);
+        assert_eq!(TIMELINE.lock().unwrap().len(), 0);
     }
 
     #[test]
@@ -786,8 +643,6 @@ mod tests {
         {
             let _g = phase(Phase::Scheduler);
         }
-        counter_add(Counter::PoolFailedSteals, 4);
-        hist_record(Hist::QueueDepth, 9);
         set_enabled(false);
         let flat = snapshot().flatten();
         let get = |k: &str| {
@@ -797,13 +652,13 @@ mod tests {
                 .1
         };
         assert_eq!(get("host/phase/scheduler/calls"), 1.0);
-        assert_eq!(get("host/pool/failed_steals"), 4.0);
-        assert_eq!(get("host/pool/queue_depth/count"), 1.0);
-        assert_eq!(get("host/pool/queue_depth/max"), 9.0);
+        assert_eq!(get("host/pool/epochs"), 0.0);
         assert!(flat.iter().all(|(k, _)| k.starts_with("host/")));
+        assert!(!flat
+            .iter()
+            .any(|(k, _)| k.starts_with("host/pool/") && k != "host/pool/epochs"));
         let text = snapshot().render(1.0);
         assert!(text.contains("scheduler"));
-        assert!(text.contains("failed_steals"));
         reset();
     }
 

@@ -367,11 +367,6 @@ impl KernelBuilder {
         self.alu2(AluOp::FMul, a, b)
     }
 
-    /// `dst = a * b` in `f32`, into an existing register.
-    pub fn fmul_to(&mut self, dst: Reg, a: Operand, b: Operand) {
-        self.alu_to(AluOp::FMul, dst, a, b, Operand::Reg(Reg::RZ));
-    }
-
     /// `dst = a * b + c` fused multiply-add in `f32`.
     pub fn ffma(&mut self, a: Operand, b: Operand, c: Operand) -> Reg {
         self.alu(AluOp::FFma, a, b, c)
@@ -380,21 +375,6 @@ impl KernelBuilder {
     /// `dst = a * b + c` in `f32`, into an existing register.
     pub fn ffma_to(&mut self, dst: Reg, a: Operand, b: Operand, c: Operand) {
         self.alu_to(AluOp::FFma, dst, a, b, c);
-    }
-
-    /// `dst = max(a, b)` in `f32`.
-    pub fn fmax(&mut self, a: Operand, b: Operand) -> Reg {
-        self.alu2(AluOp::FMax, a, b)
-    }
-
-    /// `dst = min(a, b)` in `f32`.
-    pub fn fmin(&mut self, a: Operand, b: Operand) -> Reg {
-        self.alu2(AluOp::FMin, a, b)
-    }
-
-    /// `dst = |a|` in `f32`.
-    pub fn fabs(&mut self, a: Operand) -> Reg {
-        self.alu1(AluOp::FAbs, a)
     }
 
     /// Convert signed integer to `f32`.

@@ -150,13 +150,6 @@ impl Cfg {
         self.block_of[pc]
     }
 
-    /// The immediate post-dominator block of `block`, or `None` when the
-    /// block's only post-dominator is the virtual exit.
-    #[must_use]
-    pub fn immediate_postdom(&self, block: usize) -> Option<usize> {
-        self.ipostdom[block]
-    }
-
     /// For each instruction index, the reconvergence PC if the
     /// instruction is a branch (the start of the branch block's
     /// immediate post-dominator), `None` otherwise or when reconvergence

@@ -57,8 +57,8 @@ pub enum LiveRecord {
         per_sm_ipc: Vec<f64>,
         /// Scheduler-idle cycles by stall reason label.
         stalls: BTreeMap<String, u64>,
-        /// Work-stealing pool counters: (steals, failed steals, epochs).
-        /// Epochs always read 0: the schema keeps the field, which
+        /// Former job-pool counters: (steals, failed steals, epochs).
+        /// All three always read 0: the schema keeps the field, which
         /// nothing records any more.
         pool: (u64, u64, u64),
         /// Seconds since the stream opened (0 when deterministic).

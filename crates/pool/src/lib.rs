@@ -1,17 +1,13 @@
-//! The thread pool of the G-Scalar workspace: one executor,
-//! [`run_indexed`], a work-stealing pool over an index-addressed task
-//! grid (whole simulations, milliseconds to minutes each).
-//! `gscalar-sweep` uses it to run jobs in parallel *across* a grid; a
-//! simulation itself always runs on one thread.
+//! The job executor of the G-Scalar workspace: [`run_indexed`] runs an
+//! index-addressed task grid (whole simulations, milliseconds to
+//! minutes each) on scoped workers that claim indices from one shared
+//! cursor. `gscalar-sweep` uses it to run jobs in parallel *across* a
+//! grid; a simulation itself always runs on one thread.
 //!
-//! It is built on scoped threads and standard-library primitives only,
-//! and carries `gscalar-hostprof` probes (steal counters, a queue-depth
-//! histogram) that are no-ops unless host profiling is globally
-//! enabled.
+//! It is built on scoped threads and standard-library primitives only.
 
-use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::Mutex;
 
 use gscalar_hostprof as hostprof;
 
@@ -19,17 +15,15 @@ use gscalar_hostprof as hostprof;
 /// invoking `on_done(i, result)` on the calling thread as each task
 /// completes (completion order, not index order).
 ///
-/// Tasks are the integers `0..count`; each worker owns a deque seeded
-/// round-robin and pops from its *back* (LIFO keeps caches warm for
-/// neighboring grid cells), stealing from the *front* of sibling
-/// deques when its own runs dry (FIFO steals take the oldest — largest
-/// remaining — work). The pool uses plain mutex-guarded deques: the
-/// workload is coarse, so lock traffic is noise and a lock-free
-/// Chase–Lev deque would buy nothing.
+/// Workers claim tasks from one shared cursor in descending order,
+/// `count - 1` down to `0`, so one thread runs them in exactly that
+/// order. The tasks are coarse, so one atomic decrement per task is
+/// all the scheduling they need: a worker that finishes early simply
+/// claims the next index.
 ///
 /// `threads == 0` resolves to the machine's available parallelism. A
-/// single thread still goes through the pool, so the scheduling code
-/// path is the same at every thread count.
+/// single thread still runs on a scoped worker, so the code path is
+/// the same at every thread count.
 pub fn run_indexed<R, W, D>(threads: usize, count: usize, work: W, mut on_done: D)
 where
     R: Send,
@@ -40,19 +34,15 @@ where
         return;
     }
     let threads = resolve_threads(threads).min(count);
-    // Round-robin seeding spreads neighboring (usually similarly
-    // sized) grid cells across workers.
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..threads)
-        .map(|w| Mutex::new((0..count).filter(|i| i % threads == w).collect()))
-        .collect();
+    let cursor = AtomicUsize::new(count);
     let (tx, rx) = mpsc::channel::<(usize, R)>();
     std::thread::scope(|scope| {
-        for w in 0..threads {
-            let queues = &queues;
+        for _ in 0..threads {
+            let cursor = &cursor;
             let work = &work;
             let tx = tx.clone();
             scope.spawn(move || {
-                while let Some(i) = next_task(queues, w) {
+                while let Some(i) = claim(cursor) {
                     // A send can only fail if the receiver is gone,
                     // which means the caller is unwinding already.
                     let _ = tx.send((i, work(i)));
@@ -70,29 +60,13 @@ where
     });
 }
 
-/// Pops the next task for worker `w`: its own back, else steal the
-/// front of the first non-empty sibling. `None` when every deque is
-/// empty (no tasks are ever re-enqueued, so empty-everywhere is
-/// terminal).
-fn next_task(queues: &[Mutex<VecDeque<usize>>], w: usize) -> Option<usize> {
-    let (depth, own) = {
-        let mut q = queues[w].lock().expect("queue lock");
-        (q.len() as u64, q.pop_back())
-    };
-    hostprof::hist_record(hostprof::Hist::QueueDepth, depth);
-    if let Some(i) = own {
-        return Some(i);
-    }
-    let n = queues.len();
-    for off in 1..n {
-        let victim = (w + off) % n;
-        if let Some(i) = queues[victim].lock().expect("queue lock").pop_front() {
-            hostprof::counter_add(hostprof::Counter::PoolSteals, 1);
-            return Some(i);
-        }
-        hostprof::counter_add(hostprof::Counter::PoolFailedSteals, 1);
-    }
-    None
+/// Claims the next task index from `cursor`, the number of indices not
+/// yet claimed: `cursor - 1`, or `None` once every index is claimed.
+fn claim(cursor: &AtomicUsize) -> Option<usize> {
+    cursor
+        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
+        .ok()
+        .map(|n| n - 1)
 }
 
 /// Resolves a thread-count request: 0 means "all the machine has".
@@ -108,7 +82,6 @@ pub fn resolve_threads(requested: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn executes_every_task_exactly_once() {
@@ -133,26 +106,19 @@ mod tests {
     }
 
     #[test]
-    fn stealing_drains_imbalanced_grids() {
-        // One task is 100× the others: with 4 workers the other three
-        // must steal the remaining work. Correctness (all done, once)
-        // is what's asserted; the imbalance exercises the steal path.
-        let done = AtomicUsize::new(0);
+    fn one_thread_runs_tasks_in_descending_order() {
+        // The order a one-thread sweep (and its deterministic live
+        // stream) depends on.
+        let started = std::sync::Mutex::new(Vec::new());
+        let mut done = Vec::new();
         run_indexed(
-            4,
-            64,
-            |i| {
-                let spins = if i == 0 { 100_000 } else { 1_000 };
-                let mut x = 0u64;
-                for k in 0..spins {
-                    x = x.wrapping_mul(6364136223846793005).wrapping_add(k);
-                }
-                done.fetch_add(1, Ordering::SeqCst);
-                x
-            },
-            |_, _| {},
+            1,
+            6,
+            |i| started.lock().unwrap().push(i),
+            |i, ()| done.push(i),
         );
-        assert_eq!(done.load(Ordering::SeqCst), 64);
+        assert_eq!(*started.lock().unwrap(), [5, 4, 3, 2, 1, 0]);
+        assert_eq!(done, [5, 4, 3, 2, 1, 0]);
     }
 
     #[test]
@@ -173,10 +139,10 @@ mod tests {
     }
 
     #[test]
-    fn hostprof_telemetry_records_queue_depths() {
+    fn worker_phase_totals_are_in_when_the_executor_returns() {
         // Telemetry is process-global and other tests may run
         // concurrently (they leave it disabled, so only this test's
-        // window records) — assert lower bounds, not exact counts.
+        // window records): assert a lower bound, not an exact count.
         hostprof::reset();
         hostprof::set_enabled(true);
         run_indexed(
@@ -189,10 +155,7 @@ mod tests {
             |_, _| {},
         );
         hostprof::set_enabled(false);
-        let s = hostprof::snapshot();
-        assert!(s.hist(hostprof::Hist::QueueDepth).count() >= 32);
-        // Worker totals are in as soon as the executor returns.
-        assert!(s.phase(hostprof::Phase::Execute).calls >= 32);
+        assert!(hostprof::snapshot().phase(hostprof::Phase::Execute).calls >= 32);
         hostprof::reset();
     }
 }

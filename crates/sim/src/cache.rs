@@ -39,6 +39,43 @@ pub struct Cache {
     lines: Vec<Line>,
 }
 
+/// The geometry of one cache: an SM's L1, or one L2 partition.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CacheGeometry {
+    /// Capacity in bytes.
+    pub bytes: usize,
+    /// Associativity.
+    pub ways: usize,
+    /// Line size in bytes.
+    pub line_bytes: usize,
+}
+
+impl CacheGeometry {
+    /// Whether [`Cache::new`] accepts the geometry: every parameter is
+    /// nonzero and the lines split evenly into at least one set of
+    /// `ways`.
+    #[must_use]
+    pub fn divides(self) -> bool {
+        let lines = self.bytes / self.line_bytes.max(1);
+        self.bytes > 0
+            && self.ways > 0
+            && self.line_bytes > 0
+            && self.bytes.is_multiple_of(self.line_bytes)
+            && lines >= self.ways
+            && lines.is_multiple_of(self.ways)
+    }
+}
+
+impl std::fmt::Display for CacheGeometry {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} bytes, {} ways, {}-byte lines",
+            self.bytes, self.ways, self.line_bytes
+        )
+    }
+}
+
 impl Cache {
     /// Creates a cache of `size_bytes` with `ways` associativity and
     /// `line_bytes` lines.
@@ -49,14 +86,13 @@ impl Cache {
     /// is zero.
     #[must_use]
     pub fn new(size_bytes: usize, ways: usize, line_bytes: usize) -> Self {
-        assert!(size_bytes > 0 && ways > 0 && line_bytes > 0);
+        let geometry = CacheGeometry {
+            bytes: size_bytes,
+            ways,
+            line_bytes,
+        };
+        assert!(geometry.divides(), "cache geometry must divide evenly");
         let lines_total = size_bytes / line_bytes;
-        assert!(
-            size_bytes.is_multiple_of(line_bytes)
-                && lines_total >= ways
-                && lines_total.is_multiple_of(ways),
-            "cache geometry must divide evenly"
-        );
         let sets = lines_total / ways;
         Cache {
             sets,

@@ -1,5 +1,6 @@
 //! GPU and architecture configuration (the paper's Table 1).
 
+use crate::cache::CacheGeometry;
 use crate::scheduler::SchedPolicy;
 
 /// Timing/resource configuration of the modeled GPU.
@@ -199,11 +200,15 @@ impl GpuConfig {
         4 * self.warp_size.div_ceil(gscalar_compress::CHUNK_LANES)
     }
 
-    /// Checks the limits the simulator's bitmask state relies on: lane
+    /// Checks the limits the simulator's bitmask state relies on and
+    /// the values that would otherwise panic or hang a run later: lane
     /// masks, warp-slot masks, collector-slot masks and bank busy masks
     /// are `u64`, so lanes per warp, warp slots per SM, operand
-    /// collectors and register banks each number 1 to 64.
-    /// [`crate::Gpu::new`] refuses a config that fails this.
+    /// collectors and register banks each number 1 to 64; SMs, CTA
+    /// slots, schedulers, ALU pipes, memory channels and pipe widths
+    /// number at least 1; and the L1 and each L2 partition have a
+    /// geometry [`crate::cache::Cache::new`] accepts. [`crate::Gpu::new`] refuses a
+    /// config that fails this.
     ///
     /// # Errors
     ///
@@ -222,12 +227,41 @@ impl GpuConfig {
         if !LIMIT.contains(&self.rf_banks) {
             return Err(ConfigError::RfBanks(self.rf_banks));
         }
+        let zero = [
+            (self.num_sms, ConfigError::NoSms),
+            (self.ctas_per_sm, ConfigError::NoCtaSlots),
+            (self.schedulers, ConfigError::NoSchedulers),
+            (self.alu_pipes, ConfigError::NoAluPipes),
+            (self.simt_width, ConfigError::NoSimtLanes),
+            (self.sfu_width, ConfigError::NoSfuLanes),
+            (self.mem_channels, ConfigError::NoMemChannels),
+        ];
+        if let Some(&(_, e)) = zero.iter().find(|(v, _)| *v == 0) {
+            return Err(e);
+        }
+        let l1 = CacheGeometry {
+            bytes: self.l1_bytes,
+            ways: self.l1_ways,
+            line_bytes: self.line_bytes,
+        };
+        if !l1.divides() {
+            return Err(ConfigError::L1Geometry(l1));
+        }
+        let l2 = CacheGeometry {
+            bytes: self.l2_bytes / self.mem_channels,
+            ways: self.l2_ways,
+            line_bytes: self.line_bytes,
+        };
+        if !l2.divides() {
+            return Err(ConfigError::L2Geometry(l2));
+        }
         Ok(())
     }
 }
 
-/// A [`GpuConfig`] limit violation found by [`GpuConfig::validate`];
-/// each variant carries the offending value.
+/// A [`GpuConfig`] value rejected by [`GpuConfig::validate`]; each
+/// variant names its field and carries the offending value, if it is
+/// not simply 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
     /// `warp_size` outside 1..=64 (lane masks are `u64`).
@@ -240,19 +274,55 @@ pub enum ConfigError {
     OperandCollectors(usize),
     /// `rf_banks` outside 1..=64 (bank busy masks are `u64`).
     RfBanks(usize),
+    /// `num_sms` of 0: no CTA could launch.
+    NoSms,
+    /// `ctas_per_sm` of 0: no CTA could launch.
+    NoCtaSlots,
+    /// `schedulers` of 0: warp slots are dealt to schedulers by
+    /// remainder.
+    NoSchedulers,
+    /// `alu_pipes` of 0: ALU work would never dispatch.
+    NoAluPipes,
+    /// `simt_width` of 0: ALU and LSU occupancy divide by it.
+    NoSimtLanes,
+    /// `sfu_width` of 0: SFU occupancy divides by it.
+    NoSfuLanes,
+    /// `mem_channels` of 0: the L2 is split into that many partitions.
+    NoMemChannels,
+    /// An L1 geometry that does not divide evenly into sets.
+    L1Geometry(CacheGeometry),
+    /// An L2-partition geometry (`l2_bytes / mem_channels`) that does
+    /// not divide evenly into sets.
+    L2Geometry(CacheGeometry),
 }
 
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let (field, v) = match *self {
-            ConfigError::WarpSize(v) => ("warp_size", v),
-            ConfigError::WarpSlots(v) => ("threads_per_sm / warp_size", v),
-            ConfigError::OperandCollectors(v) => ("operand_collectors", v),
-            ConfigError::RfBanks(v) => ("rf_banks", v),
+            ConfigError::WarpSize(v) => ("warp_size", Some(v)),
+            ConfigError::WarpSlots(v) => ("threads_per_sm / warp_size", Some(v)),
+            ConfigError::OperandCollectors(v) => ("operand_collectors", Some(v)),
+            ConfigError::RfBanks(v) => ("rf_banks", Some(v)),
+            ConfigError::NoSms => ("num_sms", None),
+            ConfigError::NoCtaSlots => ("ctas_per_sm", None),
+            ConfigError::NoSchedulers => ("schedulers", None),
+            ConfigError::NoAluPipes => ("alu_pipes", None),
+            ConfigError::NoSimtLanes => ("simt_width", None),
+            ConfigError::NoSfuLanes => ("sfu_width", None),
+            ConfigError::NoMemChannels => ("mem_channels", None),
+            ConfigError::L1Geometry(g) => return write!(f, "the L1 geometry ({g}) {UNEVEN}"),
+            ConfigError::L2Geometry(g) => {
+                return write!(f, "the L2-partition geometry ({g}) {UNEVEN}")
+            }
         };
-        write!(f, "{field} = {v} is outside 1..=64")
+        match v {
+            Some(v) => write!(f, "{field} = {v} is outside 1..=64"),
+            None => write!(f, "{field} = 0 must be at least 1"),
+        }
     }
 }
+
+const UNEVEN: &str = "does not divide into sets of whole lines";
 
 impl std::error::Error for ConfigError {}
 
@@ -339,14 +409,22 @@ mod tests {
 
     #[test]
     fn table1_values() {
+        // Table 1, and PAPER.md's module table (rows 2 and 3).
         let c = GpuConfig::gtx480();
         assert_eq!(c.num_sms, 15);
         assert_eq!(c.regs_per_sm * 4, 128 * 1024); // 128 KB
         assert_eq!(c.rf_banks, 16);
+        // 8 SRAM arrays of 128 bits per bank: one 32 × 4-byte register.
+        assert_eq!(c.arrays_per_bank(), 8);
+        assert_eq!(c.arrays_per_bank() * 128 / 8, c.warp_size * 4);
         assert_eq!(c.operand_collectors, 16);
         assert_eq!(c.warp_size, 32);
         assert_eq!(c.schedulers, 2);
+        assert_eq!(c.sched, SchedPolicy::Gto);
+        // 2 × 16-lane ALU pipes, an LSU pipe as wide, a 4-lane SFU.
+        assert_eq!(c.alu_pipes, 2);
         assert_eq!(c.simt_width, 16);
+        assert_eq!(c.sfu_width, 4);
         assert_eq!(c.threads_per_sm, 1536);
         assert_eq!(c.ctas_per_sm, 8);
         assert_eq!(c.l1_bytes, 16 * 1024);
@@ -419,6 +497,88 @@ mod tests {
             ConfigError::RfBanks(65).to_string(),
             "rf_banks = 65 is outside 1..=64"
         );
+    }
+
+    #[test]
+    fn zero_counts_have_their_own_errors() {
+        type Case = (fn(&mut GpuConfig), ConfigError, &'static str);
+        let cases: [Case; 7] = [
+            (|c| c.num_sms = 0, ConfigError::NoSms, "num_sms"),
+            (
+                |c| c.ctas_per_sm = 0,
+                ConfigError::NoCtaSlots,
+                "ctas_per_sm",
+            ),
+            (
+                |c| c.schedulers = 0,
+                ConfigError::NoSchedulers,
+                "schedulers",
+            ),
+            (|c| c.alu_pipes = 0, ConfigError::NoAluPipes, "alu_pipes"),
+            (|c| c.simt_width = 0, ConfigError::NoSimtLanes, "simt_width"),
+            (|c| c.sfu_width = 0, ConfigError::NoSfuLanes, "sfu_width"),
+            (
+                |c| c.mem_channels = 0,
+                ConfigError::NoMemChannels,
+                "mem_channels",
+            ),
+        ];
+        for (set, err, field) in cases {
+            let mut c = GpuConfig::gtx480();
+            set(&mut c);
+            assert_eq!(c.validate(), Err(err));
+            assert_eq!(err.to_string(), format!("{field} = 0 must be at least 1"));
+        }
+    }
+
+    #[test]
+    fn l1_geometry_must_divide_into_sets() {
+        let l1 = |bytes, ways, line_bytes| {
+            let mut c = GpuConfig::gtx480();
+            (c.l1_bytes, c.l1_ways, c.line_bytes) = (bytes, ways, line_bytes);
+            c.validate()
+        };
+        let bad = |bytes, ways, line_bytes| {
+            Err(ConfigError::L1Geometry(CacheGeometry {
+                bytes,
+                ways,
+                line_bytes,
+            }))
+        };
+        assert_eq!(l1(16 * 1024, 4, 128), Ok(()));
+        assert_eq!(l1(0, 4, 128), bad(0, 4, 128));
+        assert_eq!(l1(16 * 1024, 0, 128), bad(16 * 1024, 0, 128));
+        // 100 bytes is not a whole number of lines; 3 lines do not
+        // split into 2-way sets; 2 lines cannot fill one 4-way set.
+        assert_eq!(l1(100, 1, 64), bad(100, 1, 64));
+        assert_eq!(l1(384, 2, 128), bad(384, 2, 128));
+        assert_eq!(l1(256, 4, 128), bad(256, 4, 128));
+        // A zero line size is an L1 error before the L2 sees it.
+        assert_eq!(l1(16 * 1024, 4, 0), bad(16 * 1024, 4, 0));
+        assert_eq!(
+            bad(384, 2, 128).unwrap_err().to_string(),
+            "the L1 geometry (384 bytes, 2 ways, 128-byte lines) does not divide into sets of whole lines"
+        );
+    }
+
+    #[test]
+    fn l2_partition_geometry_must_divide_into_sets() {
+        // 768 KB over 5 channels is 157,286 bytes a partition: not a
+        // whole number of lines.
+        let mut c = GpuConfig::gtx480();
+        c.mem_channels = 5;
+        let part = CacheGeometry {
+            bytes: 768 * 1024 / 5,
+            ways: 8,
+            line_bytes: 128,
+        };
+        assert_eq!(c.validate(), Err(ConfigError::L2Geometry(part)));
+        assert!(ConfigError::L2Geometry(part)
+            .to_string()
+            .starts_with("the L2-partition geometry (157286 bytes, 8 ways"));
+        c.mem_channels = 6;
+        c.l2_ways = 3;
+        assert!(matches!(c.validate(), Err(ConfigError::L2Geometry(_))));
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! [`MetricsObserver`](crate::MetricsObserver) does, but emits
 //! NDJSON [`LiveRecord`]s to a [`gscalar_live::LiveHandle`] *while the
 //! run executes*: one `run_start`, periodic `snapshot`s (cumulative
-//! IPC, per-SM IPC, stall mix, compression ratio, MSHR occupancy, the
-//! sweep pool's steal counters), and one `run_end` — when the run
-//! finishes, or at the sample boundary where its budget stops it.
+//! IPC, per-SM IPC, stall mix, compression ratio, MSHR occupancy, and
+//! a `pool` object whose three counters always read 0), and one
+//! `run_end` — when the run finishes, or at the sample boundary where
+//! its budget stops it.
 //!
 //! The observer **downsamples internally** on its own cadence
 //! ([`LiveHandle::snapshot_interval`]): callers attaching it to a run
@@ -17,7 +18,6 @@
 //! points. Emission goes through the handle's bounded non-blocking
 //! queue, so the run loop never waits on I/O.
 
-use gscalar_hostprof as hostprof;
 use gscalar_live::{LiveHandle, LiveRecord};
 
 use crate::gpu::RunObserver;
@@ -111,7 +111,6 @@ impl RunObserver for LiveObserver {
         } else {
             stats.instr.executed_scalar as f64 / stats.instr.warp_instrs as f64
         };
-        let pool = hostprof::snapshot();
         self.handle.emit(&LiveRecord::Snapshot {
             run: self.run,
             cycle,
@@ -129,11 +128,7 @@ impl RunObserver for LiveObserver {
                 .iter()
                 .map(|(reason, count)| (reason.label().to_string(), count))
                 .collect(),
-            pool: (
-                pool.counter(hostprof::Counter::PoolSteals),
-                pool.counter(hostprof::Counter::PoolFailedSteals),
-                pool.counter(hostprof::Counter::PoolEpochs),
-            ),
+            pool: (0, 0, 0),
             t_s: self.handle.now_s(),
         });
     }

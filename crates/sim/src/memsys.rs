@@ -206,24 +206,12 @@ impl MemSystem {
     }
 
     /// Issues one coalesced (line-granule) global access from SM `sm`
-    /// at cycle `now` and returns its completion cycle.
+    /// at cycle `now`, emits a [`TraceEvent::Mem`] describing where the
+    /// transaction was resolved, and returns its completion cycle.
     ///
     /// Loads allocate in L1; stores are write-through/no-allocate (they
     /// complete at L1 latency but still consume L2/DRAM bandwidth).
     pub fn access(
-        &mut self,
-        sm: usize,
-        addr: u64,
-        store: bool,
-        now: u64,
-        stats: &mut MemStats,
-    ) -> u64 {
-        self.access_classified(sm, addr, store, now, stats).0
-    }
-
-    /// [`MemSystem::access`] that also emits a [`TraceEvent::Mem`]
-    /// describing where the transaction was resolved.
-    pub fn access_traced(
         &mut self,
         sm: usize,
         addr: u64,
@@ -243,8 +231,8 @@ impl MemSystem {
         done
     }
 
-    /// The timing model behind [`MemSystem::access`], additionally
-    /// classifying which hierarchy level resolved the request.
+    /// The timing model behind [`MemSystem::access`]: the completion
+    /// cycle and the hierarchy level that resolved the request.
     fn access_classified(
         &mut self,
         sm: usize,
@@ -342,17 +330,6 @@ impl MemSystem {
             }
         }
     }
-
-    /// Earliest cycle at which any queued resource frees up (used for
-    /// idle-cycle skipping).
-    #[must_use]
-    pub fn next_event(&self) -> Option<u64> {
-        self.l2_free
-            .iter()
-            .chain(self.chan_free.iter())
-            .copied()
-            .max()
-    }
 }
 
 #[cfg(test)]
@@ -367,34 +344,37 @@ mod tests {
 
     #[test]
     fn l1_hit_is_fast() {
+        let mut off = Tracer::off();
         let (mut m, mut s) = sys();
-        let cold = m.access(0, 0x1000, false, 0, &mut s);
+        let cold = m.access(0, 0x1000, false, 0, &mut s, &mut off);
         assert!(cold > 100); // L2 miss → DRAM
         assert_eq!(s.l1_misses, 1);
         assert_eq!(s.l2_misses, 1);
-        let warm = m.access(0, 0x1000, false, cold + 1, &mut s);
+        let warm = m.access(0, 0x1000, false, cold + 1, &mut s, &mut off);
         assert_eq!(warm, cold + 1 + 32);
         assert_eq!(s.l1_hits, 1);
     }
 
     #[test]
     fn l2_hit_cheaper_than_dram() {
+        let mut off = Tracer::off();
         let (mut m, mut s) = sys();
-        let t1 = m.access(0, 0x2000, false, 0, &mut s);
+        let t1 = m.access(0, 0x2000, false, 0, &mut s, &mut off);
         // A different SM misses L1 but hits the now-warm L2.
-        let t2 = m.access(1, 0x2000, false, t1 + 1, &mut s) - (t1 + 1);
+        let t2 = m.access(1, 0x2000, false, t1 + 1, &mut s, &mut off) - (t1 + 1);
         assert!(t2 < t1, "L2 hit ({t2}) should beat DRAM ({t1})");
         assert_eq!(s.l2_hits, 1);
     }
 
     #[test]
     fn mshr_merges_same_line() {
+        let mut off = Tracer::off();
         let (mut m, mut s) = sys();
-        let t1 = m.access(0, 0x3000, false, 0, &mut s);
+        let t1 = m.access(0, 0x3000, false, 0, &mut s, &mut off);
         // Another access to the same line while the fill is in flight
         // returns the same fill time without new L2 traffic.
         let before = s.l2_hits + s.l2_misses;
-        let t2 = m.access(0, 0x3010, false, 1, &mut s);
+        let t2 = m.access(0, 0x3010, false, 1, &mut s, &mut off);
         assert_eq!(t1, t2);
         assert_eq!(s.l2_hits + s.l2_misses, before);
         // The merge is its own class: not an L1 miss (there is no new
@@ -407,11 +387,12 @@ mod tests {
 
     #[test]
     fn stale_mshr_entries_expire_lazily() {
+        let mut off = Tracer::off();
         let (mut m, mut s) = sys();
-        let fill = m.access(0, 0x6000, false, 0, &mut s);
+        let fill = m.access(0, 0x6000, false, 0, &mut s, &mut off);
         // Past the fill time the entry is stale: the access must see a
         // plain L1 hit (the line landed), not a phantom merge.
-        let warm = m.access(0, 0x6000, false, fill + 1, &mut s);
+        let warm = m.access(0, 0x6000, false, fill + 1, &mut s, &mut off);
         assert_eq!(warm, fill + 1 + 32);
         assert_eq!(s.l1_mshr_hits, 0);
         assert_eq!(s.l1_hits, 1);
@@ -423,13 +404,21 @@ mod tests {
 
     #[test]
     fn arena_recycles_slots_without_growing() {
+        let mut off = Tracer::off();
         let (mut m, mut s) = sys();
         // Sequential misses far enough apart that each fill lands
         // before the next miss: every miss drains the previous slot
         // back to the freelist, so the arena never grows past one slot.
         let mut now = 0;
         for i in 0..16u64 {
-            now = m.access(0, 0x9000 + i * 0x1000, false, now + 10_000, &mut s);
+            now = m.access(
+                0,
+                0x9000 + i * 0x1000,
+                false,
+                now + 10_000,
+                &mut s,
+                &mut off,
+            );
             m.assert_mshr_invariants();
         }
         assert_eq!(m.mshr[0].slots.len(), 1);
@@ -439,13 +428,13 @@ mod tests {
         // later round reuses those slots rather than adding more.
         let t0 = now + 10_000;
         for i in 0..4u64 {
-            m.access(0, 0x80_0000 + i * 0x1000, false, t0, &mut s);
+            m.access(0, 0x80_0000 + i * 0x1000, false, t0, &mut s, &mut off);
         }
         let grown = m.mshr[0].slots.len();
         m.assert_mshr_invariants();
         let t1 = m.mshr[0].slots.iter().map(|sl| sl.ready).max().unwrap() + 1;
         for i in 0..4u64 {
-            m.access(0, 0x90_0000 + i * 0x1000, false, t1, &mut s);
+            m.access(0, 0x90_0000 + i * 0x1000, false, t1, &mut s, &mut off);
         }
         assert_eq!(m.mshr[0].slots.len(), grown);
         m.assert_mshr_invariants();
@@ -453,22 +442,26 @@ mod tests {
 
     #[test]
     fn stores_complete_fast_but_use_bandwidth() {
+        let mut off = Tracer::off();
         let (mut m, mut s) = sys();
-        let t = m.access(0, 0x4000, true, 0, &mut s);
+        let t = m.access(0, 0x4000, true, 0, &mut s, &mut off);
         assert_eq!(t, 32);
         assert!(s.noc_flits > 0);
-        // Channel is busy afterwards: a load to the same partition
-        // queues behind the store's DRAM slot.
-        assert!(m.next_event().unwrap() > 0);
+        // The partition is busy afterwards: a load to another line of
+        // it (stride = channels × line) queues behind the store.
+        let (mut idle, mut idle_s) = sys();
+        let alone = idle.access(0, 0x4100, false, 0, &mut idle_s, &mut off);
+        assert!(m.access(0, 0x4100, false, 0, &mut s, &mut off) > alone);
     }
 
     #[test]
     fn channel_bandwidth_serializes() {
+        let mut off = Tracer::off();
         let (mut m, mut s) = sys();
         // Many distinct lines in the same partition (stride = channels × line).
         let stride = 128 * 2;
         let times: Vec<u64> = (0..8u64)
-            .map(|i| m.access(0, 0x10_0000 + i * stride, false, 0, &mut s))
+            .map(|i| m.access(0, 0x10_0000 + i * stride, false, 0, &mut s, &mut off))
             .collect();
         // 8 simultaneous requests at 8-cycle DRAM service ⇒ strictly
         // increasing completion, spread by at least the service interval.
@@ -484,9 +477,9 @@ mod tests {
         let mut t = Tracer::new(&mut buf);
         // Chronological, as the engine issues them: the merge lands
         // while the fill is still in flight, the warm hit after it.
-        let cold = m.access_traced(0, 0x5000, false, 0, &mut s, &mut t);
-        m.access_traced(0, 0x5010, false, 1, &mut s, &mut t); // MSHR merge
-        m.access_traced(0, 0x5000, false, cold + 1, &mut s, &mut t);
+        let cold = m.access(0, 0x5000, false, 0, &mut s, &mut t);
+        m.access(0, 0x5010, false, 1, &mut s, &mut t); // MSHR merge
+        m.access(0, 0x5000, false, cold + 1, &mut s, &mut t);
         let levels: Vec<MemLevel> = buf
             .records()
             .iter()
@@ -505,41 +498,50 @@ mod tests {
 
     #[test]
     fn perfect_l1_short_circuits_loads() {
+        let mut off = Tracer::off();
         let mut cfg = GpuConfig::test_small();
         cfg.num_sms = 1;
         cfg.ideal.perfect_l1 = true;
         let mut m = MemSystem::new(&cfg);
         let mut s = MemStats::default();
-        let t = m.access(0, 0xF000, false, 0, &mut s);
+        let t = m.access(0, 0xF000, false, 0, &mut s, &mut off);
         assert_eq!(t, 32); // cold load completes at L1-hit latency
         assert_eq!(s.l1_hits, 1);
         assert_eq!(s.l1_misses, 0);
         assert_eq!(s.noc_flits, 0);
         assert_eq!(s.mshr_occupancy.count(), 0);
         // Stores keep their write-through path and bandwidth cost.
-        m.access(0, 0xF000, true, 0, &mut s);
+        m.access(0, 0xF000, true, 0, &mut s, &mut off);
         assert!(s.noc_flits > 0);
     }
 
     #[test]
     fn mshr_occupancy_counts_live_fills_only() {
+        let mut off = Tracer::off();
         let (mut m, mut s) = sys();
         // Distinct lines in the same partition; two overlapping misses
         // at t=0 sample occupancies 1 then 2.
         let stride = 128 * 2;
-        let t1 = m.access(0, 0x8000, false, 0, &mut s);
-        m.access(0, 0x8000 + stride, false, 0, &mut s);
+        let t1 = m.access(0, 0x8000, false, 0, &mut s, &mut off);
+        m.access(0, 0x8000 + stride, false, 0, &mut s, &mut off);
         assert_eq!(s.mshr_occupancy.count(), 2);
         assert_eq!(s.mshr_occupancy.sum(), 1 + 2);
         // Long after both fills land a new miss samples 1 again, even
         // though the lazily-swept `mshr` map may still hold the stale
         // entries the occupancy heap already popped.
-        m.access(0, 0x8000 + 2 * stride, false, t1 + 10_000, &mut s);
+        m.access(0, 0x8000 + 2 * stride, false, t1 + 10_000, &mut s, &mut off);
         assert_eq!(s.mshr_occupancy.count(), 3);
         assert_eq!(s.mshr_occupancy.sum(), 4);
         assert_eq!(s.mshr_occupancy.max(), Some(2));
         // MSHR merges are not new fills and do not sample.
-        m.access(0, 0x8000 + 2 * stride + 16, false, t1 + 10_001, &mut s);
+        m.access(
+            0,
+            0x8000 + 2 * stride + 16,
+            false,
+            t1 + 10_001,
+            &mut s,
+            &mut off,
+        );
         assert_eq!(s.l1_mshr_hits, 1);
         assert_eq!(s.mshr_occupancy.count(), 3);
     }

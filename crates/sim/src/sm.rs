@@ -99,19 +99,30 @@ struct Inflight {
     latency: u32,
     /// Warp slot (at most 64, see [`GpuConfig::validate`]).
     warp: u8,
-    /// Bank of the destination register (for writeback port pressure;
-    /// at most 64).
-    wb_bank: Option<u8>,
+    /// The slot's launch generation at issue (see `Sm::launch_gen`): a
+    /// writeback whose generation is stale belongs to a warp that has
+    /// exited since, and releases nothing of the slot's new warp.
+    gen: u16,
+    /// Data-port bank the writeback takes (for writeback port pressure;
+    /// at most 64), or [`NO_WRITE_PORT`]: no register write, or one
+    /// that touches only the BVR (scalar write in a compressed register
+    /// file).
+    wb_bank: u8,
     mode: ExecMode,
     unit: FuncUnit,
-    /// Destination write touches only the BVR (scalar write in a
-    /// compressed register file).
-    wb_bvr_only: bool,
     /// Shared-memory access.
     shared: bool,
     /// Store (no register writeback).
     store: bool,
 }
+
+// Folding the BVR-only flag into `wb_bank` made room for the
+// generation tag: the record stays 48 bytes.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<Inflight>() == 48);
+
+/// [`Inflight::wb_bank`] of a writeback that takes no data port.
+const NO_WRITE_PORT: u8 = u8::MAX;
 
 /// Issue readiness of an SM's warp slots: one bit per slot in each
 /// mask, one entry per slot in each array.
@@ -229,6 +240,12 @@ pub struct Sm {
     cfg: GpuConfig,
     arch: ArchConfig,
     warps: Vec<Option<Warp>>,
+    /// Per-slot launch generation, bumped (wrapping) by every warp
+    /// launched into the slot. A warp exits without waiting for its
+    /// writes, so an [`Inflight`] can outlive its warp; it would pass
+    /// for current only if 65,536 warps launched into its slot while it
+    /// was in flight.
+    launch_gen: Vec<u16>,
     scoreboard: Scoreboard,
     /// Per-warp-slot issue readiness, refreshed lazily by the pick.
     ready: Readiness,
@@ -292,6 +309,7 @@ impl Sm {
             cfg: cfg.clone(),
             arch: arch.clone(),
             warps: (0..max_warps).map(|_| None).collect(),
+            launch_gen: vec![0; max_warps],
             scoreboard: Scoreboard::new(max_warps, num_regs_per_warp),
             ready: Readiness::new(max_warps),
             schedulers: (0..cfg.schedulers)
@@ -403,6 +421,7 @@ impl Sm {
                 block,
                 grid,
             ));
+            self.launch_gen[w] = self.launch_gen[w].wrapping_add(1);
             self.scoreboard.clear_warp(w);
             self.ready.live |= 1 << w;
             self.ready.dirty |= 1 << w;
@@ -461,15 +480,19 @@ impl Sm {
         let mut write_banks = std::mem::take(&mut self.write_banks);
         write_banks.clear();
         for f in finished.drain(..) {
-            if let (Some(b), false) = (f.wb_bank, f.wb_bvr_only) {
-                write_banks.push(usize::from(b));
+            if f.wb_bank != NO_WRITE_PORT {
+                write_banks.push(usize::from(f.wb_bank));
             }
-            let release = now + self.arch.extra_latency;
             let w = usize::from(f.warp);
-            self.scoreboard
-                .release_at(w, decoded.get(f.pc as usize), release);
-            self.ready.dirty |= 1 << w;
-            self.verdicts[w % self.cfg.schedulers] = None;
+            // A write of an exited warp still takes its port but leaves
+            // the slot's new warp alone.
+            if f.gen == self.launch_gen[w] {
+                let release = now + self.arch.extra_latency;
+                self.scoreboard
+                    .release_at(w, decoded.get(f.pc as usize), release);
+                self.ready.dirty |= 1 << w;
+                self.verdicts[w % self.cfg.schedulers] = None;
+            }
             // Recycle the coalesced-line buffer for the next issue.
             let mut lines = f.mem_lines;
             if lines.capacity() > 0 {
@@ -1364,8 +1387,7 @@ impl Sm {
         // Commit the register result functionally and through the
         // compression metadata.
         let commit_phase = hostprof::phase(hostprof::Phase::Compressor);
-        let mut wb_bank = None;
-        let mut wb_bvr_only = false;
+        let mut wb_bank = NO_WRITE_PORT;
         if let Some(dst) = result {
             if !dst.is_zero() {
                 let warp_mut = self.warps[w].as_mut().expect("picked warp exists");
@@ -1376,8 +1398,9 @@ impl Sm {
                 // no second snapshot needed.
                 let phys = self.phys_reg(w, dst);
                 let winfo = self.regmeta.write(phys, &vals, mask);
-                wb_bank = Some(u8::try_from(self.bank_of(phys)).expect("banks number at most 64"));
-                wb_bvr_only = winfo.stored == Encoding::Scalar && !winfo.divergent;
+                if winfo.stored != Encoding::Scalar || winfo.divergent {
+                    wb_bank = u8::try_from(self.bank_of(phys)).expect("banks number at most 64");
+                }
                 let warp_size = self.cfg.warp_size;
                 tracer.emit_with(now, || TraceEvent::CompressWrite {
                     sm: sm_id,
@@ -1450,10 +1473,10 @@ impl Sm {
                 pc: u32::try_from(pc).expect("PCs fit 32 bits"),
                 latency: u32::try_from(latency).expect("result latency fits 32 bits"),
                 warp: u8::try_from(w).expect("warp slots number at most 64"),
+                gen: self.launch_gen[w],
                 wb_bank,
                 mode,
                 unit,
-                wb_bvr_only,
                 shared: shared_access,
                 store,
             },
@@ -1678,7 +1701,7 @@ impl Sm {
                     }
                     let _mem_phase = hostprof::phase(hostprof::Phase::Memsys);
                     for &line in &inst.mem_lines {
-                        let t = memsys.access_traced(
+                        let t = memsys.access(
                             self.id,
                             line,
                             inst.store,

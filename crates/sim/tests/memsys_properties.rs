@@ -4,6 +4,7 @@
 use gscalar_sim::memsys::MemSystem;
 use gscalar_sim::stats::MemStats;
 use gscalar_sim::GpuConfig;
+use gscalar_trace::Tracer;
 use proptest::prelude::*;
 
 fn sys() -> MemSystem {
@@ -19,7 +20,7 @@ proptest! {
         let mut stats = MemStats::default();
         for (now, (addr, store)) in addrs.into_iter().enumerate() {
             let now = now as u64;
-            let done = m.access(0, addr, store, now, &mut stats);
+            let done = m.access(0, addr, store, now, &mut stats, &mut Tracer::off());
             prop_assert!(done > now, "completion {done} at/before issue {now}");
         }
     }
@@ -28,9 +29,9 @@ proptest! {
     fn repeat_loads_eventually_hit_l1(addr in 0u64..0x100_0000) {
         let mut m = sys();
         let mut stats = MemStats::default();
-        let t1 = m.access(0, addr, false, 0, &mut stats);
+        let t1 = m.access(0, addr, false, 0, &mut stats, &mut Tracer::off());
         // After the fill returns, the same line is an L1 hit.
-        let t2 = m.access(0, addr, false, t1 + 1, &mut stats);
+        let t2 = m.access(0, addr, false, t1 + 1, &mut stats, &mut Tracer::off());
         prop_assert!(t2 - (t1 + 1) <= t1, "warm access should be faster");
         prop_assert!(stats.l1_hits >= 1);
     }
@@ -42,7 +43,7 @@ proptest! {
         let mut m = sys();
         let mut stats = MemStats::default();
         for (i, addr) in addrs.iter().enumerate() {
-            m.access(0, *addr, false, i as u64 * 4, &mut stats);
+            m.access(0, *addr, false, i as u64 * 4, &mut stats, &mut Tracer::off());
         }
         // Every load resolves exactly one way: L1 hit, L1 miss, or a
         // merge into an outstanding miss to the same line.
@@ -73,7 +74,7 @@ proptest! {
         let mut loads = 0u64;
         for (addr, gap, store) in ops {
             now += gap;
-            let done = m.access(0, addr, store, now, &mut stats);
+            let done = m.access(0, addr, store, now, &mut stats, &mut Tracer::off());
             prop_assert!(done > now);
             loads += u64::from(!store);
             // The arena must stay consistent after every access: the
@@ -103,7 +104,7 @@ proptest! {
         let stride = 128 * 2;
         let mut last = 0u64;
         for i in 0..n {
-            let t = m.access(0, 0x20_0000 + i as u64 * stride, false, 0, &mut stats);
+            let t = m.access(0, 0x20_0000 + i as u64 * stride, false, 0, &mut stats, &mut Tracer::off());
             prop_assert!(t >= last, "later request completed earlier");
             last = t;
         }

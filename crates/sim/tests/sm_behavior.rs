@@ -367,6 +367,82 @@ fn stall_reclassifies_when_the_load_releases_before_the_alu_producer() {
 }
 
 #[test]
+fn an_exited_warps_load_does_not_release_the_next_warps_register() {
+    // One warp slot: the first CTA's warp exits with a load to R2 still
+    // in flight, the second CTA's warp launches into the same slot and
+    // loads R2 itself. The first load lands first; it must not release
+    // the second warp's pending R2, so the consumer waits for its own
+    // producer.
+    let k = gscalar_isa::asm::parse_kernel(
+        ".kernel stale_writeback regs=4
+            S2R R0, SR_CTAID.X
+            MOV R1, 0x1000
+            ISETP.EQ P0, R0, 0
+            @!P0 BRA second
+            LD.GLOBAL R2, [R1]
+            EXIT
+        second:
+            IADD R1, R1, 0x4000
+            LD.GLOBAL R2, [R1]
+            IADD R3, R2, 1
+            ST.GLOBAL [R1], R3
+            EXIT",
+    )
+    .unwrap();
+    let (first_load, exit, second_load, consumer) = (4, 5, 7, 8);
+    for arch in [ArchConfig::baseline(), gscalar()] {
+        let extra = arch.extra_latency;
+        let mut cfg = GpuConfig::test_small();
+        cfg.ctas_per_sm = 1;
+        let mut gpu = Gpu::new(cfg, arch);
+        let mut mem = GlobalMemory::new();
+        mem.write_u32(0x5000, 41);
+        let mut buf = EventBuf::new(1 << 16);
+        gpu.run_with(
+            &k,
+            LaunchConfig::linear(2, 32),
+            &mut mem,
+            &mut Instruments {
+                tracer: Tracer::new(&mut buf),
+                ..Instruments::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(mem.read_u32(0x5000), 42);
+        let records = buf.records();
+        let issued_at = |pc: u32| {
+            records
+                .iter()
+                .find_map(|r| match r.ev {
+                    TraceEvent::Issue { warp: 0, pc: p, .. } if p == pc => Some(r.now),
+                    _ => None,
+                })
+                .expect("instruction issued in slot 0")
+        };
+        let lands_at = |pc: u32| {
+            records
+                .iter()
+                .find_map(|r| match r.ev {
+                    TraceEvent::ExecSpan {
+                        warp: 0,
+                        pc: p,
+                        end,
+                        ..
+                    } if p == pc => Some(end),
+                    _ => None,
+                })
+                .expect("load executed in slot 0")
+        };
+        // The scenario: the first warp exits before its load lands, and
+        // the load lands while the second warp's load is pending.
+        assert!(issued_at(exit) < lands_at(first_load));
+        assert!(issued_at(second_load) < lands_at(first_load));
+        assert!(lands_at(first_load) < lands_at(second_load));
+        assert_eq!(issued_at(consumer), lands_at(second_load) + extra);
+    }
+}
+
+#[test]
 fn fast_dispatch_knob_shortens_sfu_occupancy() {
     // Back-to-back independent SFU ops from several warps: vector SFU
     // dispatch (8 cycles each) bottlenecks; the optional fast-dispatch

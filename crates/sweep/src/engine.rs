@@ -32,9 +32,9 @@ use std::time::Instant;
 use crate::job::{
     FailureRecord, JobCache, JobCtx, JobError, JobOutput, JobResult, JobSpec, ResultSet,
 };
-use crate::pool::run_indexed;
 use gscalar_live::{EtaTracker, LiveHandle, LiveRecord};
 use gscalar_metrics::{HostProfile, Manifest};
+use gscalar_pool::run_indexed;
 
 /// Progress reporting mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -264,7 +264,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Executes a job grid: resumes completed jobs from `cfg.out_dir`,
-/// shards the rest across the work-stealing pool, and persists every
+/// runs the rest on the job executor, and persists every
 /// outcome. See the module docs for the exact semantics.
 ///
 /// The returned [`ResultSet`] is ordered by job registration order, so

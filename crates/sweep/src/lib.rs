@@ -2,12 +2,13 @@
 //!
 //! The job-grid engine behind the `sweep` binary and every figure/
 //! table bench: experiments register their (workload × config ×
-//! experiment) matrix as [`JobSpec`]s; the engine shards the grid
-//! across an in-repo work-stealing thread pool, isolates each job
-//! (`catch_unwind` panic containment, deterministic simulated-cycle
-//! budgets, bounded retry), and persists every outcome under
-//! `<out>/jobs/` — completed jobs as byte-deterministic schema-v1
-//! manifests, failed jobs as machine-readable [`FailureRecord`]s.
+//! experiment) matrix as [`JobSpec`]s; the engine runs the grid on
+//! `gscalar-pool`'s job executor (workers claim jobs from one shared
+//! cursor), isolates each job (`catch_unwind` panic containment,
+//! deterministic simulated-cycle budgets, bounded retry), and persists
+//! every outcome under `<out>/jobs/` — completed jobs as
+//! byte-deterministic schema-v1 manifests, failed jobs as
+//! machine-readable [`FailureRecord`]s.
 //!
 //! Two properties are load-bearing for reproduction workflows:
 //!
@@ -52,13 +53,12 @@
 
 pub mod engine;
 pub mod job;
-pub mod pool;
 
 pub use engine::{
     execute_one, host_manifest, run_sweep, write_atomic, Progress, SweepConfig, SweepOutcome,
 };
+pub use gscalar_pool::resolve_threads;
 pub use job::{
     FailureRecord, JobCache, JobCtx, JobError, JobId, JobOutput, JobResult, JobSpec, ResultSet,
     FAILURE_SCHEMA_VERSION,
 };
-pub use pool::resolve_threads;
