@@ -46,7 +46,7 @@ fn bench_overhead(c: &mut Criterion) {
             let mut buf = EventBuf::new(1 << 16);
             let mut ins = Instruments {
                 tracer: Tracer::new(&mut buf),
-                snapshot_interval: 64,
+                sample_interval: 64,
                 ..Instruments::default()
             };
             let cycles = run_with(&runner, &w, &mut ins).cycles;

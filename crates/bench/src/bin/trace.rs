@@ -78,7 +78,7 @@ fn main() -> ExitCode {
     let mut buf = EventBuf::new(CAPACITY);
     let mut ins = Instruments {
         tracer: Tracer::new(&mut buf),
-        snapshot_interval: SNAPSHOT_INTERVAL,
+        sample_interval: SNAPSHOT_INTERVAL,
         ..Instruments::default()
     };
     let stats = runner

@@ -1,7 +1,8 @@
 //! End-to-end CLI contract for `--live`: attaching a telemetry stream
-//! to `probe` must leave the written manifest **byte-identical** to a
-//! run without it, and the resulting stream must satisfy `watch check`
-//! and render via `watch --once`. This is the same gate ci.sh runs.
+//! to `probe` or `bottleneck` must leave the written manifest
+//! **byte-identical** to a run without it, and the resulting stream
+//! must satisfy `watch check` and render via `watch --once`. This is
+//! the same gate ci.sh runs.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -9,6 +10,7 @@ use std::process::Command;
 fn bin(exe: &str) -> &'static str {
     match exe {
         "probe" => env!("CARGO_BIN_EXE_probe"),
+        "bottleneck" => env!("CARGO_BIN_EXE_bottleneck"),
         "watch" => env!("CARGO_BIN_EXE_watch"),
         _ => unreachable!(),
     }
@@ -82,6 +84,64 @@ fn live_stream_leaves_probe_manifest_byte_identical() {
     let rendered = String::from_utf8_lossy(&once.stdout);
     assert!(rendered.contains("records"), "dashboard render: {rendered}");
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn traced_observed_runs_stream_snapshots() {
+    // `bottleneck`'s baseline runs are traced and carry an observer but
+    // sample on no cadence of their own: the stream still snapshots
+    // them on its own grid, and the manifest does not move.
+    let dir = std::env::temp_dir().join("gscalar-live-cli-bottleneck");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let p = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let args = ["--scale", "test", "--deterministic"];
+    run(
+        "bottleneck",
+        &[&args[..], &["--json", &p("base.json")]].concat(),
+    );
+    run(
+        "bottleneck",
+        &[
+            &args[..],
+            &[
+                "--json",
+                &p("live.json"),
+                "--live",
+                &p("live.ndjson"),
+                "--live-interval",
+                "256",
+            ],
+        ]
+        .concat(),
+    );
+    assert_eq!(
+        read(Path::new(&p("base.json"))),
+        read(Path::new(&p("live.json"))),
+        "manifest changed when --live was attached"
+    );
+    let text = String::from_utf8(read(Path::new(&p("live.ndjson")))).unwrap();
+    let mut streamed = std::collections::HashSet::new();
+    let mut ends = Vec::new();
+    for line in text.lines() {
+        match gscalar_live::LiveRecord::parse(line).expect("parses") {
+            gscalar_live::LiveRecord::Snapshot { run, .. } => {
+                streamed.insert(run);
+            }
+            gscalar_live::LiveRecord::RunEnd { run, cycle, .. } => ends.push((run, cycle)),
+            _ => {}
+        }
+    }
+    assert!(!ends.is_empty(), "no run_end in the stream");
+    for (run, cycle) in ends {
+        if cycle >= 256 {
+            assert!(
+                streamed.contains(&run),
+                "run {run} ran {cycle} cycles and streamed no snapshot"
+            );
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -42,7 +42,7 @@ fn digest_lines() -> String {
             let mut buf = EventBuf::new(CAPACITY);
             let mut ins = Instruments {
                 tracer: Tracer::new(&mut buf),
-                snapshot_interval: SNAPSHOT_INTERVAL,
+                sample_interval: SNAPSHOT_INTERVAL,
                 ..Instruments::default()
             };
             runner

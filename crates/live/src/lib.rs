@@ -25,8 +25,8 @@
 //!
 //! Telemetry is an *observer*: enabling it must leave stats, traces,
 //! profiles, and manifests byte-identical, serially and at any thread
-//! count (the cadence adaptation lives on the observer side, never in
-//! the engine's sampling interval). In `--deterministic` mode every
+//! count (the run driver samples the stream on a grid of its own,
+//! never on the run's `sample_interval`). In `--deterministic` mode every
 //! wall-clock field of the stream (`t_s`, `wall_s`, `eta_s`) is
 //! redacted to zero, the same rule applied to `.host.json` side
 //! channels. Record *order* between concurrent jobs may vary with

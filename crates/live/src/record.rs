@@ -64,12 +64,12 @@ pub enum LiveRecord {
         /// Seconds since the stream opened (0 when deterministic).
         t_s: f64,
     },
-    /// A simulation run ended: it finished, or it stopped at a budget
-    /// boundary (the job's `job_end` then says `budget`).
+    /// A simulation run ended: it finished, or it stopped at its budget
+    /// deadline (the job's `job_end` then says `budget`).
     RunEnd {
         /// Run id.
         run: u64,
-        /// Final cycle count (the boundary cycle of a budget stop).
+        /// Final cycle count (the deadline of a budget stop).
         cycle: u64,
         /// Final thread-level IPC.
         ipc: f64,

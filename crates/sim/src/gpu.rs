@@ -3,9 +3,9 @@
 //! A run is a loop of simulated cycles: each cycle steps every SM in id
 //! order straight against the shared global memory and memory system,
 //! then the driver ends the cycle. Everything around the SM steps — CTA
-//! fill and refill, the jump over cycles every SM sleeps through, trace
-//! snapshots, observer samples, the budget, the watchdog and the final
-//! merge — is the driver's.
+//! fill and refill, the jump over cycles every SM sleeps through, the
+//! samples on the run's cadence and on the live stream's, the budget
+//! deadline, the watchdog and the final merge — is the driver's.
 
 use std::ops::ControlFlow;
 
@@ -26,10 +26,12 @@ use crate::stats::Stats;
 /// spinning forever (a workload bug, not a hardware condition).
 const WATCHDOG_CYCLES: u64 = 2_000_000_000;
 
-/// Budget-check cadence of a budgeted run that sets no
-/// [`Instruments::sample_interval`] of its own (or the budget itself,
-/// when smaller).
+/// A budget's deadline is the first multiple of this many cycles (or
+/// of the budget itself, when smaller) at or past the budget.
 const BUDGET_CHECK_INTERVAL: u64 = 4096;
+
+/// A boundary no run reaches: the next cycle of a grid that is off.
+const NEVER: u64 = u64::MAX;
 
 /// Receives interval samples and the final state of a simulation run.
 ///
@@ -44,17 +46,6 @@ pub trait RunObserver {
     /// One interval sample: `stats` is the cumulative merged state of
     /// every SM with `stats.cycles` set to the boundary cycle.
     fn sample(&mut self, cycle: u64, stats: &Stats);
-
-    /// Per-SM detail of one interval sample: called once per SM (in SM
-    /// id order) immediately before the merged [`sample`] at the same
-    /// boundary, with that SM's own cumulative statistics. The default
-    /// does nothing, so observers that only need the merged view are
-    /// unaffected.
-    ///
-    /// [`sample`]: RunObserver::sample
-    fn sample_sm(&mut self, cycle: u64, sm: usize, stats: &Stats) {
-        let _ = (cycle, sm, stats);
-    }
 
     /// The run is complete: `merged` is the final aggregate (identical
     /// to the run's return value) and `per_sm` holds each SM's own
@@ -73,8 +64,8 @@ pub trait RunObserver {
 /// manifests rely on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BudgetExceeded {
-    /// Simulated cycles when the budget tripped (the first sample
-    /// boundary at or past the budget).
+    /// Simulated cycles when the budget tripped: the run's deadline,
+    /// the first multiple of `min(budget, 4096)` at or past the budget.
     pub cycles: u64,
     /// The budget that applied.
     pub budget: u64,
@@ -103,10 +94,6 @@ impl std::fmt::Display for BudgetExceeded {
 pub struct Instruments<'a> {
     /// Cycle-level event sink ([`Tracer::off`] records nothing).
     pub tracer: Tracer<'a>,
-    /// While tracing, a [`TraceEvent::Snapshot`] with cumulative per-SM
-    /// counters is emitted at every multiple of this many cycles (0 =
-    /// none).
-    pub snapshot_interval: u64,
     /// Per-static-instruction profiler ([`Profiler::off`] records
     /// nothing); read it back with [`Profiler::into_profile`].
     pub profiler: Profiler,
@@ -114,20 +101,21 @@ pub struct Instruments<'a> {
     /// at the end (see [`RunObserver`]).
     pub observers: Vec<&'a mut dyn RunObserver>,
     /// Live telemetry for the run (a sweep job starts it from its
-    /// job's stream). It observes ahead of `observers` and
-    /// downsamples internally, so it never changes the run's cadence:
-    /// only a run with no cadence of its own (no `sample_interval`, no
-    /// `budget`, no `observers`) samples at the stream's.
+    /// job's stream). It snapshots at every multiple of its stream's
+    /// interval, whatever `sample_interval` is, and ends its run at the
+    /// end or at the budget's deadline.
     pub live: Option<LiveObserver>,
-    /// Observers are sampled, and the budget checked, at every multiple
-    /// of this many cycles (0 = never; a budgeted run then checks every
-    /// `min(budget, 4096)` cycles).
+    /// The run's sample cadence: at every multiple of this many cycles
+    /// (0 = never) each SM emits a [`TraceEvent::Snapshot`] with its
+    /// cumulative counters while tracing, then the observers are
+    /// sampled.
     pub sample_interval: u64,
     /// Simulated-cycle budget (0 = none): the run returns
-    /// [`BudgetExceeded`] at the first sample boundary at or past it,
-    /// after the observers have seen that sample and without calling
+    /// [`BudgetExceeded`] at its deadline, the first multiple of
+    /// `min(budget, 4096)` at or past the budget, after whatever
+    /// samples fall on that cycle and without calling
     /// [`RunObserver::finish`] (the `live` stream still ends the run with
-    /// its `run_end` at that boundary).
+    /// its `run_end` there).
     pub budget: u64,
 }
 
@@ -135,28 +123,11 @@ impl Default for Instruments<'_> {
     fn default() -> Self {
         Instruments {
             tracer: Tracer::off(),
-            snapshot_interval: 0,
             profiler: Profiler::off(),
             observers: Vec::new(),
             live: None,
             sample_interval: 0,
             budget: 0,
-        }
-    }
-}
-
-impl Instruments<'_> {
-    fn observed(&self) -> bool {
-        self.live.is_some() || !self.observers.is_empty()
-    }
-
-    /// Calls `f` on every observer of the run, live telemetry first.
-    fn watch(&mut self, mut f: impl FnMut(&mut dyn RunObserver)) {
-        if let Some(live) = &mut self.live {
-            f(live);
-        }
-        for o in &mut self.observers {
-            f(&mut **o);
         }
     }
 }
@@ -272,8 +243,36 @@ struct Driver<'k> {
     total_ctas: u64,
     next_cta: u64,
     ctas_done: u64,
-    /// The cadence of observer samples and budget checks.
-    sample_interval: u64,
+    /// Trace snapshots and observer samples, on the run's cadence.
+    samples: Grid,
+    /// Live snapshots, on the stream's own interval.
+    live: Grid,
+    /// The cycle a budget aborts the run at ([`NEVER`] without one).
+    deadline: u64,
+}
+
+/// The multiples of an interval, met in order: `next` is the first one
+/// the run has not reached ([`NEVER`] for an interval of 0). The clock
+/// never passes it, so reaching it is one comparison, not a modulo.
+struct Grid {
+    interval: u64,
+    next: u64,
+}
+
+impl Grid {
+    fn every(interval: u64) -> Self {
+        let next = if interval == 0 { NEVER } else { interval };
+        Grid { interval, next }
+    }
+
+    /// Whether `now` is on the grid; steps to the next multiple if so.
+    fn reached(&mut self, now: u64) -> bool {
+        let due = now == self.next;
+        if due {
+            self.next += self.interval;
+        }
+        due
+    }
 }
 
 impl<'k> Driver<'k> {
@@ -292,12 +291,12 @@ impl<'k> Driver<'k> {
         sms: &mut [Sm],
     ) -> Self {
         let threads = launch.threads_per_cta() as usize;
-        let sample_interval = match ins.sample_interval {
-            0 if ins.budget > 0 => ins.budget.min(BUDGET_CHECK_INTERVAL),
-            0 if ins.observers.is_empty() => {
-                ins.live.as_ref().map_or(0, LiveObserver::sample_interval)
+        let deadline = match ins.budget {
+            0 => NEVER,
+            b => {
+                let q = b.min(BUDGET_CHECK_INTERVAL);
+                b.div_ceil(q) * q
             }
-            n => n,
         };
         let mut driver = Driver {
             kernel,
@@ -307,7 +306,9 @@ impl<'k> Driver<'k> {
             total_ctas: launch.grid.count(),
             next_cta: 0,
             ctas_done: 0,
-            sample_interval,
+            samples: Grid::every(ins.sample_interval),
+            live: Grid::every(ins.live.as_ref().map_or(0, LiveObserver::interval)),
+            deadline,
         };
         let _fill_phase = hostprof::phase(hostprof::Phase::CtaLaunch);
         let mut progress = true;
@@ -368,12 +369,17 @@ impl<'k> Driver<'k> {
         }
     }
 
+    /// The first cycle ahead with a sample or the deadline on it.
+    fn next_due(&self) -> u64 {
+        self.samples.next.min(self.live.next).min(self.deadline)
+    }
+
     /// Ends cycle `now` once every SM has stepped it: either finishes
     /// the run or advances the clock to [`Driver::next_cycle`], emitting
-    /// the snapshot and sample due there. Continues with the next cycle
-    /// to run, or breaks with the run's result.
+    /// the samples due there. Continues with the next cycle to run, or
+    /// breaks with the run's result.
     fn end_cycle(
-        &self,
+        &mut self,
         now: u64,
         sms: &mut [Sm],
         ins: &mut Instruments<'_>,
@@ -382,9 +388,12 @@ impl<'k> Driver<'k> {
             return ControlFlow::Break(Ok(finish(now + 1, sms, ins)));
         }
         let now = self.next_cycle(now, sms, ins);
-        self.snapshot(now, sms, ins);
-        if let Some(exceeded) = self.sample(now, sms, ins) {
-            return ControlFlow::Break(Err(exceeded));
+        let due = self.next_due();
+        debug_assert!(now <= due, "the clock passed a sample boundary");
+        if now == due {
+            if let Some(exceeded) = self.sample(now, sms, ins) {
+                return ControlFlow::Break(Err(exceeded));
+            }
         }
         assert!(now < WATCHDOG_CYCLES, "simulation watchdog tripped");
         ControlFlow::Continue(now)
@@ -392,9 +401,9 @@ impl<'k> Driver<'k> {
 
     /// The cycle to run after `now`. That is `now + 1`, unless the
     /// tracer and the profiler are off and every SM sleeps through it:
-    /// then the clock jumps to the earliest wake-up, capped at the next
-    /// sample boundary, and each SM is charged the sleeping polls in
-    /// between in bulk ([`Sm::sleep_through`]). The jump equals polling
+    /// then the clock jumps to the earliest wake-up, capped at
+    /// [`Driver::next_due`], and each SM is charged the sleeping polls
+    /// in between in bulk ([`Sm::sleep_through`]). The jump equals polling
     /// those cycles: a traced or profiled poll would only add its
     /// stall events and profile charges.
     fn next_cycle(&self, now: u64, sms: &mut [Sm], ins: &Instruments<'_>) -> u64 {
@@ -403,10 +412,7 @@ impl<'k> Driver<'k> {
             return next;
         }
         let _idle_phase = hostprof::phase(hostprof::Phase::IdleScan);
-        let mut wake = WATCHDOG_CYCLES;
-        if self.sample_interval > 0 {
-            wake = wake.min(next.div_ceil(self.sample_interval) * self.sample_interval);
-        }
+        let mut wake = WATCHDOG_CYCLES.min(self.next_due());
         for sm in sms.iter() {
             wake = wake.min(sm.sleep_until());
             if wake <= next {
@@ -419,51 +425,59 @@ impl<'k> Driver<'k> {
         wake
     }
 
-    /// Emits one [`TraceEvent::Snapshot`] per SM when `now` is a
-    /// snapshot boundary.
-    fn snapshot(&self, now: u64, sms: &[Sm], ins: &mut Instruments<'_>) {
-        if !ins.tracer.is_on()
-            || ins.snapshot_interval == 0
-            || !now.is_multiple_of(ins.snapshot_interval)
-        {
-            return;
-        }
+    /// Emits what is due at `now`, a cycle [`Driver::next_due`]
+    /// reached: on the run's cadence, one [`TraceEvent::Snapshot`] per SM
+    /// while tracing, then the observers' samples; on the stream's, a
+    /// live snapshot. At the deadline it reports the budget exceeded and
+    /// ends the live stream's run there; the other observers get no
+    /// [`RunObserver::finish`]. The SMs' statistics merge once, however
+    /// many of these want them.
+    fn sample(
+        &mut self,
+        now: u64,
+        sms: &[Sm],
+        ins: &mut Instruments<'_>,
+    ) -> Option<BudgetExceeded> {
         let _snap_phase = hostprof::phase(hostprof::Phase::Snapshot);
-        for (id, sm) in (0..).zip(sms) {
-            let s = &sm.stats;
-            ins.tracer.emit_with(now, || TraceEvent::Snapshot {
-                sm: id,
-                issued: s.pipe.issued,
-                scalar: s.instr.executed_scalar,
-                rf_bytes_compressed: s.rf.ours_bytes,
-                rf_bytes_uncompressed: s.rf.raw_bytes,
-                rf_activations: s.rf.ours_arrays,
-            });
+        let observe = self.samples.reached(now);
+        if observe && ins.tracer.is_on() {
+            for (id, sm) in (0..).zip(sms) {
+                let s = &sm.stats;
+                ins.tracer.emit_with(now, || TraceEvent::Snapshot {
+                    sm: id,
+                    issued: s.pipe.issued,
+                    scalar: s.instr.executed_scalar,
+                    rf_bytes_compressed: s.rf.ours_bytes,
+                    rf_bytes_uncompressed: s.rf.raw_bytes,
+                    rf_activations: s.rf.ours_arrays,
+                });
+            }
         }
-    }
-
-    /// Samples the observers when `now` is a sample boundary, and
-    /// reports a budget it reached. A budget abort ends the live
-    /// stream's run at the boundary; the other observers get no
-    /// [`RunObserver::finish`].
-    fn sample(&self, now: u64, sms: &[Sm], ins: &mut Instruments<'_>) -> Option<BudgetExceeded> {
-        if self.sample_interval == 0 || !now.is_multiple_of(self.sample_interval) {
-            return None;
-        }
-        let exceeded = (ins.budget > 0 && now >= ins.budget).then_some(BudgetExceeded {
+        let observe = observe && !ins.observers.is_empty();
+        let stream = self.live.reached(now);
+        let exceeded = (now >= self.deadline).then_some(BudgetExceeded {
             cycles: now,
             budget: ins.budget,
         });
-        if ins.observed() {
-            let _snap_phase = hostprof::phase(hostprof::Phase::Snapshot);
-            let mut cum = Stats::default();
-            for (id, sm) in sms.iter().enumerate() {
-                ins.watch(|o| o.sample_sm(now, id, &sm.stats));
-                cum.merge(&sm.stats);
+        let live = ins.live.as_mut().filter(|_| stream || exceeded.is_some());
+        if !observe && live.is_none() {
+            return exceeded;
+        }
+        let mut cum = Stats::default();
+        for sm in sms {
+            cum.merge(&sm.stats);
+        }
+        cum.cycles = now;
+        if observe {
+            for o in &mut ins.observers {
+                o.sample(now, &cum);
             }
-            cum.cycles = now;
-            ins.watch(|o| o.sample(now, &cum));
-            if let (Some(live), Some(_)) = (&mut ins.live, exceeded) {
+        }
+        if let Some(live) = live {
+            if stream {
+                live.snapshot(now, sms.iter().map(|sm| &sm.stats), &cum);
+            }
+            if exceeded.is_some() {
                 live.end(now, &cum);
             }
         }
@@ -474,7 +488,7 @@ impl<'k> Driver<'k> {
 /// Merges every SM's statistics into the run's result at cycle `end`
 /// and tells the observers the run is complete.
 fn finish(end: u64, sms: &[Sm], ins: &mut Instruments<'_>) -> Stats {
-    let observed = ins.observed();
+    let observed = !ins.observers.is_empty();
     let mut stats = Stats::default();
     let mut per_sm = Vec::new();
     for sm in sms {
@@ -484,7 +498,12 @@ fn finish(end: u64, sms: &[Sm], ins: &mut Instruments<'_>) -> Stats {
         }
     }
     stats.cycles = end;
-    ins.watch(|o| o.finish(end, &stats, &per_sm));
+    for o in &mut ins.observers {
+        o.finish(end, &stats, &per_sm);
+    }
+    if let Some(live) = &mut ins.live {
+        live.end(end, &stats);
+    }
     stats
 }
 

@@ -213,7 +213,7 @@ fn run_via_runner(
     let mut buf = EventBuf::new(1 << 20);
     let mut ins = Instruments {
         tracer: Tracer::new(&mut buf),
-        snapshot_interval: 64,
+        sample_interval: 64,
         live: handle
             .clone()
             .map(|h| LiveObserver::start(h, &w.name, &arch.name, cfg.num_sms)),
